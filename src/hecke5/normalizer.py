@@ -486,7 +486,8 @@ def is_g5_elementary(
     return _elementary_search(r, bound)
 
 
-@functools.lru_cache(maxsize=None)
+# bounded, so a long batch of distinct searches cannot grow memory without limit
+@functools.lru_cache(maxsize=4096)
 def _elementary_search(r: RingElt, bound: int) -> ElementaryVerdict:
     if r.is_unit():
         return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)

@@ -19,7 +19,7 @@ from .errors import (
     IntegrityError,
     UnitModulusError,
 )
-from .ideals import ResidueCtx, index_in_g5, smallest_rational_integer
+from .ideals import ResidueCtx, factor, index_in_g5, smallest_rational_integer
 from .reduction import (
     GEN_S,
     GEN_T,
@@ -30,7 +30,7 @@ from .reduction import (
     g5_decompose,
     t_power,
 )
-from .ring import ONE, ZERO, RingElt, gcd
+from .ring import ONE, ZERO, RingElt, exact_divide, gcd
 
 
 def g0_contains(m: GMatrix, modulus: RingElt) -> bool:
@@ -73,6 +73,15 @@ class CosetTable:
     generator word) per class, plus the permutation action of S and T on
     classes.  Construction cross-checks the class count against the
     multiplicative index formula and raises IntegrityError on any mismatch.
+
+    Points are normalised directly, as Manin symbols are in P^1(Z/N): every
+    residue c is u*c0 for a unit u and the least residue c0 of its unit
+    orbit, and with w = u**-1 and mu = modulus / gcd(c0, modulus) the pair
+    (c0, w*d mod mu) is a complete invariant of the class of (c, d), because
+    the units fixing c0 are exactly those congruent to 1 modulo mu.  The
+    table keeps one (c0, w, mu) entry per residue and one key per class, so
+    memory is O(index + N(modulus)).  Classes are numbered in the order of
+    their least unit multiple (c, d), compared coefficient by coefficient.
     """
 
     def __init__(self, modulus: RingElt, max_points: int = 10_000) -> None:
@@ -86,63 +95,90 @@ class CosetTable:
         self.ctx = ctx
 
         n, g, hm = ctx.n, ctx.g, ctx.m
+        size = n * g
 
         def red(a: int, b: int) -> tuple[int, int]:
             k = b // g
             return (a - k * hm) % n, b - k * g
 
-        # invertible residues of the quotient ring, as coefficient pairs
-        if modulus.is_unit():
-            units = [(0, 0)]  # the zero ring: its single residue is invertible
-        else:
-            units = [
-                (r.a, r.b)
-                for r in ctx.residues()
-                if bool(r) and gcd(r, modulus).is_unit()
-            ]
+        def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+            (xa, xb), (ya, yb) = x, y
+            return red(xa * ya + xb * yb, xa * yb + xb * ya + xb * yb)
 
-        index_of: dict[tuple[int, int, int, int], int] = {}
+        # invertible residues: those outside every prime ideal over the level
+        primes = [ResidueCtx(p) for p in factor(modulus).distinct_primes()]
+        units = [
+            (a, b)
+            for a in range(n)
+            for b in range(g)
+            if all(b % p.g or (a - b // p.g * p.m) % p.n for p in primes)
+        ]
+        # their inverses by one power and three products per unit
+        prefix = [red(1, 0)]
+        for u in units:
+            prefix.append(mul(prefix[-1], u))
+        inv, e = red(1, 0), len(units) - 1  # the unit group has len(units) elements
+        x = prefix.pop()
+        while e:
+            if e & 1:
+                inv = mul(inv, x)
+            x, e = mul(x, x), e >> 1
+        inverses = [(0, 0)] * len(units)
+        for i in range(len(units) - 1, -1, -1):
+            inverses[i] = mul(inv, prefix[i])
+            inv = mul(inv, units[i])
+
+        # one pass over the units per unit orbit of residues, i.e. per ideal
+        # divisor of the level; row-major order meets each orbit at its least
+        # residue c0 first
+        canon: list = [None] * size
+        stabilisers: dict[int, list[tuple[int, int]]] = {}
+        for c0 in range(size):
+            if canon[c0] is not None:
+                continue
+            least = divmod(c0, g)
+            divisor = gcd(RingElt(*least), modulus)
+            mu = ResidueCtx(exact_divide(modulus, divisor))
+            hnf, base = (mu.n, mu.g, mu.m), c0 * size
+            stab = stabilisers[base] = []
+            for u, w in zip(units, inverses):
+                ca, cb = mul(u, least)
+                c = ca * g + cb
+                if canon[c] is None:
+                    canon[c] = (base, *w, hnf)
+                if c == c0:
+                    stab.append(u)
+        self._canon = canon
+        key = self._key
+
+        index_of: dict[int, int] = {}
         points: list[tuple[int, int, int, int]] = []
-        minkeys: list[tuple[int, int, int, int]] = []
         reps: list[GMatrix] = []
         words: list[Word] = []
+        successors: dict[str, list[int]] = {"S": [], "T": []}
 
-        def register(pt: tuple[int, int, int, int], rep: GMatrix, word: Word) -> int:
-            idx = len(points)
+        def register(pt: tuple[int, int, int, int], rep: GMatrix, word: Word) -> None:
+            index_of[key(*pt)] = len(points)
             points.append(pt)
             reps.append(rep)
             words.append(word)
-            best = None
-            ca, cb, da, db = pt
-            for ua, ub in units:
-                key = (
-                    *red(ua * ca + ub * cb, ua * cb + ub * ca + ub * cb),
-                    *red(ua * da + ub * db, ua * db + ub * da + ub * db),
-                )
-                index_of[key] = idx
-                if best is None or key < best:
-                    best = key
-            minkeys.append(best)
-            return idx
 
-        start = (*red(0, 0), *red(1, 0))
-        register(start, IDENTITY, ())
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            ca, cb, da, db = queue[qi]
-            i = index_of[(ca, cb, da, db)]
-            qi += 1
+        register((*red(0, 0), *red(1, 0)), IDENTITY, ())
+        i = 0
+        while i < len(points):
+            ca, cb, da, db = points[i]
             # right action: (c, d) S = (d, -c); (c, d) T = (c, c L + d)
             neighbors = (
                 ("S", GEN_S, (da, db, *red(-ca, -cb))),
                 ("T", GEN_T, (ca, cb, *red(da + cb, db + ca + cb))),
             )
             for name, gen, pt in neighbors:
-                if pt not in index_of:
+                k = key(*pt)
+                if k not in index_of:
                     token: Token = (name, 1)
                     register(pt, reps[i] * gen, words[i] + (token,))
-                    queue.append(pt)
+                successors[name].append(index_of[k])
+            i += 1
 
         if len(points) != expected:
             raise IntegrityError(
@@ -150,22 +186,31 @@ class CosetTable:
                 f"gives {expected}"
             )
 
-        order = sorted(range(len(points)), key=lambda i: minkeys[i])
-        perm = {old: new for new, old in enumerate(order)}
+        def least_multiple(pt: tuple[int, int, int, int]) -> int:
+            ca, cb, da, db = pt
+            base, wa, wb, _ = canon[ca * g + cb]
+            v = mul((wa, wb), (da, db))
+            multiples = (mul(s, v) for s in stabilisers[base])
+            return base + min(a * g + b for a, b in multiples)
+
+        order = sorted(range(len(points)), key=lambda i: least_multiple(points[i]))
+        perm = [0] * len(order)
+        for new, old in enumerate(order):
+            perm[old] = new
         self.points = [points[i] for i in order]
         self.reps = [reps[i] for i in order]
         self.rep_words = [words[i] for i in order]
         self._index_of = {k: perm[v] for k, v in index_of.items()}
         self.action = {
-            "S": [0] * len(points),
-            "T": [0] * len(points),
+            name: [perm[succ[i]] for i in order] for name, succ in successors.items()
         }
-        for new_i, pt in enumerate(self.points):
-            ca, cb, da, db = pt
-            s_pt = (da, db, *red(-ca, -cb))
-            t_pt = (ca, cb, *red(da + cb, db + ca + cb))
-            self.action["S"][new_i] = self._index_of[s_pt]
-            self.action["T"][new_i] = self._index_of[t_pt]
+
+    def _key(self, ca: int, cb: int, da: int, db: int) -> int:
+        """Class key c0 * N(modulus) + (w*d mod mu) of a reduced point (c, d)."""
+        base, wa, wb, (mn, mg, mm) = self._canon[ca * self.ctx.g + cb]
+        ea, eb = wa * da + wb * db, wa * db + wb * (da + db)
+        k = eb // mg
+        return base + (ea - k * mm) % mn * mg + eb - k * mg
 
     @property
     def size(self) -> int:
@@ -176,9 +221,14 @@ class CosetTable:
 
     def locate(self, m: GMatrix) -> int:
         """Class index of the coset containing ``m`` (assumed in the group)."""
-        c, d = self.ctx.reduce(m.c), self.ctx.reduce(m.d)
+        ctx = self.ctx
+        n, g, hm = ctx.n, ctx.g, ctx.m
+        (ca, cb), (da, db) = m.c.coeffs, m.d.coeffs
+        k, j = cb // g, db // g
         try:
-            return self._index_of[(c.a, c.b, d.a, d.b)]
+            return self._index_of[
+                self._key((ca - k * hm) % n, cb - k * g, (da - j * hm) % n, db - j * g)
+            ]
         except KeyError:
             raise ValueError("bottom row is not in the coset orbit") from None
 

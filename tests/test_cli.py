@@ -1,5 +1,6 @@
 """CLI behavior: golden outputs, exit codes, batch determinism, selftest."""
 
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,34 @@ def test_quotient_json(capsys):
     assert obj["classification"] == "Z4xZ4"
     assert obj["profile"] == [[1, 1], [2, 3], [4, 12]]
     assert obj["normalizer_modulus"] == "4"
+
+
+#: sha256 of the full stdout of ``hecke5 ARGV TAU``, pinned so that coset and
+#: quotient output stays byte-identical whatever the table's internals.
+COSET_GOLDENS = {
+    ("--json", "cosets", "2"): "709338a0e2a01249e7f17f7d1214b293286dedde32557773a8f3a2f6354fb1e1",
+    ("cosets", "2"): "6ae35ce870f17827d3073ac3ef28fab76142785e848399a3c39a603ffbf0f390",
+    ("--json", "quotient", "2"): "76209759e50d0d3d895c713d65463f2c4dbbe125a71e2f6410954b9ca5deb937",
+    ("--json", "cosets", "2+L"): "81c34e1ad4ebef227d18b69960690ef9281be392a4a3ac5528b96447a6f80bc8",
+    ("cosets", "2+L"): "43a75037a836943c10b83d977324b24f7f13014a821ea00be0e82f3560d65e27",
+    ("--json", "quotient", "2+L"): "b85a01138477c5a439e2877175c5b950fc4f2adef0d7aea1ca0cb2307c3bfc72",
+    ("--json", "cosets", "4*L"): "1aa6db12961213c92776c8e51d701c9e71a6fcc099f9cecf7c43bece1b9ddf27",
+    ("cosets", "4*L"): "2a9343ce23c706665fe345602a957316f2832ea85a10229c2d7d70249af000eb",
+    ("--json", "quotient", "4*L"): "38988ccb0fb2610bf8befdfb6f5575ce7cf1afd07fe253b5950df5c505d6026d",
+    ("--json", "cosets", "16"): "458f6c3d2d28b6ca498cebf850555fe31adc1f6ff7df8581f29c30d5a9983760",
+    ("cosets", "16"): "33b971b3d70f7730a596cfb825b4b26f2a56c2e879d1994f6a219e99b1739004",
+    ("--json", "quotient", "16"): "57e57343584bf8f836d616580e9913ac775d5aed2a628d428344de03d6a8866a",
+    ("--json", "cosets", "20"): "2ae14156fc55736e1792dfe759a15e0e730babd1e8c051c7b3e58b18ced47b50",
+    ("cosets", "20"): "bc95b037de8b8b437eb634609ab95d3d32af9b00bdc590e495a7d75731c108ae",
+    ("--json", "quotient", "20"): "75fe6802464a9f0ebb277700d8cceb5a71e8a62e47e3184aa7e36d25cc078805",
+}
+
+
+@pytest.mark.parametrize("argv", COSET_GOLDENS, ids=" ".join)
+def test_coset_and_quotient_output_goldens(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COSET_GOLDENS[argv]
 
 
 # --- membership and exit-code semantics ----------------------------------------------

@@ -1,0 +1,34 @@
+"""Smoke test: the quick demos run to completion against the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 04_normalizers_and_quotients.py takes about 11 s and is left out.
+QUICK_DEMOS = (
+    "01_golden_ratio_ring.py",
+    "02_reduced_fractions.py",
+    "03_subgroups_and_cosets.py",
+)
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

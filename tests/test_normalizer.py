@@ -16,6 +16,7 @@ from hecke5.normalizer import (
     QUOTIENT_KLEIN4,
     QUOTIENT_TRIVIAL,
     QUOTIENT_Z4XZ4,
+    _elementary_search,
     is_g5_elementary,
     normalizer_of,
     normalizes,
@@ -302,6 +303,14 @@ def test_strongly_elementary_4_holds_8_fails():
     assert strong8.failing_divisor == ints(8)
     assert strong8.failure.witness[0] == ints(3) * lambda_pow(3)
     assert strongly_elementary(ONE).holds
+
+
+def test_elementary_cache_is_bounded():
+    maxsize = _elementary_search.cache_info().maxsize
+    assert maxsize is not None
+    for bound in range(1, maxsize + 100):  # distinct keys; a unit returns at once
+        is_g5_elementary(ONE, bound)
+    assert _elementary_search.cache_info().currsize <= maxsize
 
 
 # --- fast exponent chain ------------------------------------------------------------

@@ -13,6 +13,7 @@ from hecke5.errors import (
     BoundExceededError,
     UnitModulusError,
 )
+from hecke5.ideals import ResidueCtx, ideals_up_to_norm, primes_above
 from hecke5.reduction import (
     GEN_S,
     GEN_T,
@@ -22,7 +23,7 @@ from hecke5.reduction import (
     g5_decompose,
     t_power,
 )
-from hecke5.ring import LAMBDA, ONE, RingElt
+from hecke5.ring import LAMBDA, ONE, ZERO, RingElt, gcd
 from hecke5.subgroups import (
     G0_2_GENERATORS,
     CosetTable,
@@ -143,6 +144,106 @@ def test_coset_table_membership_via_class_zero():
 def test_coset_table_bound():
     with pytest.raises(BoundExceededError):
         CosetTable(elem(16, 0), max_points=100)
+
+
+def test_coset_table_at_the_default_bound():
+    # a split prime of norm 9949: index 9950, just under max_points=10_000
+    tau = primes_above(9949)[0]
+    with pytest.raises(BoundExceededError):
+        CosetTable(tau, max_points=9949)
+    table = CosetTable(tau)
+    assert table.size == 9950
+    s, t = table.action["S"], table.action["T"]
+    assert all(s[s[i]] == i for i in range(table.size))
+    for i in range(table.size):
+        j = i
+        for _ in range(5):
+            j = t[s[j]]
+        assert j == i  # (ST)**5 acts trivially
+    assert table.locate(IDENTITY) == 0
+    assert all(table.locate(table.reps[i]) == i for i in range(0, table.size, 97))
+
+
+# --- coset tables against a brute-force oracle --------------------------------------
+
+
+def oracle_table(tau: RingElt):
+    """Coset table from every unit multiple of every point, least key first.
+
+    Returns (points, reps, rep_words, action, locate).
+    """
+    ctx = ResidueCtx(tau)
+    units = [r for r in ctx.residues() if r and gcd(r, tau).is_unit()]
+    units = units or [ctx.reduce(ONE)]  # the zero ring when tau is a unit
+
+    def key(c: RingElt, d: RingElt) -> tuple[int, int, int, int]:
+        return (*ctx.reduce(c).coeffs, *ctx.reduce(d).coeffs)
+
+    class_of: dict = {}
+    points, reps, words, least = [], [], [], []
+
+    def register(c, d, rep, word):
+        multiples = [key(u * c, u * d) for u in units]
+        class_of.update((k, len(points)) for k in multiples)
+        least.append(min(multiples))
+        points.append(key(c, d))
+        reps.append(rep)
+        words.append(word)
+
+    register(ZERO, ONE, IDENTITY, ())
+    i = 0
+    while i < len(points):
+        c, d = RingElt(*points[i][:2]), RingElt(*points[i][2:])
+        for name, gen, (c2, d2) in (
+            ("S", GEN_S, (d, -c)),
+            ("T", GEN_T, (c, c * LAMBDA + d)),
+        ):
+            if key(c2, d2) not in class_of:
+                register(c2, d2, reps[i] * gen, words[i] + ((name, 1),))
+        i += 1
+    order = sorted(range(len(points)), key=least.__getitem__)
+    position = {old: new for new, old in enumerate(order)}
+
+    def locate(m: GMatrix) -> int:
+        return position[class_of[key(m.c, m.d)]]
+
+    action = {
+        name: [locate(reps[i] * gen) for i in order]
+        for name, gen in (("S", GEN_S), ("T", GEN_T))
+    }
+    points, reps, words = ([xs[i] for i in order] for xs in (points, reps, words))
+    return points, reps, words, action, locate
+
+
+ORACLE_EXTRA_MODULI = (
+    elem(16),
+    elem(4) * (elem(3) + LAMBDA),
+    ONE,
+    -elem(8) * LAMBDA * LAMBDA,
+)
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [*ideals_up_to_norm(150), *ORACLE_EXTRA_MODULI],
+    ids=lambda t: str(t.coeffs),
+)
+def test_coset_table_matches_oracle(tau):
+    table = CosetTable(tau)
+    points, reps, words, action, _ = oracle_table(tau)
+    assert table.points == points
+    assert [r.entries for r in table.reps] == [r.entries for r in reps]
+    assert table.rep_words == words
+    assert table.action == action
+    assert all(table.locate(table.reps[i]) == i for i in range(table.size))
+
+
+@pytest.mark.parametrize("tau", ORACLE_EXTRA_MODULI, ids=lambda t: str(t.coeffs))
+def test_coset_locate_matches_oracle(tau):
+    table = CosetTable(tau)
+    locate = oracle_table(tau)[4]
+    for m in sample_words((GEN_S, GEN_T), 200, seed=5, max_len=20):
+        assert table.locate(m) == locate(m)
 
 
 # --- shear families ----------------------------------------------------------------
