@@ -48,7 +48,7 @@ class BoundExceededError(ValueError):
 
 
 class FactorCapError(ValueError):
-    """Raised when trial division hits the configured prime cap."""
+    """Raised when a norm cannot be factored within the configured caps."""
 
 
 class IterationCapError(RuntimeError):

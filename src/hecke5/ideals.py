@@ -10,6 +10,7 @@ norm p, and primes congruent to +-2 mod 5 stay inert with norm p**2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd as _gcd_int
 from typing import Iterator
 
 from .errors import (
@@ -33,12 +34,22 @@ from .ring import (
 #: Largest trial divisor attempted when factoring norms over Z.
 TRIAL_DIVISION_CAP = 10**6
 
+#: Miller-Rabin with the prime bases 2..41 is exact below this bound
+#: (Sorenson and Webster, 2017); larger cofactors raise FactorCapError.
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: Pollard-Brent steps allowed for one split before FactorCapError.
+RHO_STEP_BUDGET = 1 << 22
+
 
 def _factor_int(n: int) -> dict[int, int]:
     """Factor ``n >= 1`` by trial division with a 6k+-1 wheel.
 
-    Raises FactorCapError when the remaining cofactor is composite but has no
-    prime divisor below TRIAL_DIVISION_CAP.
+    A cofactor with no prime divisor up to TRIAL_DIVISION_CAP is split by
+    Pollard-Brent rho and its parts certified prime by Miller-Rabin.  Raises
+    FactorCapError when that cofactor is at least PRIMALITY_LIMIT or a split
+    needs more than RHO_STEP_BUDGET steps.
     """
     out: dict[int, int] = {}
     for p in (2, 3, 5):
@@ -48,9 +59,13 @@ def _factor_int(n: int) -> dict[int, int]:
     d, step = 7, 4
     while d * d <= n:
         if d > TRIAL_DIVISION_CAP:
-            raise FactorCapError(
-                f"no prime divisor of {n} below {TRIAL_DIVISION_CAP}"
-            )
+            if n >= PRIMALITY_LIMIT:
+                raise FactorCapError(
+                    f"no prime divisor of {n} below {TRIAL_DIVISION_CAP}"
+                )
+            for p in _split_cofactor(n):
+                out[p] = out.get(p, 0) + 1
+            return out
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -59,6 +74,66 @@ def _factor_int(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd ``n`` in (41, PRIMALITY_LIMIT)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split_cofactor(n: int) -> list[int]:
+    """Prime factors of ``n``, with multiplicity, by rho and Miller-Rabin."""
+    if _is_prime(n):
+        return [n]
+    d = _rho_divisor(n)
+    return _split_cofactor(d) + _split_cofactor(n // d)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite ``n`` by Pollard-Brent rho.
+
+    Iterates x -> x**2 + c from a fixed start, taking one gcd per 128
+    steps, for c = 1, 2, ... until RHO_STEP_BUDGET steps are spent.
+    """
+    budget, c = RHO_STEP_BUDGET, 0
+    while budget > 0:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = _gcd_int(q, n)
+                k += 128
+            budget -= 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = _gcd_int(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    raise FactorCapError(f"no split of {n} within {RHO_STEP_BUDGET} rho steps")
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int:

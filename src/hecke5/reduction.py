@@ -30,6 +30,7 @@ from .ring import (
     ZERO,
     RingElt,
     _ceil_quad,
+    _unit_log,
     format_element,
     lambda_pow,
     unit_decompose,
@@ -363,9 +364,8 @@ def _exponent_or_none(num: RingElt, den: RingElt) -> Optional[int]:
         steps += 1
         if steps > cap:
             raise IterationCapError(f"reduction did not terminate in {cap} steps")
-    if abs(xa * xa + xa * xb - xb * xb) != 1:
-        return None
-    return -unit_decompose(RingElt(xa, xb)).exponent
+    rep = _unit_log(xa, xb)
+    return None if rep is None else -rep[1]
 
 
 # --- membership -------------------------------------------------------------------

@@ -244,25 +244,64 @@ class UnitRep:
         return u if self.sign > 0 else -u
 
 
+#: Units +-L**k with |k| up to this span are resolved by one dict lookup.
+_UNIT_LOG_SPAN = 64
+
+
+def _unit_log_table() -> dict[tuple[int, int], tuple[int, int]]:
+    """Coefficient pairs of +-L**k for |k| <= _UNIT_LOG_SPAN, mapped to (sign, k)."""
+    table = {}
+    for direction in (1, -1):
+        a, b = 1, 0
+        for k in range(_UNIT_LOG_SPAN + 1):
+            table[(a, b)] = (1, direction * k)
+            table[(-a, -b)] = (-1, direction * k)
+            # times L is (b, a + b); times L**-1 is (b - a, a)
+            a, b = (b, a + b) if direction > 0 else (b - a, a)
+    return table
+
+
+_UNIT_LOGS = _unit_log_table()
+
+#: log2 of the golden ratio and of sqrt(5): F(n) is about L**n / sqrt(5).
+_LOG2_L = 0.6942419136306174
+_LOG2_ROOT5 = 1.1609640474436813
+
+
+def _unit_log(a: int, b: int) -> Optional[tuple[int, int]]:
+    """(sign, k) with a + b L = sign * L**k, or None when it is not a unit.
+
+    Small exponents come from a table; beyond it |b| = F(|k|), so the index
+    is estimated from the bit length of b, corrected on exact Fibonacci
+    numbers and confirmed against lambda_pow.
+    """
+    hit = _UNIT_LOGS.get((a, b))
+    if hit is not None:
+        return hit
+    if abs(a * a + a * b - b * b) != 1:
+        return None
+    sgn = sign_real(RingElt(a, b))
+    a, b = sgn * a, sgn * b
+    target = abs(b)
+    n = max(2, int((target.bit_length() - 1 + _LOG2_ROOT5) / _LOG2_L))
+    f, f1 = _fib_pair(n)
+    while f < target:
+        n, f, f1 = n + 1, f1, f + f1
+    while f > target:
+        n, f, f1 = n - 1, f1 - f, f
+    # L**n has both coefficients >= 0; L**-n has coefficients of opposite sign
+    k = n if a >= 0 and b >= 0 else -n
+    if f != target or lambda_pow(k).coeffs != (a, b):
+        return None
+    return (sgn, k)
+
+
 def unit_decompose(u: RingElt) -> UnitRep:
     """Write a unit as +-L**k; raises NotAUnitError otherwise."""
-    if u.abs_norm() != 1:
+    rep = _unit_log(u.a, u.b)
+    if rep is None:
         raise NotAUnitError(f"{u!r} has |norm| {u.abs_norm()}, not 1")
-    sgn = sign_real(u)
-    v = u if sgn > 0 else -u
-    k = 0
-    guard = 4 * (max(abs(v.a), abs(v.b)).bit_length() + 2)
-    while v != ONE:
-        if sign_real(v - ONE) > 0:
-            v = v * LAMBDA_INV
-            k += 1
-        else:
-            v = v * LAMBDA
-            k -= 1
-        guard -= 1
-        if guard < 0:  # pragma: no cover - unit structure guarantees termination
-            raise AssertionError("unit decomposition failed to terminate")
-    return UnitRep(sgn, k)
+    return UnitRep(*rep)
 
 
 def inverse_unit(u: RingElt) -> RingElt:
@@ -322,14 +361,6 @@ def exact_divide(x: RingElt, d: RingElt) -> Optional[RingElt]:
     if w.a % n or w.b % n:
         return None
     return RingElt(w.a // n, w.b // n)
-
-
-def mul(x: RingElt, y: RingElt) -> RingElt:
-    return x * y
-
-
-def norm(x: RingElt) -> int:
-    return x.norm()
 
 
 def canonical_associate(x: RingElt) -> RingElt:

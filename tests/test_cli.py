@@ -7,6 +7,7 @@ import pytest
 
 import hecke5.reduction as reduction_module
 from hecke5.cli import Command, main, parse_command
+from hecke5.normalizer import _elementary_search
 from hecke5.reduction import PseudoStep
 from hecke5.ring import LAMBDA, RingElt, parse_element
 
@@ -131,6 +132,93 @@ def test_coset_and_quotient_output_goldens(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COSET_GOLDENS[argv]
+
+
+#: sha256 of the full stdout of ``hecke5 --json elementary R --bound B``, with
+#: its exit code, pinned so that verdicts and witnesses (the first in box
+#: order) stay byte-identical whatever the chain's internals.
+ELEMENTARY_GOLDENS = {
+    ("3", "4"): (2, "85897f7364cbec3dc8195d7dd3dacb78a714ab89e0371bee64813e0a9ec9b51c"),
+    ("3", "6"): (2, "3ee6a3a428088fd87d187278aed29c0a3e99a66b238f17c952b7e336849b8bf8"),
+    ("3", "12"): (2, "b6386c0c4deccbe78eefcdf7d28a8d0bfdf1917e18120f52690493cf7c6d0a6b"),
+    ("8", "4"): (2, "8e229ea81726f239ebb12f5cef3d0943cebd4d08c5e4543dffaa85fa79a0ee23"),
+    ("8", "6"): (2, "abf640869bd3825581e89defced34c6a32b8924c84ac41ee6d9cc50bf245eaf6"),
+    ("8", "12"): (2, "ebad848f722af78d1a5c969d4fe867571f5249dcdac40bbf30d91e985b0c6c92"),
+    ("12*L+7", "4"): (2, "5f42af3ced4ce6bb1f95ade84c647913775822c7f7713f5682ec90e3f400fc51"),
+    ("12*L+7", "6"): (2, "e7ca5ed409b03e1ad720d481f67af9cfd3889762ae6a48eed0bd6973912da780"),
+    ("12*L+7", "12"): (2, "7ae5ef3c321b7955e3a83c84ffd7f317ddd8ed0f38e1c9c56860364e5b63dc35"),
+    ("2*L-1", "4"): (2, "76523819c3339422da0fe4853a49ae9c9ca498b581c03c52faa7e3d2f745543c"),
+    ("2*L-1", "6"): (2, "491ba4425989ab433700e081520abebbaa2ee1428eefab26c76aac91d898c941"),
+    ("2*L-1", "12"): (2, "f23f180604537d018e7774d78c5080a6f928a44112210b4719c7d9021815a98a"),
+    ("6", "4"): (2, "5d73f1107aec81bd5cc23f7bc0cc206ee2ced6b1551607c87dd1316b9fd5d023"),
+    ("6", "6"): (2, "5f1a0411b9bf4b666f5719942eb5268cf9036e78b040fe6a2829cbc92e022037"),
+    ("6", "12"): (2, "a49e940b61fa854727e3babc6ed184d22b3d92de0346a48e0b99e14d0f765bd8"),
+    ("4", "4"): (0, "5578d81958e3e68aaf13e5149a1f10c3c1d9eaa4c45be5baf666e4496e62c202"),
+    ("4", "6"): (0, "af37003ecfa25ff0998cd8b452734c40905b4c0f9a8bd9bad64c48ccd320039a"),
+    ("4", "12"): (0, "2f76755fd8cc179a672757d08e83226999e4132504d633a0cdfcddf80ce10d3e"),
+    ("2", "4"): (0, "e817b57392f9d5b5eb36f68a5de79d2060fd30e1721915f7d2fce6faa8ebc3fb"),
+    ("2", "6"): (0, "e99fcea61d43d7dd857bab4d34449d6554269fd54bd1bd205e8d7b137aaabc92"),
+    ("2", "12"): (0, "3948a4a2589ad889ce3f9a26007b8d230fd6091578dd7af20899a63fadca668a"),
+    ("30", "4"): (0, "e2b74365d033610540ca8b8dd6213d7bc28ada8030472b88a4701a853cead48c"),
+    ("30", "6"): (0, "8cf3fdbd44b16482c25859dd74d59e5ea1cd708156746b8777408f0bbb72ea36"),
+    ("30", "12"): (2, "02d64fb2c07f4164a1101c31f33cb39a02ae4d3837c047c8a87a184045d9854f"),
+    ("12*L-6", "4"): (2, "ff84173f8b04c50be96861b1528dcc89d07a8dc00ca5713ae79f5984893ca0fb"),
+    ("12*L-6", "6"): (2, "a8f0bf78068083646bc3e2794d38821f686559bd2c25ff722e56061a6bc1d649"),
+    ("12*L-6", "12"): (2, "87a97611f7c7fb7702816be8d17fd5e75ff6d10c14e1becf8dcd0d5514ef7974"),
+}
+
+
+@pytest.mark.parametrize("r, bound", ELEMENTARY_GOLDENS)
+def test_elementary_output_goldens(capsys, r, bound):
+    _elementary_search.cache_clear()  # run the search, not an earlier verdict
+    code, out, _ = run(capsys, "--json", "elementary", r, "--bound", bound)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == ELEMENTARY_GOLDENS[(r, bound)]
+
+
+def test_elementary_strong_output_golden(capsys):
+    _elementary_search.cache_clear()
+    code, out, _ = run(capsys, "--json", "elementary", "8", "--strong")
+    assert code == 2
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5e2f1c0acff29e4f12ea6ebaa88dbc381a015b367fb302cb0ee4310d45518dbc"
+
+
+#: sha256 of ``hecke5 --json reduce NUM DEN`` on 40 to 60 digit coprime pairs,
+#: whose unit exponents (431 to 495) lie far beyond the unit-log table.
+REDUCE_GOLDENS = {
+    (
+        "23555526113251212160050442747004652845620861*L-99617940621574780177597084513838320929483922",
+        "-2141156097762074241290034138792437027878636*L+8659723942675487492117627422431875602615593",
+    ): "78828f27fee21acab1e0429e929726720a1667e663d90e1ad031d15198d619dd",
+    (
+        "-839275335766900296243462368209903700914457131698697940855893*L+286510046586330156752529433569656072553417348465738657653505",
+        "76362220176047681283490738282959827551617746471924829679745*L-62920153970205638028345463234861386005973492514462826441279",
+    ): "c6bd67ab523be4cd8bf507783819eb6196a550fdd46c9a92b844279583088314",
+    (
+        "51342233784526442775593883914248024773707131*L+45837823013708140116008427576547528383356829",
+        "-6235033273818610134801203977554561056175868*L+3427808280687517109941878149536692801224076",
+    ): "3edc5d660162efd9b58e650f4d26811cdd7be51d0b06aebc9fab0a81b589e267",
+    (
+        "-78252571171856605558667504260245552290236624*L+18665832759673176010123755343391530807127931",
+        "-275869785738264965089662017734069972385581*L-345539421844018129952599668944148885337324",
+    ): "d0a97f0495bec16ee2ff3e038c0f435113192b468af9dcdb5b614b8b1d9405b7",
+    (
+        "19767013851801178444285291437936677904284721*L-90059357156234129233380173023367593081329727",
+        "33813262620410527327601191245126185333896483*L+40700486680015826170749841004999162041292798",
+    ): "10592ca183035cd4cb5f1cc2b693552241afe8bae01641f6c8dd3e57a0b5719d",
+    (
+        "95729345250214951337590698764479509294628575931120629730*L+53709382337389826481666048644118843725006120993078369541",
+        "-9418803623160512257626290100464091926688179419375191408*L+1196345291075610097735833046975532477171604887624187000",
+    ): "62141a715c4332d1048baed465eb4e86bd4267d31eb084c73f6e2caf893acba2",
+}
+
+
+@pytest.mark.parametrize("pair", REDUCE_GOLDENS)
+def test_reduce_output_goldens(capsys, pair):
+    code, out, _ = run(capsys, "--json", "reduce", "--", *pair)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_GOLDENS[pair]
 
 
 # --- membership and exit-code semantics ----------------------------------------------
@@ -344,6 +432,7 @@ def test_command_roundtrip():
 
 
 def test_selftest_full_run(capsys):
+    _elementary_search.cache_clear()  # earlier tests must not supply its verdicts
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "42/42 passed" in out

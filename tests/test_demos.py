@@ -9,11 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 04_normalizers_and_quotients.py takes about 11 s and is left out.
 QUICK_DEMOS = (
     "01_golden_ratio_ring.py",
     "02_reduced_fractions.py",
     "03_subgroups_and_cosets.py",
+    "04_normalizers_and_quotients.py",
 )
 
 

@@ -7,12 +7,15 @@ whole enumeration pipeline without sharing code with it.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hecke5 import ideals
 from hecke5.errors import (
     FactorCapError,
     NotADivisorError,
@@ -132,8 +135,40 @@ def test_factor_frozen_examples():
 def test_factor_rejects_zero_and_caps():
     with pytest.raises(ZeroInputError):
         factor(elem(0, 0))
+    # norm (10000019 * 10000079)**2 is past PRIMALITY_LIMIT with no small factor
     with pytest.raises(FactorCapError):
-        factor(elem(1000003, 0) * elem(1000033, 0))
+        factor(elem(10000019, 0) * elem(10000079, 0))
+
+
+def test_factor_splits_cofactors_past_trial_division():
+    # norm 1000003**2 * 1000033**2: both primes are inert and above the cap
+    f = factor(elem(1000003, 0) * elem(1000033, 0))
+    assert f.unit == UnitRep(1, 0)
+    assert f.factors == ((elem(1000003, 0), 1), (elem(1000033, 0), 1))
+
+
+def test_factor_int_rho_budget_is_a_cap(monkeypatch):
+    monkeypatch.setattr(ideals, "RHO_STEP_BUDGET", 4)
+    with pytest.raises(FactorCapError):
+        ideals._factor_int(1000003 * 1000033)
+
+
+def test_factor_int_matches_sympy():
+    rng = random.Random(7)
+
+    def prime_between(lo, hi):
+        return sympy.nextprime(rng.randint(lo, hi))
+
+    cases = [rng.randint(2, 10**18) for _ in range(10)]
+    for count, hi in ((2, 10**9), (3, 10**7)) * 6:  # cofactors past the cap
+        big = [prime_between(10**6, hi) for _ in range(count)]
+        cases.append(rng.randint(1, 10**3) * sympy.prod(big))
+    cases.append(prime_between(10**11, 10**12) * prime_between(10**11, 10**12))
+    cases.append(prime_between(10**6, 10**7) ** 3)
+    cases.append(prime_between(10**18, 10**24))
+    for n in cases:
+        assert n < ideals.PRIMALITY_LIMIT
+        assert ideals._factor_int(n) == sympy.factorint(n), n
 
 
 @given(st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60))

@@ -7,6 +7,8 @@ against the decimal value of the ratio before being frozen.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from hecke5.reduction import (
     GMatrix,
     PseudoStep,
     ReducedFormResult,
+    _exponent_or_none,
     eval_word,
     g5_decompose,
     is_reduced_form,
@@ -257,3 +260,28 @@ def test_result_is_dataclass():
     res = reduced_factor(ONE, ONE)
     assert isinstance(res, ReducedFormResult)
     assert res.unit_sign in (1, -1)
+
+
+def test_exponent_or_none_matches_reduced_factor_large():
+    # log-uniform sizes up to 10**30; every third pair gets a common factor
+    rng = random.Random(20261018)
+
+    def draw():
+        bound = 10 ** rng.randint(0, 30)
+        return elem(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+    seen = {True: 0, False: 0}
+    for i in range(2000):
+        num, den = draw(), draw()
+        if i % 3 == 0:
+            common = elem(rng.randint(-50, 50), rng.randint(-50, 50))
+            num, den = num * common, den * common
+        if not num and not den:
+            continue
+        try:
+            expected = reduced_factor(num, den).e
+        except NotCoprimeError:
+            expected = None
+        assert _exponent_or_none(num, den) == expected
+        seen[expected is None] += 1
+    assert seen[True] > 100 and seen[False] > 100

@@ -166,6 +166,43 @@ def test_unit_decompose_round_trip(k, s):
     assert rep.value() == u
 
 
+def unit_walk_oracle(u: RingElt) -> UnitRep:
+    """The linear unit_decompose it replaced: one L-step at a time towards 1."""
+    sgn = sign_real(u)
+    a, b = sgn * u.a, sgn * u.b
+    k = 0
+    while (a, b) != (1, 0):
+        if sign_real(elem(a - 1, b)) > 0:
+            a, b = b - a, a  # times L**-1
+            k += 1
+        else:
+            a, b = b, a + b  # times L
+            k -= 1
+    return UnitRep(sgn, k)
+
+
+def test_unit_decompose_matches_walk_oracle():
+    # both sides of the lookup table's edge (|k| = 64, 65) and far beyond it
+    for k in range(-700, 701):
+        u = lambda_pow(k)
+        for s in (1, -1):
+            unit = u if s > 0 else -u
+            assert unit_decompose(unit) == unit_walk_oracle(unit) == UnitRep(s, k)
+
+
+big_coeffs = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@given(big_coeffs, big_coeffs)
+def test_unit_decompose_rejects_large_nonunits(a, b):
+    x = elem(a, b)
+    if x.abs_norm() == 1:
+        assert unit_decompose(x).value() == x
+        return
+    with pytest.raises(NotAUnitError, match=r"not 1$"):
+        unit_decompose(x)
+
+
 @given(st.integers(min_value=-40, max_value=40), st.sampled_from([1, -1]))
 def test_inverse_unit(k, s):
     u = lambda_pow(k) * s
