@@ -29,19 +29,15 @@ from .ring import (
     ONE,
     ZERO,
     RingElt,
-    _ceil_quad,
+    _coerce,
+    _floor_quad,
     _unit_log,
     format_element,
     lambda_pow,
-    unit_decompose,
 )
 
 Token = tuple[str, int]
 Word = tuple[Token, ...]
-
-
-def _coerce(x: "RingElt | int") -> RingElt:
-    return x if isinstance(x, RingElt) else RingElt(x, 0)
 
 
 class GMatrix:
@@ -57,6 +53,8 @@ class GMatrix:
         d: "RingElt | int",
     ) -> None:
         a, b, c, d = _coerce(a), _coerce(b), _coerce(c), _coerce(d)
+        if a is None or b is None or c is None or d is None:
+            raise TypeError("matrix entries must be RingElt or int")
         if a * d - b * c != ONE:
             raise BadDeterminantError("matrix determinant must be 1")
         object.__setattr__(self, "_a", a)
@@ -229,6 +227,21 @@ class PseudoStep:
     remainder: RingElt
 
 
+def _pseudo_quotient(xa: int, xb: int, ya: int, yb: int) -> int:
+    """The quotient q of x = xa + xb*L by y*L, y = ya + yb*L nonzero.
+
+    q is the unique integer with x/(y*L) - q in (-1/2, 1/2], decided exactly
+    from the real embedding as ceil(t - 1/2) = -floor(1/2 - t), where
+    t = x/(y*L) = w/n with w = x*conj(y*L) and n = N(y*L).
+    """
+    ma, mb = yb, ya + yb  # y*L
+    wa = xa * (ma + mb) - xb * mb
+    wb = xb * ma - xa * mb
+    n = ma * ma + ma * mb - mb * mb
+    # 1/2 - t = (n - 2*wa - wb - wb*sqrt5) / (2n); _floor_quad takes any sign of n
+    return -_floor_quad(n - 2 * wa - wb, -wb, 2 * n)
+
+
 def pseudo_divide(x: RingElt, y: RingElt) -> PseudoStep:
     """Divide ``x`` by ``y*L``, rounding the real ratio to the nearest integer.
 
@@ -237,14 +250,8 @@ def pseudo_divide(x: RingElt, y: RingElt) -> PseudoStep:
     """
     if not y:
         raise ZeroDivisionError("pseudo-division by zero")
-    den = y * LAMBDA
-    w = x * den.conj()
-    n = den.norm()
-    if n < 0:
-        w, n = -w, -n
-    # ceil(t - 1/2) with t = (w.a + w.b*(1+sqrt5)/2) / n
-    q = _ceil_quad(2 * w.a + w.b - n, w.b, 2 * n)
-    return PseudoStep(q, x - den * q)
+    q = _pseudo_quotient(x.a, x.b, y.a, y.b)
+    return PseudoStep(q, x - y * LAMBDA * q)
 
 
 # --- the reduction chain ----------------------------------------------------------
@@ -279,48 +286,65 @@ class ReducedFormResult:
         return m if total > 0 else -m
 
 
-def reduced_factor(num: RingElt, den: RingElt) -> ReducedFormResult:
-    """Reduce the fraction num/den by the continued-fraction chain.
+def _chain(
+    num: RingElt, den: RingElt, quotients: Optional[list[int]] = None
+) -> tuple[int, int]:
+    """Run the division chain from (num, den) and return the final x.
 
-    Requires gcd(num, den) to be a unit (NotCoprimeError otherwise).  The
-    chain replaces (x, y) by (-y, x - q*y*L) with q from pseudo_divide until
-    y = 0; the leftover unit fixes the scaling exponent.
+    Each step replaces (x, y) by (-y, x - q*y*L) with q = _pseudo_quotient,
+    until y = 0; the final x is a unit exactly when gcd(num, den) is one.
+    Works on raw coefficients; each quotient is appended to ``quotients``
+    when a list is given.  Raises IterationCapError past a step cap linear
+    in the input's bit length.
     """
-    if not num and not den:
-        raise BothZeroError("cannot reduce 0/0")
-    x, y = num, den
-    word: list[Token] = []
+    xa, xb, ya, yb = num.a, num.b, den.a, den.b
     cap = 64 * (
-        abs(num.a).bit_length()
-        + abs(num.b).bit_length()
-        + abs(den.a).bit_length()
-        + abs(den.b).bit_length()
+        abs(xa).bit_length()
+        + abs(xb).bit_length()
+        + abs(ya).bit_length()
+        + abs(yb).bit_length()
         + 4
     )
     steps = 0
-    while y:
-        step = pseudo_divide(x, y)
-        if step.quotient:
-            word.append(("T", step.quotient))
-        word.append(("S", 1))
-        x, y = -y, step.remainder
+    while ya or yb:
+        q = _pseudo_quotient(xa, xb, ya, yb)
+        if quotients is not None:
+            quotients.append(q)
+        xa, xb, ya, yb = -ya, -yb, xa - yb * q, xb - (ya + yb) * q
         steps += 1
         if steps > cap:
             raise IterationCapError(f"reduction did not terminate in {cap} steps")
-    try:
-        rep = unit_decompose(x)
-    except ValueError as exc:
+    return xa, xb
+
+
+def reduced_factor(num: RingElt, den: RingElt) -> ReducedFormResult:
+    """Reduce the fraction num/den by the continued-fraction chain.
+
+    Requires gcd(num, den) to be a unit (NotCoprimeError otherwise).  Each
+    chain quotient q adds T**q S to the word; the leftover unit fixes the
+    scaling exponent.
+    """
+    if not num and not den:
+        raise BothZeroError("cannot reduce 0/0")
+    quotients: list[int] = []
+    rep = _unit_log(*_chain(num, den, quotients))
+    if rep is None:
         raise NotCoprimeError(
             f"gcd of {format_element(num)} and {format_element(den)} is not a unit"
-        ) from exc
-    e = -rep.exponent
-    scale = lambda_pow(e)
+        )
+    sign, k = rep
+    word: list[Token] = []
+    for q in quotients:
+        if q:
+            word.append(("T", q))
+        word.append(("S", 1))
+    scale = lambda_pow(-k)
     full_word = tuple(word)
     return ReducedFormResult(
-        e=e,
+        e=-k,
         reduced_num=num * scale,
         reduced_den=den * scale,
-        unit_sign=rep.sign,
+        unit_sign=sign,
         word=full_word[:-1] if full_word else full_word,
         full_word=full_word,
     )
@@ -339,32 +363,9 @@ def scaling_exponent(num: RingElt, den: RingElt) -> int:
 def _exponent_or_none(num: RingElt, den: RingElt) -> Optional[int]:
     """Scaling exponent of num/den, or None when the pair is not coprime.
 
-    Allocation-light twin of reduced_factor for bulk searches: runs the same
-    division chain on raw coefficients without building the witness word.
+    For bulk searches: the chain without the witness word.
     """
-    xa, xb, ya, yb = num.a, num.b, den.a, den.b
-    cap = 64 * (
-        abs(xa).bit_length()
-        + abs(xb).bit_length()
-        + abs(ya).bit_length()
-        + abs(yb).bit_length()
-        + 4
-    )
-    steps = 0
-    while ya or yb:
-        ma, mb = yb, ya + yb
-        ca, cb = ma + mb, -mb
-        wa = xa * ca + xb * cb
-        wb = xa * cb + xb * ca + xb * cb
-        n = ma * ma + ma * mb - mb * mb
-        if n < 0:
-            wa, wb, n = -wa, -wb, -n
-        q = _ceil_quad(2 * wa + wb - n, wb, 2 * n)
-        xa, xb, ya, yb = -ya, -yb, xa - ma * q, xb - mb * q
-        steps += 1
-        if steps > cap:
-            raise IterationCapError(f"reduction did not terminate in {cap} steps")
-    rep = _unit_log(xa, xb)
+    rep = _unit_log(*_chain(num, den))
     return None if rep is None else -rep[1]
 
 

@@ -225,10 +225,6 @@ def _floor_quad(p: int, q: int, r: int) -> int:
     return approx
 
 
-def _ceil_quad(p: int, q: int, r: int) -> int:
-    return -_floor_quad(-p, -q, r)
-
-
 # --- units ------------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 Each test prints exactly one PASS/FAIL line (visible under ``pytest -s``)
 and asserts the corresponding exact property.  No tolerances anywhere.
+Criteria 1-5 and 9 run the matching ``hecke5 selftest`` items, which hold
+the frozen values, and add only the assertions those items do not make.
 """
 
 import random
@@ -11,20 +13,14 @@ from hecke5 import (
     G0_2_GENERATORS,
     LAMBDA,
     ONE,
-    ZERO,
     GMatrix,
-    IntegrityError,
     ResidueCtx,
     RingElt,
     ShearPair,
-    coset_table,
     g0_contains,
     gcd,
-    ideals_up_to_norm,
-    index_in_g5,
     is_g5_elementary,
     lambda_pow,
-    normalizes,
     quotient_table,
     reduced_factor,
     sample_subgroup,
@@ -33,6 +29,7 @@ from hecke5 import (
     shear_coset_equal,
     strongly_elementary,
 )
+from hecke5.cli import _TABLE_ROWS, _selftest_items
 
 ints = lambda n: RingElt(n, 0)  # noqa: E731
 
@@ -47,33 +44,26 @@ def _criterion(number: int, title: str, fn: Callable[[], str]) -> None:
     print(f"PASS criterion {number:2d} - {title}: {detail}")
 
 
-# --- 1: the ten-row reduced-factor table ----------------------------------------------
+def _selftest(prefix: str) -> list[str]:
+    """Run the ``hecke5 selftest`` items whose name starts with ``prefix``.
 
-_TABLE = (
-    (2, (1, 3, 5), 2, RingElt(2, 2)),
-    (4, (1, 3, 5), 2, RingElt(4, 4)),
-    (3, (1, 2, 4), 3, RingElt(3, 6)),
-    (9, (1, 8, 10), 3, RingElt(9, 18)),
-    (9, (2, 4, 5), 9, RingElt(189, 306)),
-    (5, (1, 2, 3), 6, RingElt(25, 40)),
-    (25, (1, 2, 23), 6, RingElt(125, 200)),
-    (25, (3, 6, 19), 12, RingElt(2225, 3600)),
-    (7, (1, 2, 3), 6, RingElt(35, 56)),
-    (11, (1, 10, 12), 6, RingElt(55, 88)),
-)
+    Each item raises on any value that differs from its frozen expectation
+    and returns its detail line.
+    """
+    items = [(name, fn) for name, fn in _selftest_items() if name.startswith(prefix)]
+    assert items, f"no selftest item starts with {prefix!r}"
+    return [fn() for _name, fn in items]
+
+
+# --- 1: the ten-row reduced-factor table ----------------------------------------------
 
 
 def test_c01_reduced_factor_table():
     def check() -> str:
-        instances = 0
-        for pa, smallest_n, e_want, expansion in _TABLE:
-            assert expansion == ints(pa) * lambda_pow(e_want)
-            for n in smallest_n:
-                r = reduced_factor(ints(pa), RingElt(0, n))
-                assert r.e == e_want, f"{pa}/{n}L: e={r.e}, want {e_want}"
-                assert r.reduced_num == expansion, f"{pa}/{n}L: wrong numerator"
-                assert r.reduced_den == RingElt(0, n) * lambda_pow(e_want)
-                instances += 1
+        for pa, _smallest_n, e_want, (a, b) in _TABLE_ROWS:
+            assert RingElt(a, b) == ints(pa) * lambda_pow(e_want)
+        instances = len(_selftest("table "))
+        assert instances == 30
         return f"{instances}/30 instances exact"
 
     _criterion(1, "ten-row table of e(p**a / nL)", check)
@@ -84,15 +74,7 @@ def test_c01_reduced_factor_table():
 
 def test_c02_reduced_forms_of_2l_minus_1():
     def check() -> str:
-        cases = (
-            (12, 6, RingElt(11, 18), ints(12) * lambda_pow(6)),
-            (96, 6, RingElt(11, 18), ints(96) * lambda_pow(6)),
-            (192, 18, RingElt(3571, 5778), ints(192) * lambda_pow(18)),
-        )
-        for n, e_want, num_want, den_want in cases:
-            r = reduced_factor(RingElt(-1, 2), ints(n))
-            got = (r.e, r.reduced_num, r.reduced_den)
-            assert got == (e_want, num_want, den_want), f"(2L-1)/{n}: {got}"
+        assert len(_selftest("forms ")) == 3
         assert ints(12) * lambda_pow(6) == RingElt(60, 96)
         assert ints(192) * lambda_pow(18) == RingElt(306624, 496128)
         return "e = 6, 6, 18 with exact reduced pairs"
@@ -105,22 +87,7 @@ def test_c02_reduced_forms_of_2l_minus_1():
 
 def test_c03_level9_conjugation_end_to_end():
     def check() -> str:
-        r = reduced_factor(ints(4), RingElt(0, 9))
-        assert (r.e, r.reduced_num, r.reduced_den) == (
-            2,
-            ints(4) * lambda_pow(2),
-            RingElt(0, 9) * lambda_pow(2),
-        ), "reduced form of 4/9L is not 4L**2/9L**3"
-        sigma = r.completed()
-        assert sigma.first_column == (r.reduced_num, r.reduced_den)
-        shear = GMatrix(ONE, ZERO, RingElt(0, 3), ONE)
-        conj = shear * sigma * shear.inverse()
-        expected = (
-            21 * lambda_pow(3) - 9 * sigma.b * lambda_pow(2) - 3 * sigma.d * LAMBDA
-        )
-        assert conj.c == expected, "corner entry has the wrong closed form"
-        assert not ResidueCtx(ints(9)).divides(conj.c), "corner divisible by 9"
-        assert normalizes(shear, ints(9)) is False
+        _selftest("conjugation ")
         return "corner entry exact, not divisible by 9; shear does not normalize"
 
     _criterion(3, "level-9 example end to end", check)
@@ -131,19 +98,8 @@ def test_c03_level9_conjugation_end_to_end():
 
 def test_c04_index_oracle_up_to_400():
     def check() -> str:
-        integrity_errors = 0
-        moduli = ideals_up_to_norm(400)
-        for tau in moduli:
-            try:
-                size = coset_table(tau).size
-            except IntegrityError:
-                integrity_errors += 1
-                continue
-            assert size == index_in_g5(tau), f"index mismatch at {tau}"
-        assert integrity_errors == 0, f"{integrity_errors} integrity errors"
-        for n, want in ((3, 10), (2, 5), (16, 320)):
-            assert coset_table(ints(n)).size == want, f"anchor {n}"
-        return f"{len(moduli)} moduli agree; anchors 3:10 2:5 16:320; 0 errors"
+        (detail,) = _selftest("indices ")
+        return f"{detail}; 0 errors"
 
     _criterion(4, "coset count = index formula, |norm| <= 400", check)
 
@@ -153,14 +109,9 @@ def test_c04_index_oracle_up_to_400():
 
 def test_c05_quotient_classifications():
     def check() -> str:
-        q4 = quotient_table(ints(4))
-        assert q4.order == 4
-        assert q4.classification == "Klein4"
-        assert q4.order_profile == ((1, 1), (2, 3))
-        q16 = quotient_table(ints(16))
-        assert q16.order == 16
-        assert q16.order_profile == ((1, 1), (2, 3), (4, 12))
-        assert q16.classification == "Z4xZ4"
+        assert len(_selftest("quotient ")) == 2
+        assert quotient_table(ints(4)).order_profile == ((1, 1), (2, 3))
+        assert quotient_table(ints(16)).order_profile == ((1, 1), (2, 3), (4, 12))
         return "4 -> Klein4; 16 -> order 16, profile 1:1 2:3 4:12 (Z4xZ4)"
 
     _criterion(5, "quotient tables at 4 and 16", check)
@@ -245,17 +196,10 @@ def test_c08_denominator_shift_invariance():
 
 def test_c09_elementary_moduli():
     def check() -> str:
-        for text in ("1", "2", "4"):
-            verdict = is_g5_elementary(RingElt(int(text), 0))
-            assert not verdict.found, f"unexpected counterexample for {text}"
-        for r in (ints(3), ints(8), RingElt(7, 12), RingElt(-1, 2), ints(6)):
-            verdict = is_g5_elementary(r)
-            assert verdict.found, f"no counterexample found for {r}"
-        special = is_g5_elementary(RingElt(7, 12))
-        x, _y = special.witness
-        assert x == 3 * lambda_pow(3), "12L+7 witness is not 3L**3"
-        residue = ResidueCtx(RingElt(7, 12)).reduce(x * x - ONE)
-        assert residue == ints(2), f"x**2-1 = {residue} (mod 12L+7), want 2"
+        assert len(_selftest("elementary ")) == 5
+        assert not is_g5_elementary(ints(1)).found, "unexpected counterexample for 1"
+        for r in (RingElt(-1, 2), ints(6)):
+            assert is_g5_elementary(r).found, f"no counterexample found for {r}"
         assert strongly_elementary(ints(4)).holds
         assert not strongly_elementary(ints(8)).holds
         return "1,2,4 clean; 3,8,12L+7,2L-1,6 refuted; strong(4) holds, strong(8) fails"

@@ -8,8 +8,8 @@ import pytest
 import hecke5.reduction as reduction_module
 from hecke5.cli import Command, main, parse_command
 from hecke5.normalizer import _elementary_search
-from hecke5.reduction import PseudoStep
-from hecke5.ring import LAMBDA, RingElt, parse_element
+from hecke5.reduction import eval_word, parse_word
+from hecke5.ring import RingElt, format_element, parse_element
 
 
 def run(capsys, *argv):
@@ -219,6 +219,61 @@ def test_reduce_output_goldens(capsys, pair):
     code, out, _ = run(capsys, "--json", "reduce", "--", *pair)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_GOLDENS[pair]
+
+
+#: sha256 of ``hecke5 --json member -- A B C D`` on the matrices of seeded G5
+#: words of 40 to 80 letters with no cancelling neighbours, pinning the word
+#: that g5_decompose builds from every chain quotient.
+MEMBER_WORD_GOLDENS = {
+    "StttStttSTTSTTTSTSTTStStttSTTTSTSTTStStSTStSTSTSTSTTStSTSTTStSttSTStSttSTTTStSt": "42b59a064f0adecc8b18d8a8f141af4e2010504da88e42c2e30944ced911dadd",
+    "StttStSttSTStSttSTTTSttStttSTTSTTTSTTTSTSTTStttStttSttSTTTS": "61f434c568ef741d4d8ebdabd584d05921baeb58941d05ed714ec1b1d6f03ff4",
+    "StSTTStSttSTTSttSTSTTTSttSTTTSTStSTTTSttSt": "826e1bba20678b99523d00712beeb95d3dda48658f0c2b1da7538e5be6898877",
+    "STSTTStSTTTSTTTStSTTStSTTStStttSTTTSttSttSttSttSTStttSTTTSttSTSttS": "12b829da0441070e60e9df75cca25dba61f858c3857c82b1d4c9f22a7e0cac5c",
+    "STTStttSttStttSttSTTTSTTSttSttStttSttStttStttSttSTTTSttStttSTT": "3bfa9ce53dc139062e18109d486dc1a9f8cf99a6cc238a6e0c86bf898ed535b1",
+    "STTSttSTTTStSttStttSTSTTTStttSTSTTTSTTSTSTSTTSTTST": "d68160c2e6e8b0d37275f4a2fe5c2e1ccbf64a8f5c5c69ce61e6ac2a534e78be",
+    "SttSttSTTTSTStSttSttSTTTStStStttStttSttSTT": "2b0409ff10f02361bb78f506466b544d7d4d991a260fa3740b470b067649d982",
+    "SttSTStttStSTTTSTTSTTSTTSTTSttStSttStttSttSTTTStttSttSttSTTSttStSt": "8a2e9dcfb61568ed34b8a86f62a5e7bd858fa81a2d99ca0649c4b8cec2b7a15b",
+    "StStSTTSTTStStSTTStSttStttStttSTSTTStttStttSttt": "a71df0f74cf96a09725d5a93f34bd7a376078d374df16e44b17a586dae6329c2",
+    "STTSttSTSTTStttSTTTSTSttSttSttSTTStStStttStttSttSTStttSttSTTSTSTTSTSTTStS": "b9e7ae62c3e0a7370988bdde7c6d6c11d377ef5d11a3bc3748c6f86e401a683b",
+}
+
+
+@pytest.mark.parametrize("text", MEMBER_WORD_GOLDENS)
+def test_member_word_output_goldens(capsys, text):
+    entries = [format_element(e) for e in eval_word(parse_word(text)).entries]
+    code, out, _ = run(capsys, "--json", "member", "--", *entries)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MEMBER_WORD_GOLDENS[text]
+
+
+#: (exit code, sha256) of ``hecke5 --json member -- A B C D 4*L+2``: two
+#: members of the level-(4L+2) subgroup, then T with translation 1 in place
+#: of L, and a group element whose corner 4L+2 does not divide.
+MEMBER_LEVEL_GOLDENS = {
+    ("824*L+569", "-1358*L-808", "6108*L+3552", "-9440*L-5951"): (
+        0,
+        "b82c26b906c57f788bdce75f8932d116c578fee9331ff7909904b93f66b0634a",
+    ),
+    ("4728*L+2921", "-816*L-504", "-2640*L-1632", "456*L+281"): (
+        0,
+        "d93dc6ea3db81f6f44e0310a8038defb86bc1a145a49658dd60b0e825adc808b",
+    ),
+    ("1", "1", "0", "1"): (
+        2,
+        "989e6a74148e410de46689130e5af968d3bd879f61f860c0ee62768b369d4500",
+    ),
+    ("-14*L-6", "6*L+5", "42*L+31", "-24*L-12"): (
+        2,
+        "8b5572da9c2d4460a93e9a6c2ade2c5e2c34e5ac17c539d3ab8a17322dbf2a32",
+    ),
+}
+
+
+@pytest.mark.parametrize("entries", MEMBER_LEVEL_GOLDENS, ids=" ".join)
+def test_member_level_output_goldens(capsys, entries):
+    code, out, _ = run(capsys, "--json", "member", "--", *entries, "4*L+2")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == MEMBER_LEVEL_GOLDENS[entries]
 
 
 # --- membership and exit-code semantics ----------------------------------------------
@@ -436,6 +491,12 @@ def test_selftest_full_run(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "42/42 passed" in out
+    _, json_out, _ = run(capsys, "--json", "selftest")
+    # full text and JSON output, pinned before the chain moved to raw integers
+    assert [hashlib.sha256(o.encode()).hexdigest() for o in (out, json_out)] == [
+        "597c8ad9d2df7c55c8b64ba7148ff66022f5650a5f0f80ab1208072882b51648",
+        "e07bfb65311b0da8242b589e272c5ae28642e6dcb1e3a78ec73c8e84cf354cb8",
+    ]
     assert "PASS table 2/1L" in out
     assert "PASS forms (2*L-1)/192" in out
     assert "PASS conjugation level 9" in out
@@ -468,15 +529,16 @@ def test_selftest_json(capsys):
 
 
 def test_selftest_negative_control_reports_table_failures(capsys, monkeypatch):
-    real = reduction_module.pseudo_divide
+    real = reduction_module._pseudo_quotient
 
-    def crooked(x, y):
-        step = real(x, y)
-        if step.remainder:
-            return PseudoStep(step.quotient + 1, step.remainder - y * LAMBDA)
-        return step
+    def crooked(xa, xb, ya, yb):
+        q = real(xa, xb, ya, yb)
+        # the remainder x - q*y*L, with y*L = yb + (ya + yb)*L
+        if xa - yb * q or xb - (ya + yb) * q:
+            return q + 1
+        return q
 
-    monkeypatch.setattr(reduction_module, "pseudo_divide", crooked)
+    monkeypatch.setattr(reduction_module, "_pseudo_quotient", crooked)
     code, out, _ = run(capsys, "selftest", "--only", "table 3/")
     assert code == 1
     assert "FAIL table 3/" in out

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hecke5.errors import (
     BadDeterminantError,
     BothZeroError,
+    NotAUnitError,
     NotCoprimeError,
     ParseError,
 )
@@ -37,7 +38,16 @@ from hecke5.reduction import (
     t_power,
     word_string,
 )
-from hecke5.ring import LAMBDA, ONE, ZERO, RingElt, gcd, lambda_pow
+from hecke5.ring import (
+    LAMBDA,
+    ONE,
+    ZERO,
+    RingElt,
+    _floor_quad,
+    gcd,
+    lambda_pow,
+    unit_decompose,
+)
 
 L = LAMBDA
 
@@ -77,6 +87,10 @@ def test_matrix_construction_and_determinant():
         GMatrix(1, 0, 0, 2)
     with pytest.raises(BadDeterminantError):
         GMatrix(elem(0, 1), 0, 0, elem(0, 1))  # det L**2 is a unit but not 1
+    with pytest.raises(TypeError):
+        GMatrix(1, 0, 0, 1.0)
+    with pytest.raises(TypeError):
+        GMatrix("1", 0, 0, 1)
 
 
 def test_matrix_sign_semantics():
@@ -262,26 +276,93 @@ def test_result_is_dataclass():
     assert res.unit_sign in (1, -1)
 
 
-def test_exponent_or_none_matches_reduced_factor_large():
-    # log-uniform sizes up to 10**30; every third pair gets a common factor
+def _large_pairs():
+    """2000 seeded pairs, log-uniform sizes up to 10**30; every third pair
+    gets a common factor."""
     rng = random.Random(20261018)
 
     def draw():
         bound = 10 ** rng.randint(0, 30)
         return elem(rng.randint(-bound, bound), rng.randint(-bound, bound))
 
-    seen = {True: 0, False: 0}
     for i in range(2000):
         num, den = draw(), draw()
         if i % 3 == 0:
             common = elem(rng.randint(-50, 50), rng.randint(-50, 50))
             num, den = num * common, den * common
-        if not num and not den:
-            continue
+        if num or den:
+            yield num, den
+
+
+def test_exponent_or_none_matches_reduced_factor_large():
+    seen = {True: 0, False: 0}
+    for num, den in _large_pairs():
         try:
             expected = reduced_factor(num, den).e
         except NotCoprimeError:
             expected = None
         assert _exponent_or_none(num, den) == expected
         seen[expected is None] += 1
+    assert seen[True] > 100 and seen[False] > 100
+
+
+# --- the RingElt chain as an oracle for the raw-integer kernel ----------------------
+
+
+def _ceil_quad(p: int, q: int, r: int) -> int:
+    return -_floor_quad(-p, -q, r)
+
+
+def oracle_pseudo_divide(x: RingElt, y: RingElt) -> PseudoStep:
+    """pseudo_divide as RingElt arithmetic: w = x*conj(y*L), q = ceil(t - 1/2)."""
+    den = y * L
+    w = x * den.conj()
+    n = den.norm()
+    if n < 0:
+        w, n = -w, -n
+    q = _ceil_quad(2 * w.a + w.b - n, w.b, 2 * n)
+    return PseudoStep(q, x - den * q)
+
+
+def oracle_chain(num: RingElt, den: RingElt):
+    """The reduction chain as a RingElt loop over oracle_pseudo_divide.
+
+    Returns the divisions made, as ((x, y), step) pairs, and either
+    (e, reduced_num, reduced_den, unit_sign, full_word) or None when the
+    leftover is not a unit.
+    """
+    x, y = num, den
+    word, divisions = [], []
+    while y:
+        step = oracle_pseudo_divide(x, y)
+        divisions.append(((x, y), step))
+        if step.quotient:
+            word.append(("T", step.quotient))
+        word.append(("S", 1))
+        x, y = -y, step.remainder
+    try:
+        rep = unit_decompose(x)
+    except NotAUnitError:
+        return divisions, None
+    e = -rep.exponent
+    scale = lambda_pow(e)
+    return divisions, (e, num * scale, den * scale, rep.sign, tuple(word))
+
+
+def test_chain_matches_ringelt_oracle():
+    seen = {True: 0, False: 0}
+    for num, den in _large_pairs():
+        divisions, want = oracle_chain(num, den)
+        for (x, y), step in divisions:
+            assert pseudo_divide(x, y) == step
+        if want is None:
+            with pytest.raises(NotCoprimeError):
+                reduced_factor(num, den)
+            assert _exponent_or_none(num, den) is None
+        else:
+            res = reduced_factor(num, den)
+            got = (res.e, res.reduced_num, res.reduced_den, res.unit_sign)
+            assert got + (res.full_word,) == want
+            assert _exponent_or_none(num, den) == res.e
+        seen[want is None] += 1
     assert seen[True] > 100 and seen[False] > 100
