@@ -10,7 +10,8 @@ and gcd bounds), and ``quotient_table`` verifies the quotient group structure
 The module also decides whether a ring element r is "G5-elementary": every
 reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  Only divisors of 4
 have this property; ``is_g5_elementary`` finds explicit counterexamples for
-everything else.
+everything else, and proves the property exactly from the Schreier
+generators of G0(r) when the coset table of r is within its default bound.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .ideals import (
     factor,
     h_of,
     half_power_part,
+    index_in_g5,
     relative_index,
     smallest_rational_integer,
 )
@@ -50,7 +52,14 @@ from .ring import (
     gcd,
     lambda_pow,
 )
-from .subgroups import conjugate, coset_table, g0_contains, sample_subgroup
+from .subgroups import (
+    _MAX_POINTS,
+    _schreier_upper_lefts,
+    conjugate,
+    coset_table,
+    g0_contains,
+    sample_subgroup,
+)
 
 #: Names of the three possible quotient groups N(G0(tau))/G0(tau), keyed by h.
 QUOTIENT_TRIVIAL = "Trivial"
@@ -439,8 +448,11 @@ class ElementaryVerdict:
     """Outcome of searching for a reduced form x/(r*y) with x**2 != 1 mod r.
 
     ``verdict`` is COUNTEREXAMPLE_FOUND with ``witness = (x, y)`` — so the
-    offending reduced fraction is x/(r*y) — or NO_COUNTEREXAMPLE after an
-    exhaustive scan of the coefficient box [-bound, bound].
+    offending reduced fraction is x/(r*y) — or NO_COUNTEREXAMPLE.  The
+    latter says that the coefficient box [-bound, bound] holds no
+    counterexample; it rests either on an exhaustive scan of the box or on
+    the exact proof that no counterexample exists at all (every Schreier
+    generator of G0(r) has a**2 = 1 mod r), which covers the box too.
     """
 
     r: RingElt
@@ -474,10 +486,17 @@ def is_g5_elementary(
     """Search for a reduced form x/(r*y) violating x**2 = 1 (mod r).
 
     Tries the targeted witness numerators (2L^2, 3L^3, 9L^3, 9L^9, 5L^6 over
-    denominators n(r)*L^k) first, then sweeps all coefficient pairs (x, y)
-    in the box [-bound, bound]^2 in a fixed deterministic order.  Because
-    x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over one sign
-    class only.  A unit r divides everything, so the verdict is immediate.
+    denominators n(r)*L^k) first.  Then, when the norm of r and the index of
+    G0(r) are at most the default bound of ``coset_table`` (r is factored
+    only when its norm is), it walks the Schreier generators of G0(r): if
+    every one has a**2 = 1 (mod r), no counterexample exists anywhere and
+    NO_COUNTEREXAMPLE is exact.  At the first generator that fails, or past
+    the bound, it sweeps all
+    coefficient pairs (x, y) in the box [-bound, bound]^2 in a fixed
+    deterministic order, so the reported witness depends on the box alone.
+    Because x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over
+    one sign class only.  A unit r divides everything, so the verdict is
+    immediate.
     """
     if not r:
         raise ZeroInputError("r must be nonzero")
@@ -506,6 +525,22 @@ def _elementary_search(r: RingElt, bound: int) -> ElementaryVerdict:
                 r, COUNTEREXAMPLE_FOUND, (numerator, y), bound
             )
 
+    # Exact: c = 0 (mod r) on G0(r), so a -> a mod r is a homomorphism into
+    # (O/r)^x/+-1 and the elements with a**2 = 1 (mod r) form a subgroup.  It
+    # is all of G0(r) when it holds every Schreier generator, and every
+    # reduced x/(r*y) is the first column of an element of G0(r).  The walk
+    # stops at the first failing generator.  The norm guard keeps inputs too
+    # large for a coset table from being factored.
+    if r.abs_norm() <= _MAX_POINTS and index_in_g5(r) <= _MAX_POINTS:
+        if all(ctx.divides(a * a - ONE) for a in _schreier_upper_lefts(r)):
+            return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
+    return _box_sweep(r, bound)
+
+
+def _box_sweep(r: RingElt, bound: int) -> ElementaryVerdict:
+    """The first counterexample x/(r*y) with x and y in the coefficient box,
+    in the order of ``_box_coefficients``, or NO_COUNTEREXAMPLE."""
+    ctx = ResidueCtx(r)
     box = _box_coefficients(bound)
     denominators = [(r * y, y) for y in box if y]
     for x in box:

@@ -4,14 +4,15 @@ G0(tau) is the set of group elements whose lower-left entry is divisible by
 tau.  Right cosets of G0(tau) correspond to bottom rows (c, d) modulo tau up
 to scaling by invertible residues — points of the projective line over the
 residue ring — and the coset table enumerates them as the orbit of (0, 1)
-under the right action of the generators S and T.
+under the right action of the generators S and T.  The same walk yields the
+Schreier generators of G0(tau), one per edge that closes a cycle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     BadRangeError,
@@ -64,34 +65,20 @@ def conjugate(a: GMatrix, b: GMatrix) -> GMatrix:
 # --- coset enumeration ----------------------------------------------------------
 
 
-class CosetTable:
-    """Right cosets of the level-``modulus`` subgroup in the full group.
-
-    Each coset is a projective point: a bottom row modulo the level, up to
-    scaling by invertible residues; class 0 is the subgroup itself.  The
-    table stores one reduced point and one matrix representative (with its
-    generator word) per class, plus the permutation action of S and T on
-    classes.  Construction cross-checks the class count against the
-    multiplicative index formula and raises IntegrityError on any mismatch.
+class _ProjectiveLine:
+    """Class keys of the projective line over the residue ring of ``modulus``.
 
     Points are normalised directly, as Manin symbols are in P^1(Z/N): every
     residue c is u*c0 for a unit u and the least residue c0 of its unit
     orbit, and with w = u**-1 and mu = modulus / gcd(c0, modulus) the pair
     (c0, w*d mod mu) is a complete invariant of the class of (c, d), because
     the units fixing c0 are exactly those congruent to 1 modulo mu.  The
-    table keeps one (c0, w, mu) entry per residue and one key per class, so
-    memory is O(index + N(modulus)).  Classes are numbered in the order of
-    their least unit multiple (c, d), compared coefficient by coefficient.
+    line keeps one (c0, w, mu) entry per residue, so its memory is
+    O(N(modulus)).
     """
 
-    def __init__(self, modulus: RingElt, max_points: int = 10_000) -> None:
-        expected = index_in_g5(modulus)
-        if expected > max_points:
-            raise BoundExceededError(
-                f"index {expected} exceeds the configured bound {max_points}"
-            )
+    def __init__(self, modulus: RingElt) -> None:
         ctx = ResidueCtx(modulus)
-        self.modulus = modulus
         self.ctx = ctx
 
         n, g, hm = ctx.n, ctx.g, ctx.m
@@ -104,6 +91,15 @@ class CosetTable:
         def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
             (xa, xb), (ya, yb) = x, y
             return red(xa * ya + xb * yb, xa * yb + xb * ya + xb * yb)
+
+        def act(name: str, row: tuple[int, ...]) -> tuple[int, ...]:
+            """A row (x, y) times S, giving (y, -x), or times T, giving (x, x L + y)."""
+            xa, xb, ya, yb = row
+            if name == "S":
+                return (ya, yb, *red(-xa, -xb))
+            return (xa, xb, *red(ya + xb, yb + xa + xb))
+
+        self.red, self.mul, self.act = red, mul, act
 
         # invertible residues: those outside every prime ideal over the level
         primes = [ResidueCtx(p) for p in factor(modulus).distinct_primes()]
@@ -149,68 +145,127 @@ class CosetTable:
                 if c == c0:
                     stab.append(u)
         self._canon = canon
-        key = self._key
+        self._stabilisers = stabilisers
 
-        index_of: dict[int, int] = {}
-        points: list[tuple[int, int, int, int]] = []
-        reps: list[GMatrix] = []
-        words: list[Word] = []
-        successors: dict[str, list[int]] = {"S": [], "T": []}
+        # a closure over the entries alone, so a table that keeps it keeps
+        # no stabilisers
+        def key(ca: int, cb: int, da: int, db: int) -> int:
+            """Class key c0 * N(modulus) + (w*d mod mu) of a reduced point (c, d)."""
+            base, wa, wb, (mn, mg, mm) = canon[ca * g + cb]
+            ea, eb = wa * da + wb * db, wa * db + wb * (da + db)
+            k = eb // mg
+            return base + (ea - k * mm) % mn * mg + eb - k * mg
 
-        def register(pt: tuple[int, int, int, int], rep: GMatrix, word: Word) -> None:
-            index_of[key(*pt)] = len(points)
-            points.append(pt)
-            reps.append(rep)
-            words.append(word)
+        self.key = key
 
-        register((*red(0, 0), *red(1, 0)), IDENTITY, ())
+    def least_multiple(self, pt: tuple[int, int, int, int]) -> int:
+        """Rank of the least unit multiple of ``pt``, coefficient by coefficient."""
+        mul, g = self.mul, self.ctx.g
+        ca, cb, da, db = pt
+        base, wa, wb, _ = self._canon[ca * g + cb]
+        v = mul((wa, wb), (da, db))
+        multiples = (mul(s, v) for s in self._stabilisers[base])
+        return base + min(a * g + b for a, b in multiples)
+
+
+_GENERATORS = {"S": GEN_S, "T": GEN_T}
+
+#: Default bound on the index of a coset table, and the bound of every walk
+#: of Schreier generators.
+_MAX_POINTS = 10_000
+
+
+class _Orbit:
+    """The orbit of the point (0, 1) under the right action of S and T,
+    walked breadth-first and lazily by ``edges``.
+
+    Class i stands for the coset of the representative reached by the walk's
+    first path to it; ``points[i]`` is that matrix's bottom row modulo the
+    level, as reduced residue pairs, and ``index_of`` maps each class key to
+    its position.  Raises BoundExceededError when the index exceeds
+    ``max_points``.
+    """
+
+    def __init__(self, modulus: RingElt, max_points: int) -> None:
+        self.expected = index_in_g5(modulus)
+        if self.expected > max_points:
+            raise BoundExceededError(
+                f"index {self.expected} exceeds the configured bound {max_points}"
+            )
+        self.line = line = _ProjectiveLine(modulus)
+        self.points = [(*line.red(0, 0), *line.red(1, 0))]
+        self.index_of = {line.key(*self.points[0]): 0}
+
+    def edges(self) -> Iterator[tuple[int, str, int, bool]]:
+        """Yield (i, name, j, new) for the edge from class i to class j by
+        the generator ``name``: S before T, classes in the order reached.
+
+        ``new`` is True on the edge that reaches j first: the representative
+        of class j is then the one of class i times the generator, and its
+        bottom row is recorded before the yield.
+        """
+        key, act = self.line.key, self.line.act
+        points, index_of = self.points, self.index_of
         i = 0
         while i < len(points):
-            ca, cb, da, db = points[i]
-            # right action: (c, d) S = (d, -c); (c, d) T = (c, c L + d)
-            neighbors = (
-                ("S", GEN_S, (da, db, *red(-ca, -cb))),
-                ("T", GEN_T, (ca, cb, *red(da + cb, db + ca + cb))),
-            )
-            for name, gen, pt in neighbors:
+            for name in "ST":
+                pt = act(name, points[i])
                 k = key(*pt)
-                if k not in index_of:
-                    token: Token = (name, 1)
-                    register(pt, reps[i] * gen, words[i] + (token,))
-                successors[name].append(index_of[k])
+                new = k not in index_of
+                if new:
+                    index_of[k] = len(points)
+                    points.append(pt)
+                yield i, name, index_of[k], new
             i += 1
 
-        if len(points) != expected:
+
+class CosetTable:
+    """Right cosets of the level-``modulus`` subgroup in the full group.
+
+    Each coset is a projective point: a bottom row modulo the level, up to
+    scaling by invertible residues; class 0 is the subgroup itself.  The
+    table stores one reduced point and one matrix representative (with its
+    generator word) per class, plus the permutation action of S and T on
+    classes.  It drains the walk of ``_Orbit``, cross-checks the class count
+    against the multiplicative index formula and raises IntegrityError on
+    any mismatch.  Classes are numbered in the order of their least unit
+    multiple (c, d), compared coefficient by coefficient.
+    """
+
+    def __init__(self, modulus: RingElt, max_points: int = _MAX_POINTS) -> None:
+        orbit = _Orbit(modulus, max_points)
+        self.modulus = modulus
+        self.ctx = orbit.line.ctx
+        self._key = orbit.line.key
+
+        reps: list[GMatrix] = [IDENTITY]
+        words: list[Word] = [()]
+        successors: dict[str, list[int]] = {"S": [], "T": []}
+        for i, name, j, new in orbit.edges():
+            successors[name].append(j)
+            if new:
+                token: Token = (name, 1)
+                reps.append(reps[i] * _GENERATORS[name])
+                words.append(words[i] + (token,))
+        points = orbit.points
+        if len(points) != orbit.expected:
             raise IntegrityError(
                 f"orbit has {len(points)} classes but the index formula "
-                f"gives {expected}"
+                f"gives {orbit.expected}"
             )
 
-        def least_multiple(pt: tuple[int, int, int, int]) -> int:
-            ca, cb, da, db = pt
-            base, wa, wb, _ = canon[ca * g + cb]
-            v = mul((wa, wb), (da, db))
-            multiples = (mul(s, v) for s in stabilisers[base])
-            return base + min(a * g + b for a, b in multiples)
-
-        order = sorted(range(len(points)), key=lambda i: least_multiple(points[i]))
+        least = orbit.line.least_multiple
+        order = sorted(range(len(points)), key=lambda i: least(points[i]))
         perm = [0] * len(order)
-        for new, old in enumerate(order):
-            perm[old] = new
+        for rank, old in enumerate(order):
+            perm[old] = rank
         self.points = [points[i] for i in order]
         self.reps = [reps[i] for i in order]
         self.rep_words = [words[i] for i in order]
-        self._index_of = {k: perm[v] for k, v in index_of.items()}
+        self._index_of = {k: perm[v] for k, v in orbit.index_of.items()}
         self.action = {
             name: [perm[succ[i]] for i in order] for name, succ in successors.items()
         }
-
-    def _key(self, ca: int, cb: int, da: int, db: int) -> int:
-        """Class key c0 * N(modulus) + (w*d mod mu) of a reduced point (c, d)."""
-        base, wa, wb, (mn, mg, mm) = self._canon[ca * self.ctx.g + cb]
-        ea, eb = wa * da + wb * db, wa * db + wb * (da + db)
-        k = eb // mg
-        return base + (ea - k * mm) % mn * mg + eb - k * mg
 
     @property
     def size(self) -> int:
@@ -233,8 +288,52 @@ class CosetTable:
             raise ValueError("bottom row is not in the coset orbit") from None
 
 
-def coset_table(modulus: RingElt, max_points: int = 10_000) -> CosetTable:
+def coset_table(modulus: RingElt, max_points: int = _MAX_POINTS) -> CosetTable:
     return CosetTable(modulus, max_points=max_points)
+
+
+def schreier_generators(modulus: RingElt) -> Iterator[GMatrix]:
+    """Generators of the level-``modulus`` subgroup, yielded as the coset
+    walk reaches them.
+
+    Schreier's lemma (Magnus, Karrass and Solitar, Combinatorial Group
+    Theory, section 2.3): for every edge i -> j = i*g of the coset walk,
+    g = S or T, rep_i * g * rep_j**-1 lies in the subgroup, and together
+    these elements generate it.  Edges by which the walk first reaches a
+    class give the identity and are skipped; every other edge is yielded
+    in walk order, so a consumer that stops early never walks the rest of
+    the table.  Raises BoundExceededError when the index exceeds the
+    default bound of ``coset_table``.
+    """
+    orbit = _Orbit(modulus, _MAX_POINTS)
+    reps = [IDENTITY]
+    for i, name, j, new in orbit.edges():
+        if new:
+            reps.append(reps[i] * _GENERATORS[name])
+        else:
+            yield reps[i] * _GENERATORS[name] * reps[j].inverse()
+
+
+def _schreier_upper_lefts(modulus: RingElt) -> Iterator[RingElt]:
+    """The upper-left entry of each ``schreier_generators`` element, reduced
+    modulo the level, in the same order.
+
+    For bulk searches: computed on residue rows, without matrices.  With
+    (a', b') the top row of rep_i * g and (c, d) the bottom row of rep_j,
+    the entry is a' * d - b' * c.
+    """
+    orbit = _Orbit(modulus, _MAX_POINTS)
+    act, mul, red = orbit.line.act, orbit.line.mul, orbit.line.red
+    tops = [(*red(1, 0), *red(0, 0))]  # top row of each representative
+    for i, name, j, new in orbit.edges():
+        top = act(name, tops[i])
+        if new:
+            tops.append(top)
+        else:
+            aa, ab, ba, bb = top
+            ca, cb, da, db = orbit.points[j]
+            (xa, xb), (ya, yb) = mul((aa, ab), (da, db)), mul((ba, bb), (ca, cb))
+            yield RingElt(*red(xa - ya, xb - yb))
 
 
 # --- shear families ----------------------------------------------------------------

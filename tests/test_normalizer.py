@@ -16,6 +16,7 @@ from hecke5.normalizer import (
     QUOTIENT_KLEIN4,
     QUOTIENT_TRIVIAL,
     QUOTIENT_Z4XZ4,
+    _box_sweep,
     _elementary_search,
     is_g5_elementary,
     normalizer_of,
@@ -311,6 +312,57 @@ def test_elementary_cache_is_bounded():
     for bound in range(1, maxsize + 100):  # distinct keys; a unit returns at once
         is_g5_elementary(ONE, bound)
     assert _elementary_search.cache_info().currsize <= maxsize
+
+
+def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
+    from hecke5 import normalizer
+
+    calls = []
+
+    def counted(num, den):
+        calls.append((num, den))
+        return _exponent_or_none(num, den)
+
+    monkeypatch.setattr(normalizer, "_exponent_or_none", counted)
+    for r in (ints(2), ints(4), LAMBDA * ints(2)):
+        _elementary_search.cache_clear()
+        verdict = _elementary_search(r, 12)
+        assert verdict.verdict == NO_COUNTEREXAMPLE
+        assert verdict.witness is None
+    assert calls == []
+    _elementary_search.cache_clear()
+
+
+def test_exact_check_skips_moduli_past_the_table_bound(monkeypatch):
+    # No targeted witness settles these r, so past the bound the verdict
+    # comes from the box alone, as before the exact check.  42*(2L-1) has
+    # norm 8820 but index 15000, so the walk is not started.
+    _elementary_search.cache_clear()
+    verdict = is_g5_elementary(elt("84*L-42"), 2)
+    assert verdict.verdict == NO_COUNTEREXAMPLE
+    assert verdict.witness is None
+
+    # norm 13680: r is never factored
+    from hecke5 import ideals, normalizer, subgroups
+
+    def refuse(x):
+        raise AssertionError(f"factored {x}")
+
+    for module in (ideals, normalizer, subgroups):
+        monkeypatch.setattr(module, "factor", refuse)
+    r = elt("84*L-192")
+    _elementary_search.cache_clear()
+    verdict = is_g5_elementary(r, 3)
+    assert verdict.verdict == NO_COUNTEREXAMPLE
+    assert verdict.witness is None
+    _elementary_search.cache_clear()
+
+
+def test_box_sweep_finds_nothing_for_associates_of_2_and_4():
+    for r in (ints(2), -LAMBDA * ints(2), ints(4), -ints(4) * lambda_pow(-1)):
+        verdict = _box_sweep(r, 6)
+        assert verdict.verdict == NO_COUNTEREXAMPLE, r
+        assert verdict.witness is None
 
 
 # --- fast exponent chain ------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecke5.errors import (
@@ -153,16 +153,20 @@ def test_pseudo_divide_frozen():
 
 
 @given(elements, elements.filter(bool))
+@example(elem(480, 960), elem(960, 960))  # remainder/(y*L) = +1/2, N(y*L) < 0
+@example(elem(1, 1), elem(0, 2))  # remainder/(y*L) = +1/2, N(y*L) > 0
 def test_pseudo_divide_contract(x, y):
     step = pseudo_divide(x, y)
     den = y * L
     assert x == den * step.quotient + step.remainder
-    # |remainder / (y*L)| <= 1/2 in the real embedding:
-    # compare norms of 2*remainder*conj(den) and N(den) via the sign predicate.
+    # remainder / (y*L) in (-1/2, 1/2] in the real embedding: it equals w/n
+    # with w = remainder*conj(den)*sign(N(den)) and n = |N(den)|, compared
+    # through the sign predicate.
     from hecke5.ring import sign_real
 
-    w = step.remainder * den.conj()
-    n = abs(den.norm())
+    n = den.norm()
+    w = step.remainder * den.conj() * elem(1 if n > 0 else -1, 0)
+    n = abs(n)
     two_w = w + w
     assert sign_real(two_w - elem(n, 0)) <= 0
     assert sign_real(two_w + elem(n, 0)) > 0

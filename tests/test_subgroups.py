@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,19 +22,23 @@ from hecke5.reduction import (
     GMatrix,
     eval_word,
     g5_decompose,
+    is_reduced_form,
     t_power,
 )
-from hecke5.ring import LAMBDA, ONE, ZERO, RingElt, gcd
+from hecke5.ring import LAMBDA, ONE, ZERO, RingElt, gcd, lambda_pow
+from hecke5 import subgroups
 from hecke5.subgroups import (
     G0_2_GENERATORS,
     CosetTable,
     ShearPair,
+    _schreier_upper_lefts,
     conjugate,
     coset_table,
     g0_contains,
     principal_contains,
     sample_subgroup,
     sample_words,
+    schreier_generators,
     shear_coset_equal,
 )
 
@@ -244,6 +249,90 @@ def test_coset_locate_matches_oracle(tau):
     locate = oracle_table(tau)[4]
     for m in sample_words((GEN_S, GEN_T), 200, seed=5, max_len=20):
         assert table.locate(m) == locate(m)
+
+
+def test_coset_action_genus_is_a_non_negative_integer():
+    # Riemann-Hurwitz for a subgroup of index mu in G5, of signature
+    # (2, 5, oo): g = 1 + 3 mu/20 - e2/4 - 2 e5/5 - c/2, with e2 and e5 the
+    # fixed points of S and ST and c the cycles of T.  An oracle for the
+    # action that shares nothing with the walk but the permutations.
+    for tau in ideals_up_to_norm(400):
+        table = CosetTable(tau)
+        s, t = table.action["S"], table.action["T"]
+        mu = table.size
+        e2 = sum(s[i] == i for i in range(mu))
+        e5 = sum(t[s[i]] == i for i in range(mu))
+        seen, cycles = [False] * mu, 0
+        for i in range(mu):
+            if not seen[i]:
+                cycles += 1
+                while not seen[i]:
+                    seen[i], i = True, t[i]
+        genus = 1 + Fraction(3 * mu, 20) - Fraction(e2, 4) - Fraction(2 * e5, 5)
+        genus -= Fraction(cycles, 2)
+        assert genus.denominator == 1 and genus >= 0, (tau, genus)
+
+
+# --- Schreier generators -------------------------------------------------------------
+
+
+def test_schreier_generators_lie_in_the_subgroup():
+    for tau in ideals_up_to_norm(60):
+        ctx = ResidueCtx(tau)
+        generators = list(schreier_generators(tau))
+        assert generators
+        assert all(g0_contains(s, tau) for s in generators), tau
+        # the residue path of the search reads the same entries
+        assert list(_schreier_upper_lefts(tau)) == [ctx.reduce(s.a) for s in generators]
+
+
+def test_schreier_generators_decide_elementary_up_to_norm_400():
+    # r is elementary exactly when every generator has a**2 = 1 (mod r); the
+    # first generator that fails is a counterexample x/(r*y) of its own
+    elementary = []
+    for tau in ideals_up_to_norm(400):
+        ctx = ResidueCtx(tau)
+        failing = next(
+            (s for s in schreier_generators(tau) if not ctx.divides(s.a * s.a - ONE)),
+            None,
+        )
+        passes = all(ctx.divides(a * a - ONE) for a in _schreier_upper_lefts(tau))
+        assert passes == (failing is None), tau
+        if failing is None:
+            elementary.append(tau)
+            continue
+        a, c = failing.first_column
+        assert ctx.divides(c)
+        assert is_reduced_form(a, c)
+        assert not ctx.divides(a * a - ONE)
+    assert elementary == [elem(2), elem(4)]
+
+
+def test_schreier_walk_stops_at_the_first_failing_generator(monkeypatch):
+    orbits = []
+
+    class Recorded(subgroups._Orbit):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            orbits.append(self)
+
+    monkeypatch.setattr(subgroups, "_Orbit", Recorded)
+    tau = elem(-6, 12) * lambda_pow(2)
+    ctx = ResidueCtx(tau)
+    for walk in (
+        (s.a for s in schreier_generators(tau)),
+        _schreier_upper_lefts(tau),
+    ):
+        assert any(not ctx.divides(a * a - ONE) for a in walk)
+        orbit = orbits.pop()
+        assert orbit.expected == 300
+        assert len(orbit.points) < orbit.expected / 2
+
+
+def test_schreier_generators_bound():
+    tau = primes_above(10009)[0]  # index 10010
+    with pytest.raises(BoundExceededError):
+        next(schreier_generators(tau))
 
 
 # --- shear families ----------------------------------------------------------------
