@@ -11,7 +11,7 @@ The module also decides whether a ring element r is "G5-elementary": every
 reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  Only divisors of 4
 have this property; ``is_g5_elementary`` finds explicit counterexamples for
 everything else, and proves the property exactly from the Schreier
-generators of G0(r) when the coset table of r is within its default bound.
+generators of G0(r) when |N(r)| is at most 1000.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .ideals import (
     factor,
     h_of,
     half_power_part,
-    index_in_g5,
     relative_index,
     smallest_rational_integer,
 )
@@ -53,12 +52,11 @@ from .ring import (
     lambda_pow,
 )
 from .subgroups import (
-    _MAX_POINTS,
-    _schreier_upper_lefts,
     conjugate,
     coset_table,
     g0_contains,
     sample_subgroup,
+    schreier_generators,
 )
 
 #: Names of the three possible quotient groups N(G0(tau))/G0(tau), keyed by h.
@@ -432,6 +430,13 @@ NO_COUNTEREXAMPLE = "NoCounterexampleUpTo"
 #: Default half-width of the coefficient box searched for counterexamples.
 DEFAULT_ELEMENTARY_BOUND = 12
 
+#: Largest |N(r)| at which the search runs the exact Schreier check.  Only
+#: divisors of 4 pass it, so on any other r it is paid on top of the box
+#: sweep.  Its cost is mostly the residue line of r, which grows with N(r)
+#: times the number of ideal divisors of r: near N(r) = 2000 it matches the
+#: whole sweep at bound 4, and up to 1000 it stays under two fifths of it.
+_EXACT_CHECK_MAX_NORM = 1_000
+
 #: Targeted witness numerators with the lambda-exponent of their reduced
 #: denominator n(r)*L**k, tried before any box search.
 _TARGETED_WITNESSES = (
@@ -486,14 +491,13 @@ def is_g5_elementary(
     """Search for a reduced form x/(r*y) violating x**2 = 1 (mod r).
 
     Tries the targeted witness numerators (2L^2, 3L^3, 9L^3, 9L^9, 5L^6 over
-    denominators n(r)*L^k) first.  Then, when the norm of r and the index of
-    G0(r) are at most the default bound of ``coset_table`` (r is factored
-    only when its norm is), it walks the Schreier generators of G0(r): if
+    denominators n(r)*L^k) first.  Then, when |N(r)| is at most 1000 (r is
+    factored only then), it walks the Schreier generators of G0(r): if
     every one has a**2 = 1 (mod r), no counterexample exists anywhere and
     NO_COUNTEREXAMPLE is exact.  At the first generator that fails, or past
-    the bound, it sweeps all
-    coefficient pairs (x, y) in the box [-bound, bound]^2 in a fixed
-    deterministic order, so the reported witness depends on the box alone.
+    that norm, it sweeps all coefficient pairs (x, y) in the box
+    [-bound, bound]^2 in a fixed deterministic order, so the reported
+    witness depends on the box alone.
     Because x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over
     one sign class only.  A unit r divides everything, so the verdict is
     immediate.
@@ -529,18 +533,17 @@ def _elementary_search(r: RingElt, bound: int) -> ElementaryVerdict:
     # (O/r)^x/+-1 and the elements with a**2 = 1 (mod r) form a subgroup.  It
     # is all of G0(r) when it holds every Schreier generator, and every
     # reduced x/(r*y) is the first column of an element of G0(r).  The walk
-    # stops at the first failing generator.  The norm guard keeps inputs too
-    # large for a coset table from being factored.
-    if r.abs_norm() <= _MAX_POINTS and index_in_g5(r) <= _MAX_POINTS:
-        if all(ctx.divides(a * a - ONE) for a in _schreier_upper_lefts(r)):
+    # stops at the first failing generator.
+    if r.abs_norm() <= _EXACT_CHECK_MAX_NORM:
+        if all(ctx.divides(s.a * s.a - ONE) for s in schreier_generators(r)):
             return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
-    return _box_sweep(r, bound)
+    return _box_sweep(r, ctx, bound)
 
 
-def _box_sweep(r: RingElt, bound: int) -> ElementaryVerdict:
+def _box_sweep(r: RingElt, ctx: ResidueCtx, bound: int) -> ElementaryVerdict:
     """The first counterexample x/(r*y) with x and y in the coefficient box,
-    in the order of ``_box_coefficients``, or NO_COUNTEREXAMPLE."""
-    ctx = ResidueCtx(r)
+    in the order of ``_box_coefficients``, or NO_COUNTEREXAMPLE; ``ctx`` is
+    the residue context of r."""
     box = _box_coefficients(bound)
     denominators = [(r * y, y) for y in box if y]
     for x in box:

@@ -314,28 +314,6 @@ def schreier_generators(modulus: RingElt) -> Iterator[GMatrix]:
             yield reps[i] * _GENERATORS[name] * reps[j].inverse()
 
 
-def _schreier_upper_lefts(modulus: RingElt) -> Iterator[RingElt]:
-    """The upper-left entry of each ``schreier_generators`` element, reduced
-    modulo the level, in the same order.
-
-    For bulk searches: computed on residue rows, without matrices.  With
-    (a', b') the top row of rep_i * g and (c, d) the bottom row of rep_j,
-    the entry is a' * d - b' * c.
-    """
-    orbit = _Orbit(modulus, _MAX_POINTS)
-    act, mul, red = orbit.line.act, orbit.line.mul, orbit.line.red
-    tops = [(*red(1, 0), *red(0, 0))]  # top row of each representative
-    for i, name, j, new in orbit.edges():
-        top = act(name, tops[i])
-        if new:
-            tops.append(top)
-        else:
-            aa, ab, ba, bb = top
-            ca, cb, da, db = orbit.points[j]
-            (xa, xb), (ya, yb) = mul((aa, ab), (da, db)), mul((ba, bb), (ca, cb))
-            yield RingElt(*red(xa - ya, xb - yb))
-
-
 # --- shear families ----------------------------------------------------------------
 
 

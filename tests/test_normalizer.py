@@ -34,7 +34,8 @@ from hecke5.reduction import (
     reduced_factor,
 )
 from hecke5.ring import LAMBDA, ONE, RingElt, gcd, lambda_pow, parse_element
-from hecke5.subgroups import g0_contains, sample_subgroup
+from hecke5 import subgroups
+from hecke5.subgroups import g0_contains, sample_subgroup, schreier_generators
 
 
 def elt(text: str) -> RingElt:
@@ -333,18 +334,26 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
     _elementary_search.cache_clear()
 
 
-def test_exact_check_skips_moduli_past_the_table_bound(monkeypatch):
-    # No targeted witness settles these r, so past the bound the verdict
-    # comes from the box alone, as before the exact check.  42*(2L-1) has
-    # norm 8820 but index 15000, so the walk is not started.
-    _elementary_search.cache_clear()
-    verdict = is_g5_elementary(elt("84*L-42"), 2)
-    assert verdict.verdict == NO_COUNTEREXAMPLE
-    assert verdict.witness is None
+def test_exact_check_runs_up_to_its_norm_guard_only(monkeypatch):
+    # No targeted witness settles these r, so the box gives the verdict
+    # either way; the walk runs only up to norm 1000.
+    from hecke5 import ideals, normalizer
+
+    walked = []
+
+    def recorded(r):
+        walked.append(r)
+        return schreier_generators(r)
+
+    monkeypatch.setattr(normalizer, "schreier_generators", recorded)
+    for r, walks in ((ints(30), True), (elt("36*L-18"), False)):  # norms 900, 1620
+        _elementary_search.cache_clear()
+        verdict = is_g5_elementary(r, 1)
+        assert verdict.verdict == NO_COUNTEREXAMPLE
+        assert walked == ([r] if walks else [])
+        walked.clear()
 
     # norm 13680: r is never factored
-    from hecke5 import ideals, normalizer, subgroups
-
     def refuse(x):
         raise AssertionError(f"factored {x}")
 
@@ -355,12 +364,13 @@ def test_exact_check_skips_moduli_past_the_table_bound(monkeypatch):
     verdict = is_g5_elementary(r, 3)
     assert verdict.verdict == NO_COUNTEREXAMPLE
     assert verdict.witness is None
+    assert walked == []
     _elementary_search.cache_clear()
 
 
 def test_box_sweep_finds_nothing_for_associates_of_2_and_4():
     for r in (ints(2), -LAMBDA * ints(2), ints(4), -ints(4) * lambda_pow(-1)):
-        verdict = _box_sweep(r, 6)
+        verdict = _box_sweep(r, ResidueCtx(r), 6)
         assert verdict.verdict == NO_COUNTEREXAMPLE, r
         assert verdict.witness is None
 
