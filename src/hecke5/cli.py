@@ -106,7 +106,6 @@ class _Ctx:
     """Effective global options for one command."""
 
     json: bool
-    seed: int
     bound: Optional[int]
 
 
@@ -188,7 +187,7 @@ def _cmd_index(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
 
 def _cmd_cosets(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
     tau = parse_element(ns.modulus)
-    table = coset_table(tau, max_points=ctx.bound if ctx.bound is not None else 10_000)
+    table = coset_table(tau) if ctx.bound is None else coset_table(tau, ctx.bound)
     reps = []
     text = [f"size = {table.size}"]
     for i, (point, word) in enumerate(zip(table.points, table.rep_words)):
@@ -382,24 +381,26 @@ _FORM_ROWS: tuple[tuple[int, int, RingElt, RingElt], ...] = (
 )
 
 
-def _check_table_row(pa: int, n: int, e_want: int, num_want: RingElt) -> str:
-    r = reduced_factor(RingElt(pa, 0), RingElt(0, n))
-    den_want = RingElt(0, n) * lambda_pow(e_want)
+def _check_reduced(
+    num: RingElt, den: RingElt, e_want: int, num_want: RingElt, den_want: RingElt
+) -> None:
+    """Raise _CheckFailure unless num/den reduces to num_want/den_want at e_want."""
+    r = reduced_factor(num, den)
     if (r.e, r.reduced_num, r.reduced_den) != (e_want, num_want, den_want):
         raise _CheckFailure(
             f"got e={r.e}, {_fmt(r.reduced_num)}/{_fmt(r.reduced_den)}; "
             f"want e={e_want}, {_fmt(num_want)}/{_fmt(den_want)}"
         )
+
+
+def _check_table_row(pa: int, n: int, e_want: int, num_want: RingElt) -> str:
+    den = RingElt(0, n)
+    _check_reduced(RingElt(pa, 0), den, e_want, num_want, den * lambda_pow(e_want))
     return f"e = {e_want}, reduced numerator = {_fmt(num_want)}"
 
 
 def _check_form(den: int, e_want: int, num_want: RingElt, den_want: RingElt) -> str:
-    r = reduced_factor(RingElt(-1, 2), RingElt(den, 0))
-    if (r.e, r.reduced_num, r.reduced_den) != (e_want, num_want, den_want):
-        raise _CheckFailure(
-            f"got e={r.e}, {_fmt(r.reduced_num)}/{_fmt(r.reduced_den)}; "
-            f"want e={e_want}, {_fmt(num_want)}/{_fmt(den_want)}"
-        )
+    _check_reduced(RingElt(-1, 2), RingElt(den, 0), e_want, num_want, den_want)
     return f"e = {e_want}, reduced = {_fmt(num_want)} / {_fmt(den_want)}"
 
 
@@ -740,7 +741,6 @@ def _run_batch_line(
         return int(exc.code or 0)
     ctx = _Ctx(
         json=_flag(ns, "json", outer_json),
-        seed=_flag(ns, "seed", _flag(outer, "seed", 0)),
         bound=_flag(ns, "bound", _flag(outer, "bound", None)),
     )
     return _execute(ns, ctx, in_stream=True, single_line=not ctx.json)
@@ -769,7 +769,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     ctx = _Ctx(
         json=_flag(ns, "json", False),
-        seed=_flag(ns, "seed", 0),
         bound=_flag(ns, "bound", None),
     )
     return _execute(ns, ctx, in_stream=False, single_line=False)

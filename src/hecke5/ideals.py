@@ -240,10 +240,15 @@ def half_power_part(x: RingElt) -> RingElt:
 def h_of(x: RingElt) -> int:
     """Size parameter of the normalizer quotient: depends on the 2-part.
 
-    Returns 4 when 16 divides x, 2 when 4 divides x, and 1 otherwise.
+    Returns 4 when 16 divides x, 2 when 4 divides x, and 1 otherwise.  2 is
+    an inert prime, so no factoring is needed.
     """
-    a = factor(x).exponent_of(RingElt(2, 0))
-    return min(2 ** (a // 2), 4)
+    if not x:
+        raise ZeroInputError("cannot factor zero")
+    for h in (4, 2):
+        if exact_divide(x, RingElt(h * h, 0)) is not None:
+            return h
+    return 1
 
 
 def index_in_g5(x: RingElt) -> int:
@@ -364,18 +369,19 @@ def ideals_up_to_norm(bound: int) -> list[RingElt]:
         for prime in primes_above(p)
         if prime.abs_norm() <= bound
     ]
+    # each ideal is a product of primes taken in order of norm, found once
+    # from the product of its smaller primes
+    primes.sort(key=lambda t: t[1])
     out: list[RingElt] = []
-
-    def walk(i: int, val: RingElt, nrm: int) -> None:
-        if i == len(primes):
-            if nrm > 1:
-                out.append(canonical_associate(val))
-            return
-        prime, np = primes[i]
-        while nrm <= bound:
-            walk(i + 1, val, nrm)
-            val, nrm = val * prime, nrm * np
-
-    walk(0, ONE, 1)
+    stack = [(0, ONE, 1)]
+    while stack:
+        start, val, nrm = stack.pop()
+        for i in range(start, len(primes)):
+            prime, np = primes[i]
+            if nrm * np > bound:
+                break
+            product = val * prime
+            out.append(canonical_associate(product))
+            stack.append((i, product, nrm * np))
     out.sort(key=lambda e: (e.abs_norm(), e.coeffs))
     return out

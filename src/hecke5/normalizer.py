@@ -16,7 +16,6 @@ generators of G0(r) when |N(r)| is at most 1000.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -509,22 +508,19 @@ def is_g5_elementary(
     return _elementary_search(r, bound)
 
 
-# bounded, so a long batch of distinct searches cannot grow memory without limit
-@functools.lru_cache(maxsize=4096)
 def _elementary_search(r: RingElt, bound: int) -> ElementaryVerdict:
     if r.is_unit():
         return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
 
     ctx = ResidueCtx(r)
-    n = RingElt(smallest_rational_integer(r), 0)
     for numerator, k in _TARGETED_WITNESSES:
-        denominator = n * lambda_pow(k)
+        denominator = ctx.n * lambda_pow(k)
         y = exact_divide(denominator, r)
-        if y is None or not gcd(numerator, denominator).is_unit():
+        if y is None or ctx.divides(numerator * numerator - ONE):
             continue
-        if not is_reduced_form(numerator, denominator):
-            continue
-        if not ctx.divides(numerator * numerator - ONE):
+        if gcd(numerator, denominator).is_unit() and is_reduced_form(
+            numerator, denominator
+        ):
             return ElementaryVerdict(
                 r, COUNTEREXAMPLE_FOUND, (numerator, y), bound
             )

@@ -31,9 +31,11 @@ from .ring import (
     RingElt,
     _coerce,
     _floor_quad,
+    _power,
     _unit_log,
     format_element,
     lambda_pow,
+    sign_real,
 )
 
 Token = tuple[str, int]
@@ -94,8 +96,6 @@ class GMatrix:
         return (self._b, self._d)
 
     def _sign_canon(self) -> tuple[RingElt, ...]:
-        from .ring import sign_real
-
         for entry in self.entries:
             s = sign_real(entry)
             if s:
@@ -128,15 +128,9 @@ class GMatrix:
         return GMatrix(self._d, -self._b, -self._c, self._a)
 
     def __pow__(self, k: int) -> "GMatrix":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        acc = IDENTITY
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        if k < 0:
+            return _power(self.inverse(), -k, IDENTITY)
+        return _power(self, k, IDENTITY)
 
     def trace(self) -> RingElt:
         return self._a + self._d

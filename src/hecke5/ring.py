@@ -97,17 +97,9 @@ class RingElt:
     def __pow__(self, k: int) -> "RingElt":
         if not isinstance(k, int):
             return NotImplemented
-        base = self
         if k < 0:
-            base = inverse_unit(self)
-            k = -k
-        result = ONE
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            return _power(inverse_unit(self), -k, ONE)
+        return _power(self, k, ONE)
 
     def conj(self) -> "RingElt":
         """Galois conjugate: L maps to 1 - L."""
@@ -128,6 +120,17 @@ class RingElt:
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+def _power(base, k: int, one):
+    """base**k for k >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
 
 
 def _coerce(x: "RingElt | int") -> Optional[RingElt]:
@@ -164,11 +167,7 @@ def lambda_pow(k: int) -> RingElt:
         return RingElt(a, b)
     if k == 0:
         return ONE
-    m = -k
-    fm, fm1 = _fib_pair(m)
-    f_neg_m = fm if m % 2 == 1 else -fm  # F(-m) = (-1)**(m+1) F(m)
-    f_neg_m1 = fm1 if m % 2 == 0 else -fm1  # F(-m-1) = (-1)**m F(m+1)
-    return RingElt(f_neg_m1, f_neg_m)
+    return inverse_unit(lambda_pow(-k))
 
 
 # --- exact real-embedding predicates ---------------------------------------
@@ -177,23 +176,9 @@ def lambda_pow(k: int) -> RingElt:
 def sign_real(x: RingElt) -> int:
     """Sign of the real value a + b*(1+sqrt(5))/2, computed exactly.
 
-    With s = 2a + b the real value has the sign of s + b*sqrt(5); when s and
-    b disagree in sign the comparison reduces to s**2 versus 5*b**2.
+    Twice the value is s + b*sqrt(5) with s = 2a + b.
     """
-    s = 2 * x.a + x.b
-    b = x.b
-    if b == 0:
-        return 0 if s == 0 else (1 if s > 0 else -1)
-    if s == 0:
-        return 1 if b > 0 else -1
-    if s > 0 and b > 0:
-        return 1
-    if s < 0 and b < 0:
-        return -1
-    d = s * s - 5 * b * b  # nonzero: sqrt(5) is irrational
-    if s > 0:
-        return 1 if d > 0 else -1
-    return -1 if d > 0 else 1
+    return _cmp_int_sqrt5(2 * x.a + x.b, -x.b)
 
 
 def _cmp_int_sqrt5(m: int, q: int) -> int:
@@ -380,11 +365,7 @@ def canonical_associate(x: RingElt) -> RingElt:
 
 
 def is_canonical_associate(x: RingElt) -> bool:
-    if not x or sign_real(x) < 0:
-        return False
-    n = x.abs_norm()
-    sq = x * x
-    return sign_real(sq - RingElt(n, 0)) >= 0 and sign_real(sq - RingElt(n, n)) < 0
+    return bool(x) and canonical_associate(x) == x
 
 
 # --- text form ----------------------------------------------------------------

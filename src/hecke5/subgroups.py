@@ -109,16 +109,13 @@ class _ProjectiveLine:
             for b in range(g)
             if all(b % p.g or (a - b // p.g * p.m) % p.n for p in primes)
         ]
-        # their inverses by one power and three products per unit
+        # their inverses by three products per unit
         prefix = [red(1, 0)]
         for u in units:
             prefix.append(mul(prefix[-1], u))
-        inv, e = red(1, 0), len(units) - 1  # the unit group has len(units) elements
-        x = prefix.pop()
-        while e:
-            if e & 1:
-                inv = mul(inv, x)
-            x, e = mul(x, x), e >> 1
+        # the product of all elements of a finite abelian group has order 1
+        # or 2 (Miller 1903, after Wilson), so it is its own inverse
+        inv = prefix.pop()
         inverses = [(0, 0)] * len(units)
         for i in range(len(units) - 1, -1, -1):
             inverses[i] = mul(inv, prefix[i])

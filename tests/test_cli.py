@@ -7,7 +7,6 @@ import pytest
 
 import hecke5.reduction as reduction_module
 from hecke5.cli import Command, main, parse_command
-from hecke5.normalizer import _elementary_search
 from hecke5.reduction import eval_word, parse_word
 from hecke5.ring import RingElt, format_element, parse_element
 
@@ -61,6 +60,18 @@ def test_normalizer_golden_json(capsys):
     assert obj["modulus"] == "4"
     assert obj["h"] == 4
     assert obj["quotient"] == "Z4xZ4"
+
+
+def test_normalizer_needs_no_factoring(capsys):
+    # factor() refuses both: their norms share the cofactor
+    # 99999999999029999999990591, past PRIMALITY_LIMIT with no small prime
+    for modulus, h, quotient in (
+        ("10000000000000*L+97", 1, "Trivial"),
+        ("160000000000000*L+1552", 4, "Z4xZ4"),
+    ):
+        code, (obj,), _ = run_json(capsys, "normalizer", modulus)
+        assert code == 0
+        assert (obj["h"], obj["quotient"]) == (h, quotient)
 
 
 def test_index_golden(capsys):
@@ -170,14 +181,12 @@ ELEMENTARY_GOLDENS = {
 
 @pytest.mark.parametrize("r, bound", ELEMENTARY_GOLDENS)
 def test_elementary_output_goldens(capsys, r, bound):
-    _elementary_search.cache_clear()  # run the search, not an earlier verdict
     code, out, _ = run(capsys, "--json", "elementary", r, "--bound", bound)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, digest) == ELEMENTARY_GOLDENS[(r, bound)]
 
 
 def test_elementary_strong_output_golden(capsys):
-    _elementary_search.cache_clear()
     code, out, _ = run(capsys, "--json", "elementary", "8", "--strong")
     assert code == 2
     digest = hashlib.sha256(out.encode()).hexdigest()
@@ -487,7 +496,6 @@ def test_command_roundtrip():
 
 
 def test_selftest_full_run(capsys):
-    _elementary_search.cache_clear()  # earlier tests must not supply its verdicts
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "42/42 passed" in out

@@ -83,6 +83,19 @@ def test_ideal_counts_match_oracle():
         assert by_norm.get(n, 0) == _oracle_ideal_count(n), f"norm {n}"
 
 
+def _zeta_ideal_count(bound: int) -> int:
+    """Non-unit ideals of norm at most ``bound``, from zeta_K = zeta * L(chi_5):
+    the sum over n <= bound of sum over d | n of (d/5), less n = 1."""
+    chi = (0, 1, -1, -1, 1)
+    return sum(chi[d % 5] * (bound // d) for d in range(1, bound + 1)) - 1
+
+
+def test_ideal_totals_match_zeta_sum():
+    for bound, total in ((50, 21), (400, 171), (700, 298), (990, 426), (10_000, 4303)):
+        assert _zeta_ideal_count(bound) == total
+        assert len(ideals_up_to_norm(bound)) == total
+
+
 def test_ideal_enumeration_shape():
     ideals = ideals_up_to_norm(40)
     assert all(is_canonical_associate(x) for x in ideals)
@@ -195,6 +208,14 @@ def test_h_of_values():
     assert h_of(elem(48, 0)) == 4
     assert h_of(elem(0, 2)) == 1  # 2L is a unit multiple of 2
     assert h_of(elem(9, 0)) == 1
+
+
+def test_h_of_matches_the_factored_2_part():
+    two = elem(2, 0)
+    for x in ideals_up_to_norm(2000):
+        for scale in (1, 4, 16):
+            y = x * scale
+            assert h_of(y) == min(2 ** (factor(y).exponent_of(two) // 2), 4), y
 
 
 def test_half_power_part_values():

@@ -1,4 +1,5 @@
-"""Import hygiene: no module of the package imports a name it never uses.
+"""Import hygiene: no module of the package imports a name it never uses,
+and every import sits at module level.
 
 ``__init__`` is left out, since its imports are the public re-exports.
 """
@@ -55,6 +56,33 @@ def test_unused_imports_are_detected():
     assert unused_imports(source) == ["line 1: Optional", "line 2: os"]
 
 
+def nested_imports(source: str) -> list[str]:
+    """Imports made inside a function body of ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.add(f"line {inner.lineno}: {node.name}")
+    return sorted(found)
+
+
+def test_nested_imports_are_detected():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    def g():\n"
+        "        from sys import path\n"
+        "    return os\n"
+    )
+    assert nested_imports(source) == ["line 4: f", "line 4: g"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_imports_inside_functions(module):
+    assert nested_imports((PACKAGE / module).read_text()) == []

@@ -307,14 +307,6 @@ def test_strongly_elementary_4_holds_8_fails():
     assert strongly_elementary(ONE).holds
 
 
-def test_elementary_cache_is_bounded():
-    maxsize = _elementary_search.cache_info().maxsize
-    assert maxsize is not None
-    for bound in range(1, maxsize + 100):  # distinct keys; a unit returns at once
-        is_g5_elementary(ONE, bound)
-    assert _elementary_search.cache_info().currsize <= maxsize
-
-
 def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
     from hecke5 import normalizer
 
@@ -326,12 +318,10 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
 
     monkeypatch.setattr(normalizer, "_exponent_or_none", counted)
     for r in (ints(2), ints(4), LAMBDA * ints(2)):
-        _elementary_search.cache_clear()
         verdict = _elementary_search(r, 12)
         assert verdict.verdict == NO_COUNTEREXAMPLE
         assert verdict.witness is None
     assert calls == []
-    _elementary_search.cache_clear()
 
 
 def test_exact_check_runs_up_to_its_norm_guard_only(monkeypatch):
@@ -347,7 +337,6 @@ def test_exact_check_runs_up_to_its_norm_guard_only(monkeypatch):
 
     monkeypatch.setattr(normalizer, "schreier_generators", recorded)
     for r, walks in ((ints(30), True), (elt("36*L-18"), False)):  # norms 900, 1620
-        _elementary_search.cache_clear()
         verdict = is_g5_elementary(r, 1)
         assert verdict.verdict == NO_COUNTEREXAMPLE
         assert walked == ([r] if walks else [])
@@ -360,12 +349,10 @@ def test_exact_check_runs_up_to_its_norm_guard_only(monkeypatch):
     for module in (ideals, normalizer, subgroups):
         monkeypatch.setattr(module, "factor", refuse)
     r = elt("84*L-192")
-    _elementary_search.cache_clear()
     verdict = is_g5_elementary(r, 3)
     assert verdict.verdict == NO_COUNTEREXAMPLE
     assert verdict.witness is None
     assert walked == []
-    _elementary_search.cache_clear()
 
 
 def test_box_sweep_finds_nothing_for_associates_of_2_and_4():

@@ -14,7 +14,7 @@ from hecke5.errors import (
     BoundExceededError,
     UnitModulusError,
 )
-from hecke5.ideals import ResidueCtx, ideals_up_to_norm, primes_above
+from hecke5.ideals import ResidueCtx, factor, ideals_up_to_norm, primes_above
 from hecke5.reduction import (
     GEN_S,
     GEN_T,
@@ -166,6 +166,22 @@ def test_coset_table_at_the_default_bound():
         assert j == i  # (ST)**5 acts trivially
     assert table.locate(IDENTITY) == 0
     assert all(table.locate(table.reps[i]) == i for i in range(0, table.size, 97))
+
+
+def test_product_of_all_unit_residues_is_its_own_inverse():
+    # _ProjectiveLine inverts this product by reusing it: in a finite abelian
+    # group the product of all elements has order 1 or 2
+    orders = set()
+    for tau in ideals_up_to_norm(600):
+        ctx = ResidueCtx(tau)
+        primes = [ResidueCtx(p) for p in factor(tau).distinct_primes()]
+        product = ONE
+        for x in ctx.residues():  # x is invertible when no prime over tau divides it
+            if not any(p.divides(x) for p in primes):
+                product = ctx.reduce(product * x)
+        assert ctx.reduce(product * product) == ctx.reduce(ONE), tau
+        orders.add(1 if product == ctx.reduce(ONE) else 2)
+    assert orders == {1, 2}
 
 
 # --- coset tables against a brute-force oracle --------------------------------------
