@@ -326,9 +326,6 @@ class ResidueCtx:
         b -= k * self.g
         return RingElt(a % self.n, b)
 
-    def congruent(self, x: RingElt, y: RingElt) -> bool:
-        return not self.reduce(x - y)
-
     def divides(self, x: RingElt) -> bool:
         return not self.reduce(x)
 

@@ -11,7 +11,7 @@ The module also decides whether a ring element r is "G5-elementary": every
 reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  Only divisors of 4
 have this property; ``is_g5_elementary`` finds explicit counterexamples for
 everything else, and proves the property exactly from the Schreier
-generators of G0(r) when |N(r)| is at most 1000.
+generators of G0(r) when r divides 4.
 """
 
 from __future__ import annotations
@@ -50,13 +50,7 @@ from .ring import (
     gcd,
     lambda_pow,
 )
-from .subgroups import (
-    conjugate,
-    coset_table,
-    g0_contains,
-    sample_subgroup,
-    schreier_generators,
-)
+from .subgroups import coset_table, g0_contains, schreier_generators
 
 #: Names of the three possible quotient groups N(G0(tau))/G0(tau), keyed by h.
 QUOTIENT_TRIVIAL = "Trivial"
@@ -123,27 +117,9 @@ def normalizes(m: GMatrix, tau: RingElt) -> bool:
     """True when conjugation by ``m`` preserves G0(tau).
 
     Decided through the closed form N(G0(tau)) = G0(tau/h): the answer is
-    exactly membership of ``m`` in G0(tau/h).  See ``normalizes_sampled`` for
-    an independent cross-check.
+    exactly membership of ``m`` in G0(tau/h).
     """
     return g0_contains(m, normalizer_of(tau).modulus)
-
-
-def normalizes_sampled(
-    m: GMatrix, tau: RingElt, count: int = 64, seed: int = 0
-) -> bool:
-    """Refute-only sampling check that ``m`` normalizes G0(tau).
-
-    Conjugates ``count`` pseudorandom elements of G0(tau) by ``m`` and tests
-    that each conjugate stays in G0(tau).  A False answer is a proof that
-    ``m`` does not normalize; a True answer certifies nothing (the sample
-    may simply have missed a violation).
-    """
-    _require_modulus(tau)
-    return all(
-        g0_contains(conjugate(m, g), tau)
-        for g in sample_subgroup(tau, count, seed)
-    )
 
 
 # --- quotient group table ----------------------------------------------------------
@@ -429,13 +405,6 @@ NO_COUNTEREXAMPLE = "NoCounterexampleUpTo"
 #: Default half-width of the coefficient box searched for counterexamples.
 DEFAULT_ELEMENTARY_BOUND = 12
 
-#: Largest |N(r)| at which the search runs the exact Schreier check.  Only
-#: divisors of 4 pass it, so on any other r it is paid on top of the box
-#: sweep.  Its cost is mostly the residue line of r, which grows with N(r)
-#: times the number of ideal divisors of r: near N(r) = 2000 it matches the
-#: whole sweep at bound 4, and up to 1000 it stays under two fifths of it.
-_EXACT_CHECK_MAX_NORM = 1_000
-
 #: Targeted witness numerators with the lambda-exponent of their reduced
 #: denominator n(r)*L**k, tried before any box search.
 _TARGETED_WITNESSES = (
@@ -490,11 +459,10 @@ def is_g5_elementary(
     """Search for a reduced form x/(r*y) violating x**2 = 1 (mod r).
 
     Tries the targeted witness numerators (2L^2, 3L^3, 9L^3, 9L^9, 5L^6 over
-    denominators n(r)*L^k) first.  Then, when |N(r)| is at most 1000 (r is
-    factored only then), it walks the Schreier generators of G0(r): if
-    every one has a**2 = 1 (mod r), no counterexample exists anywhere and
-    NO_COUNTEREXAMPLE is exact.  At the first generator that fails, or past
-    that norm, it sweeps all coefficient pairs (x, y) in the box
+    denominators n(r)*L^k) first.  Then, when r divides 4, it walks the
+    Schreier generators of G0(r): if every one has a**2 = 1 (mod r), no
+    counterexample exists anywhere and NO_COUNTEREXAMPLE is exact.
+    Otherwise it sweeps all coefficient pairs (x, y) in the box
     [-bound, bound]^2 in a fixed deterministic order, so the reported
     witness depends on the box alone.
     Because x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over
@@ -528,11 +496,13 @@ def _elementary_search(r: RingElt, bound: int) -> ElementaryVerdict:
     # Exact: c = 0 (mod r) on G0(r), so a -> a mod r is a homomorphism into
     # (O/r)^x/+-1 and the elements with a**2 = 1 (mod r) form a subgroup.  It
     # is all of G0(r) when it holds every Schreier generator, and every
-    # reduced x/(r*y) is the first column of an element of G0(r).  The walk
-    # stops at the first failing generator.
-    if r.abs_norm() <= _EXACT_CHECK_MAX_NORM:
-        if all(ctx.divides(s.a * s.a - ONE) for s in schreier_generators(r)):
-            return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
+    # reduced x/(r*y) is the first column of an element of G0(r).  Only
+    # divisors of 4 pass, so any other r goes straight to the sweep, as a
+    # walk stopped at its first failing generator would.
+    if ctx.divides(RingElt(4, 0)) and all(
+        ctx.divides(s.a * s.a - ONE) for s in schreier_generators(r)
+    ):
+        return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
     return _box_sweep(r, ctx, bound)
 
 

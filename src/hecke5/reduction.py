@@ -135,13 +135,6 @@ class GMatrix:
     def trace(self) -> RingElt:
         return self._a + self._d
 
-    def is_identity(self) -> bool:
-        return self == IDENTITY
-
-    def row_action(self, c: RingElt, d: RingElt) -> tuple[RingElt, RingElt]:
-        """Right action on a row vector: (c, d) . M."""
-        return (c * self._a + d * self._c, c * self._b + d * self._d)
-
     def __repr__(self) -> str:
         rows = [[self._a, self._b], [self._c, self._d]]
         body = ", ".join(

@@ -42,10 +42,6 @@ class RingElt:
     def coeffs(self) -> tuple[int, int]:
         return (self._a, self._b)
 
-    @classmethod
-    def from_int(cls, n: int) -> "RingElt":
-        return cls(n, 0)
-
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
 

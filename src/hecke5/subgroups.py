@@ -14,12 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    BadRangeError,
-    BoundExceededError,
-    IntegrityError,
-    UnitModulusError,
-)
+from .errors import BadRangeError, BoundExceededError, IntegrityError
 from .ideals import ResidueCtx, factor, index_in_g5, smallest_rational_integer
 from .reduction import (
     GEN_S,
@@ -39,22 +34,6 @@ def g0_contains(m: GMatrix, modulus: RingElt) -> bool:
     if not ResidueCtx(modulus).divides(m.c):
         return False
     return g5_decompose(m) is not None
-
-
-def principal_contains(m: GMatrix, modulus: RingElt) -> bool:
-    """True when m is in the group and congruent to +-identity mod modulus."""
-    if modulus.is_unit():
-        raise UnitModulusError("principal congruence needs a non-unit modulus")
-    ctx = ResidueCtx(modulus)
-    for sign in (ONE, -ONE):
-        if (
-            ctx.divides(m.a - sign)
-            and ctx.divides(m.b)
-            and ctx.divides(m.c)
-            and ctx.divides(m.d - sign)
-        ):
-            return g5_decompose(m) is not None
-    return False
 
 
 def conjugate(a: GMatrix, b: GMatrix) -> GMatrix:
@@ -392,11 +371,3 @@ def sample_subgroup(modulus: RingElt, count: int, seed: int) -> list[GMatrix]:
     """
     low = GMatrix(ONE, ZERO, RingElt(0, smallest_rational_integer(modulus)), ONE)
     return sample_words((GEN_T, low), count, seed)
-
-
-#: Generating set of the level-2 subgroup: T and two explicit hyperbolics.
-G0_2_GENERATORS: tuple[GMatrix, ...] = (
-    GEN_T,
-    GMatrix(RingElt(1, 2), RingElt(-2, -1), RingElt(2, 2), RingElt(-1, -2)),
-    GMatrix(RingElt(1, 2), RingElt(0, -1), RingElt(0, 2), RingElt(-1, 0)),
-)

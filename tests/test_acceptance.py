@@ -10,26 +10,26 @@ import random
 from typing import Callable
 
 from hecke5 import (
-    G0_2_GENERATORS,
     LAMBDA,
     ONE,
     GMatrix,
     ResidueCtx,
     RingElt,
     ShearPair,
+    coset_table,
     g0_contains,
     gcd,
     is_g5_elementary,
     lambda_pow,
+    normalizer_of,
     quotient_table,
     reduced_factor,
-    sample_subgroup,
-    sample_words,
     scaling_exponent,
     shear_coset_equal,
     strongly_elementary,
 )
 from hecke5.cli import _TABLE_ROWS, _selftest_items
+from hecke5.subgroups import schreier_generators
 
 ints = lambda n: RingElt(n, 0)  # noqa: E731
 
@@ -123,12 +123,14 @@ def test_c05_quotient_classifications():
 def test_c06_level2_congruences():
     def check() -> str:
         two, four, eight = ResidueCtx(ints(2)), ResidueCtx(ints(4)), ResidueCtx(ints(8))
-        words = sample_words(G0_2_GENERATORS, 10_000, seed=6)
-        for m in words:
-            a, d = m.a, m.d
-            assert two.divides(a + d), f"2 does not divide a+d in {m}"
-            assert two.divides(a - d), f"2 does not divide a-d in {m}"
-            assert four.divides(a * a - ONE), f"4 does not divide a**2-1 in {m}"
+        # c = 0 (mod 2) on G0(2), so a -> a mod 2 is a homomorphism into
+        # (O/2)^x, where -1 = 1.  The Schreier generators generate G0(2), so
+        # a = 1 (mod 2) on all of them gives a = d = 1 (mod 2) on the whole
+        # group (ad = 1 mod 2), hence 2 | a+d, 2 | a-d and 4 | (a-1)(a+1).
+        generators = list(schreier_generators(ints(2)))
+        assert len(generators) == 6
+        for s in generators:
+            assert two.divides(s.a - ONE), f"a is not 1 mod 2 in {s}"
         sharp = [(6, GMatrix(RingElt(5, 6), RingElt(0, -1), RingElt(0, 6), -ONE))]
         for n in (12, 96, 192):
             sharp.append((n, reduced_factor(RingElt(-1, 2), ints(n)).completed()))
@@ -136,7 +138,10 @@ def test_c06_level2_congruences():
             assert g0_contains(m, ints(level)), f"witness not in level {level}: {m}"
             assert four.divides(m.a * m.a - ONE)
             assert not eight.divides(m.a * m.a - ONE), f"8 divides a**2-1 in {m}"
-        return "10^4 words satisfy all three; 4 witnesses show 8 never divides"
+        return (
+            "all 6 Schreier generators of G0(2) have a = 1 mod 2; "
+            "4 witnesses show 8 never divides"
+        )
 
     _criterion(6, "level-2 trace and corner congruences", check)
 
@@ -146,24 +151,33 @@ def test_c06_level2_congruences():
 
 def test_c07_conjugation_closure():
     def check() -> str:
-        plans = (
-            (4, 2, 1000),
-            (12, 2, 1000),
-            (16, 2, 500),
-            (16, 4, 500),
-            (48, 2, 500),
-            (48, 4, 500),
-        )
-        total = 0
-        for seed, (n, h_prime, count) in enumerate(plans):
+        # An element g*q, g in G0(tau), normalizes G0(tau) exactly when q
+        # does.  q normalizes it when q*s*q**-1 lies in G0(tau) for every
+        # Schreier generator s (these generate G0(tau), and a conjugate of
+        # equal index cannot be a proper subgroup).  tau | s.c, so the
+        # lower-left entry of q*s*q**-1 is q.c*q.d*(s.a-s.d) - q.c**2*s.b
+        # modulo tau.
+        counts = []
+        for n in (4, 12, 16, 48):
             tau = ints(n)
-            outer = sample_subgroup(ints(n // h_prime), count, seed=70 + seed)
-            inner = sample_subgroup(tau, count, seed=170 + seed)
-            for a, b in zip(outer, inner):
-                conj = a * b * a.inverse()
-                assert g0_contains(conj, tau), f"conjugate left G0({n})"
-                total += 1
-        return f"{total} conjugations stay in their subgroup"
+            ctx = ResidueCtx(tau)
+            result = normalizer_of(tau)
+            half = ResidueCtx(result.modulus)
+            entries = [(s.a - s.d, s.b) for s in schreier_generators(tau)]
+            normalizing = 0
+            for q in coset_table(tau).reps:
+                closed = all(
+                    ctx.divides(q.c * q.d * ad - q.c * q.c * b) for ad, b in entries
+                )
+                assert closed == half.divides(q.c), f"coset of {q} at tau = {n}"
+                normalizing += closed
+            assert normalizing == result.h ** 2
+            counts.append(normalizing)
+        return (
+            "exactly the cosets in G0(tau/h) normalize, "
+            + ", ".join(map(str, counts))
+            + " of them at tau = 4, 12, 16, 48"
+        )
 
     _criterion(7, "conjugation closure A B A**-1 in G0(tau)", check)
 

@@ -1,15 +1,24 @@
-"""Import hygiene: no module of the package imports a name it never uses,
-and every import sits at module level.
+"""Code hygiene: no module of the package imports a name it never uses,
+every import sits at module level, and every function, method and class the
+package defines is referenced somewhere outside its own definition.
 
-``__init__`` is left out, since its imports are the public re-exports.
+The import rules leave ``__init__`` out, since its imports are the public
+re-exports.  The definition rule looks for references in ``src``,
+``tests``, ``bench`` and ``demos``; a re-export or an ``__all__`` entry is
+not a reference, a name in any other string constant is, so names that
+``bench/tracer.py`` looks up by string count as used.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hecke5"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hecke5"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -86,3 +95,86 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_imports_inside_functions(module):
     assert nested_imports((PACKAGE / module).read_text()) == []
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often ``tree`` names each identifier: as a name, as an attribute,
+    or as a word of a string constant other than a docstring or an
+    ``__all__`` entry."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, *_DEFINITIONS)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                skipped.add(id(first.value))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            skipped.update(id(n) for n in ast.walk(node.value))
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in skipped
+        ):
+            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def dead_definitions(package: dict[str, str], others: Sequence[str]) -> list[str]:
+    """Non-dunder functions, methods and classes defined in ``package`` (module
+    name to source) that neither ``package`` nor ``others`` references outside
+    the definition itself."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    total = Counter()
+    for tree in [*trees.values(), *(ast.parse(source) for source in others)]:
+        total.update(references(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, _DEFINITIONS):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if total[name] == references(node)[name]:
+                dead.append(f"{module}:{node.lineno}: {name}")
+    return sorted(dead)
+
+
+def test_dead_definitions_are_detected():
+    package = {
+        "m": (
+            '"""Docstrings name nothing: unused."""\n'
+            "__all__ = ['unused', 'public']\n"
+            "def unused():\n"
+            "    return unused()\n"
+            "def public(): pass\n"
+            "def by_name(): pass\n"
+            "class Box:\n"
+            "    def __len__(self): return 0\n"
+            "    def used(self): return self.hidden\n"
+            "    def hidden(self): pass\n"
+            "class Spare: pass\n"
+        )
+    }
+    others = ["from m import public\npublic()\nTRACED = ('Box.used', 'by_name')\n"]
+    assert dead_definitions(package, others) == ["m:11: Spare", "m:3: unused"]
+
+
+def test_no_dead_definitions():
+    package = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    others = [
+        p.read_text()
+        for folder in ("tests", "bench", "demos")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert dead_definitions(package, others) == []

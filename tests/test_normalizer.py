@@ -21,7 +21,6 @@ from hecke5.normalizer import (
     is_g5_elementary,
     normalizer_of,
     normalizes,
-    normalizes_sampled,
     quotient_table,
     reduced_witness_bound,
     strongly_elementary,
@@ -35,7 +34,12 @@ from hecke5.reduction import (
 )
 from hecke5.ring import LAMBDA, ONE, RingElt, gcd, lambda_pow, parse_element
 from hecke5 import subgroups
-from hecke5.subgroups import g0_contains, sample_subgroup, schreier_generators
+from hecke5.subgroups import (
+    conjugate,
+    g0_contains,
+    sample_subgroup,
+    schreier_generators,
+)
 
 
 def elt(text: str) -> RingElt:
@@ -87,23 +91,21 @@ def test_group_members_normalize_their_own_group():
     for tau in (ints(4), ints(9), elt("12*L+7")):
         for m in sample_subgroup(tau, 10, seed=5):
             assert normalizes(m, tau)
-            assert normalizes_sampled(m, tau, count=8, seed=5)
 
 
-def test_sampled_mode_refutes_a_non_normalizer():
-    shear = GMatrix(1, 0, LAMBDA, 1)
-    assert not normalizes(shear, ints(4))
-    for seed in (0, 1, 2, 3):
-        assert not normalizes_sampled(shear, ints(4), count=30, seed=seed)
-
-
-def test_sampled_mode_is_one_sided():
-    # The shear words sampled from G0(9) happen to stay closed under this
-    # conjugation, so sampling cannot refute here even though the closed
-    # form can: that one-sidedness is the documented contract.
-    shear = GMatrix(1, 0, RingElt(0, 3), 1)
-    assert not normalizes(shear, ints(9))
-    assert normalizes_sampled(shear, ints(9), count=40, seed=1)
+def test_non_normalizing_shears_move_a_schreier_generator():
+    # The Schreier generators generate G0(tau), so a conjugate of one of
+    # them outside G0(tau) proves that the shear does not normalize.
+    shears = (
+        (GMatrix(1, 0, LAMBDA, 1), ints(4)),
+        (GMatrix(1, 0, RingElt(0, 3), 1), ints(9)),
+    )
+    for shear, tau in shears:
+        assert not normalizes(shear, tau)
+        assert any(
+            not g0_contains(conjugate(shear, s), tau)
+            for s in schreier_generators(tau)
+        )
 
 
 def test_normalizing_matrices_lie_in_half_power_group():
@@ -324,9 +326,9 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
     assert calls == []
 
 
-def test_exact_check_runs_up_to_its_norm_guard_only(monkeypatch):
-    # No targeted witness settles these r, so the box gives the verdict
-    # either way; the walk runs only up to norm 1000.
+def test_exact_check_runs_for_divisors_of_4_only(monkeypatch):
+    # The walk runs only when r divides 4.  No targeted witness settles 30
+    # or 36L-18 (norms 900 and 1620), so the box gives their verdict.
     from hecke5 import ideals, normalizer
 
     walked = []
@@ -336,7 +338,12 @@ def test_exact_check_runs_up_to_its_norm_guard_only(monkeypatch):
         return schreier_generators(r)
 
     monkeypatch.setattr(normalizer, "schreier_generators", recorded)
-    for r, walks in ((ints(30), True), (elt("36*L-18"), False)):  # norms 900, 1620
+    for r, walks in (
+        (ints(4), True),
+        (LAMBDA * ints(2), True),
+        (ints(30), False),
+        (elt("36*L-18"), False),
+    ):
         verdict = is_g5_elementary(r, 1)
         assert verdict.verdict == NO_COUNTEREXAMPLE
         assert walked == ([r] if walks else [])

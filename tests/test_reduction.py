@@ -112,8 +112,6 @@ def test_matrix_algebra():
     assert m**0 == IDENTITY
     assert m**-2 == m.inverse() * m.inverse()
     assert GEN_S.trace() == ZERO
-    assert GEN_S.row_action(ONE, ZERO) == (ZERO, -ONE)
-    assert GEN_T.row_action(elem(2, 0), elem(3, 0)) == (elem(2, 0), elem(3, 2))
 
 
 # --- words -----------------------------------------------------------------------

@@ -9,11 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke5.errors import (
-    BadRangeError,
-    BoundExceededError,
-    UnitModulusError,
-)
+from hecke5.errors import BadRangeError, BoundExceededError
 from hecke5.ideals import ResidueCtx, factor, ideals_up_to_norm, primes_above
 from hecke5.reduction import (
     GEN_S,
@@ -21,20 +17,17 @@ from hecke5.reduction import (
     IDENTITY,
     GMatrix,
     eval_word,
-    g5_decompose,
     is_reduced_form,
     t_power,
 )
 from hecke5.ring import LAMBDA, ONE, ZERO, RingElt, gcd, lambda_pow
 from hecke5 import subgroups
 from hecke5.subgroups import (
-    G0_2_GENERATORS,
     CosetTable,
     ShearPair,
     conjugate,
     coset_table,
     g0_contains,
-    principal_contains,
     sample_subgroup,
     sample_words,
     schreier_generators,
@@ -58,22 +51,6 @@ def test_g0_contains_examples():
     # in SL2 over the ring, lower-left even, but not in the group itself
     outsider = GMatrix(elem(-1, 3), LAMBDA, elem(0, 2), LAMBDA)
     assert not g0_contains(outsider, elem(2, 0))
-
-
-def test_g0_2_generators_are_members():
-    for gen in G0_2_GENERATORS:
-        assert g0_contains(gen, elem(2, 0))
-        assert g5_decompose(gen) is not None
-
-
-def test_principal_contains_examples():
-    two = elem(2, 0)
-    assert principal_contains(IDENTITY, two)
-    assert principal_contains(-IDENTITY, two)
-    assert not principal_contains(GEN_T, two)  # L is not divisible by 2
-    assert principal_contains(GEN_T * GEN_T, two)  # translation by 2L
-    with pytest.raises(UnitModulusError):
-        principal_contains(IDENTITY, ONE)
 
 
 def test_conjugate():
@@ -140,7 +117,7 @@ def test_coset_table_action_matches_matrices():
 
 def test_coset_table_membership_via_class_zero():
     table = coset_table(elem(2, 0))
-    for m in sample_words(G0_2_GENERATORS, 25, seed=3):
+    for m in sample_words(list(schreier_generators(elem(2))), 25, seed=3):
         assert table.locate(m) == 0
     assert table.locate(GEN_S * GEN_T) != 0
 
