@@ -257,13 +257,19 @@ def index_in_g5(x: RingElt) -> int:
     Multiplicative formula: |norm(x)| times the product of 1 + 1/|norm(P)|
     over the distinct primes P dividing x.
     """
+    return _index_and_primes(x)[0]
+
+
+def _index_and_primes(x: RingElt) -> tuple[int, tuple[RingElt, ...]]:
+    """``index_in_g5(x)`` and the distinct primes of x, from one factoring."""
+    primes = factor(x).distinct_primes()
     num, den = x.abs_norm(), 1
-    for prime in factor(x).distinct_primes():
+    for prime in primes:
         np = prime.abs_norm()
         num, den = num * (np + 1), den * np
     if num % den:
         raise IntegrityError("index formula did not produce an integer")
-    return num // den
+    return num // den, primes
 
 
 def relative_index(x: RingElt, divisor: RingElt) -> int:

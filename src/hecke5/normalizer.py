@@ -40,6 +40,7 @@ from .reduction import (
     GMatrix,
     IDENTITY,
     _exponent_or_none,
+    eval_word,
     is_reduced_form,
 )
 from .ring import (
@@ -166,10 +167,10 @@ def _element_orders(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 def quotient_table(tau: RingElt) -> QuotientTable:
     """Build and verify the finite group N(G0(tau))/G0(tau) by enumeration.
 
-    Filters the coset table of G0(tau) down to the cosets contained in
-    G0(tau/h), multiplies representatives pairwise, and checks closure,
-    associativity, and commutativity before classifying the group by its
-    element-order histogram.
+    Keeps the cosets of G0(tau) whose point has tau/h | c, which puts them
+    in G0(tau/h) since tau/h | tau, multiplies the matrices of their words
+    pairwise, and checks closure, associativity, and commutativity before
+    classifying the group by its element-order histogram.
     """
     result = normalizer_of(tau)
     tau_c = canonical_associate(tau)
@@ -189,7 +190,7 @@ def quotient_table(tau: RingElt) -> QuotientTable:
     base = coset_table(tau_c)
     sub_ctx = ResidueCtx(result.modulus)
     classes = tuple(
-        i for i, rep in enumerate(base.reps) if sub_ctx.divides(rep.c)
+        i for i, pt in enumerate(base.points) if sub_ctx.divides(RingElt(*pt[:2]))
     )
     expected = relative_index(tau_c, result.modulus)
     if len(classes) != expected:
@@ -201,7 +202,7 @@ def quotient_table(tau: RingElt) -> QuotientTable:
     if classes[0] != 0 or base.locate(IDENTITY) != 0:
         raise NotAGroupError("identity coset is not in position zero")
 
-    reps = tuple(base.reps[i] for i in classes)
+    reps = tuple(eval_word(base.rep_words[i]) for i in classes)
     rows = []
     for left in reps:
         row = []

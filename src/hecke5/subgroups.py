@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import BadRangeError, BoundExceededError, IntegrityError
-from .ideals import ResidueCtx, factor, index_in_g5, smallest_rational_integer
+from .ideals import ResidueCtx, _index_and_primes, smallest_rational_integer
 from .reduction import (
     GEN_S,
     GEN_T,
     IDENTITY,
     GMatrix,
-    Token,
     Word,
     g5_decompose,
     t_power,
@@ -53,10 +52,10 @@ class _ProjectiveLine:
     (c0, w*d mod mu) is a complete invariant of the class of (c, d), because
     the units fixing c0 are exactly those congruent to 1 modulo mu.  The
     line keeps one (c0, w, mu) entry per residue, so its memory is
-    O(N(modulus)).
+    O(N(modulus)).  ``primes`` are the distinct primes dividing the level.
     """
 
-    def __init__(self, modulus: RingElt) -> None:
+    def __init__(self, modulus: RingElt, primes: Sequence[RingElt]) -> None:
         ctx = ResidueCtx(modulus)
         self.ctx = ctx
 
@@ -81,7 +80,7 @@ class _ProjectiveLine:
         self.red, self.mul, self.act = red, mul, act
 
         # invertible residues: those outside every prime ideal over the level
-        primes = [ResidueCtx(p) for p in factor(modulus).distinct_primes()]
+        primes = [ResidueCtx(p) for p in primes]
         units = [
             (a, b)
             for a in range(n)
@@ -163,12 +162,12 @@ class _Orbit:
     """
 
     def __init__(self, modulus: RingElt, max_points: int) -> None:
-        self.expected = index_in_g5(modulus)
+        self.expected, primes = _index_and_primes(modulus)
         if self.expected > max_points:
             raise BoundExceededError(
                 f"index {self.expected} exceeds the configured bound {max_points}"
             )
-        self.line = line = _ProjectiveLine(modulus)
+        self.line = line = _ProjectiveLine(modulus, primes)
         self.points = [(*line.red(0, 0), *line.red(1, 0))]
         self.index_of = {line.key(*self.points[0]): 0}
 
@@ -200,9 +199,9 @@ class CosetTable:
 
     Each coset is a projective point: a bottom row modulo the level, up to
     scaling by invertible residues; class 0 is the subgroup itself.  The
-    table stores one reduced point and one matrix representative (with its
-    generator word) per class, plus the permutation action of S and T on
-    classes.  It drains the walk of ``_Orbit``, cross-checks the class count
+    table stores one reduced point and one generator word per class, and
+    the permutation action of S and T on classes; ``reps`` is built on first
+    read.  It drains the walk of ``_Orbit``, cross-checks the class count
     against the multiplicative index formula and raises IntegrityError on
     any mismatch.  Classes are numbered in the order of their least unit
     multiple (c, d), compared coefficient by coefficient.
@@ -214,15 +213,12 @@ class CosetTable:
         self.ctx = orbit.line.ctx
         self._key = orbit.line.key
 
-        reps: list[GMatrix] = [IDENTITY]
         words: list[Word] = [()]
         successors: dict[str, list[int]] = {"S": [], "T": []}
         for i, name, j, new in orbit.edges():
             successors[name].append(j)
             if new:
-                token: Token = (name, 1)
-                reps.append(reps[i] * _GENERATORS[name])
-                words.append(words[i] + (token,))
+                words.append(words[i] + ((name, 1),))
         points = orbit.points
         if len(points) != orbit.expected:
             raise IntegrityError(
@@ -236,12 +232,29 @@ class CosetTable:
         for rank, old in enumerate(order):
             perm[old] = rank
         self.points = [points[i] for i in order]
-        self.reps = [reps[i] for i in order]
+        self._reps: list[GMatrix] | None = None
         self.rep_words = [words[i] for i in order]
         self._index_of = {k: perm[v] for k, v in orbit.index_of.items()}
         self.action = {
             name: [perm[succ[i]] for i in order] for name, succ in successors.items()
         }
+
+    @property
+    def reps(self) -> list[GMatrix]:
+        """The matrix of each class's word in ``rep_words``, built on first
+        read by replaying the walk on ``action``: the first edge i -> j by g
+        gave j its word, and gives rep_j = rep_i * g."""
+        if self._reps is None:
+            reps: list = [IDENTITY] + [None] * (self.size - 1)
+            reached = [0]
+            for i in reached:
+                for name in "ST":
+                    j = self.action[name][i]
+                    if reps[j] is None:
+                        reps[j] = reps[i] * _GENERATORS[name]
+                        reached.append(j)
+            self._reps = reps
+        return self._reps
 
     @property
     def size(self) -> int:

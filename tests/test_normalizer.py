@@ -9,7 +9,13 @@ from hecke5.errors import (
     UnitModulusError,
     ZeroInputError,
 )
-from hecke5.ideals import ResidueCtx, ideals_up_to_norm, half_power_part
+from hecke5.ideals import (
+    ResidueCtx,
+    h_of,
+    half_power_part,
+    ideals_up_to_norm,
+    primes_above,
+)
 from hecke5.normalizer import (
     COUNTEREXAMPLE_FOUND,
     NO_COUNTEREXAMPLE,
@@ -33,11 +39,11 @@ from hecke5.reduction import (
     reduced_factor,
 )
 from hecke5.ring import LAMBDA, ONE, RingElt, gcd, lambda_pow, parse_element
-from hecke5 import subgroups
 from hecke5.subgroups import (
     conjugate,
+    coset_table,
     g0_contains,
-    sample_subgroup,
+    sample_words,
     schreier_generators,
 )
 
@@ -89,7 +95,7 @@ def test_lower_shear_by_2_lambda_normalizes_4():
 
 def test_group_members_normalize_their_own_group():
     for tau in (ints(4), ints(9), elt("12*L+7")):
-        for m in sample_subgroup(tau, 10, seed=5):
+        for m in sample_words(list(schreier_generators(tau)), 10, seed=5):
             assert normalizes(m, tau)
 
 
@@ -111,7 +117,8 @@ def test_non_normalizing_shears_move_a_schreier_generator():
 def test_normalizing_matrices_lie_in_half_power_group():
     for tau in (ints(4), ints(16), ints(12)):
         half = half_power_part(tau)
-        for m in sample_subgroup(normalizer_of(tau).modulus, 15, seed=11):
+        generators = list(schreier_generators(normalizer_of(tau).modulus))
+        for m in sample_words(generators, 15, seed=11):
             assert normalizes(m, tau)
             assert g0_contains(m, half)
 
@@ -162,6 +169,28 @@ def test_quarter_shear_has_order_4_in_16_quotient():
     ]
     assert len(positions) == 1
     assert q.element_orders[positions[0]] == 4
+
+
+QUOTIENT_ORACLE_MODULI = (
+    *(t for t in ideals_up_to_norm(400) if h_of(t) > 1),
+    *(-t * LAMBDA for t in ideals_up_to_norm(400) if h_of(t) > 1),
+    ints(16) * LAMBDA,
+    *(ints(4) * p for p in primes_above(11)),
+)
+
+
+@pytest.mark.parametrize("tau", QUOTIENT_ORACLE_MODULI, ids=lambda t: str(t.coeffs))
+def test_quotient_table_matches_the_matrix_filter(tau):
+    # the classes and representatives read from points and words agree with
+    # filtering the coset table's matrix representatives by tau/h | c
+    q = quotient_table(tau)
+    base = coset_table(q.modulus)
+    sub = ResidueCtx(q.normalizer_modulus)
+    classes = tuple(i for i, rep in enumerate(base.reps) if sub.divides(rep.c))
+    assert q.classes == classes
+    assert [r.entries for r in q.representatives] == [
+        base.reps[i].entries for i in classes
+    ]
 
 
 def test_quotient_representatives_lie_in_supergroup():
@@ -349,11 +378,11 @@ def test_exact_check_runs_for_divisors_of_4_only(monkeypatch):
         assert walked == ([r] if walks else [])
         walked.clear()
 
-    # norm 13680: r is never factored
+    # norm 13680: r is never factored (subgroups factors through ideals)
     def refuse(x):
         raise AssertionError(f"factored {x}")
 
-    for module in (ideals, normalizer, subgroups):
+    for module in (ideals, normalizer):
         monkeypatch.setattr(module, "factor", refuse)
     r = elt("84*L-192")
     verdict = is_g5_elementary(r, 3)

@@ -20,6 +20,7 @@ from hecke5.reduction import (
     is_reduced_form,
     t_power,
 )
+from hecke5.normalizer import quotient_table
 from hecke5.ring import LAMBDA, ONE, ZERO, RingElt, gcd, lambda_pow
 from hecke5 import subgroups
 from hecke5.subgroups import (
@@ -143,6 +144,34 @@ def test_coset_table_at_the_default_bound():
         assert j == i  # (ST)**5 acts trivially
     assert table.locate(IDENTITY) == 0
     assert all(table.locate(table.reps[i]) == i for i in range(0, table.size, 97))
+
+
+def test_coset_table_multiplies_only_when_reps_are_read(monkeypatch):
+    products = []
+    multiply = GMatrix.__mul__
+
+    def counted(a, b):
+        products.append(None)
+        return multiply(a, b)
+
+    monkeypatch.setattr(GMatrix, "__mul__", counted)
+    table = coset_table(primes_above(1009)[0])
+    assert table.size == 1010
+    assert not products
+    reps = table.reps
+    assert len(products) == table.size - 1
+    assert table.reps is reps
+    assert len(products) == table.size - 1
+
+
+def test_quotient_table_never_reads_coset_reps(monkeypatch):
+    def unread(table):
+        raise AssertionError("CosetTable.reps was read")
+
+    monkeypatch.setattr(CosetTable, "reps", property(unread))
+    with pytest.raises(AssertionError):
+        coset_table(elem(16)).reps
+    assert quotient_table(elem(16)).order == 16
 
 
 def test_product_of_all_unit_residues_is_its_own_inverse():
