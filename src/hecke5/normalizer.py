@@ -10,8 +10,10 @@ and gcd bounds), and ``quotient_table`` verifies the quotient group structure
 The module also decides whether a ring element r is "G5-elementary": every
 reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  Only divisors of 4
 have this property; ``is_g5_elementary`` finds explicit counterexamples for
-everything else, and proves the property exactly from the Schreier
-generators of G0(r) when r divides 4.
+everything else.  When the index of G0(r) is small next to the box it
+searches, one walk of the coset graph gives the image A of a -> a mod r on
+G0(r): if every element of A squares to 1 the property is proved exactly,
+and otherwise the box sweep skips every x outside A.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Optional
 
 from .errors import (
     BadRangeError,
+    BoundExceededError,
     IntegrityError,
     NotAGroupError,
     NotReducedError,
@@ -33,7 +36,7 @@ from .ideals import (
     factor,
     h_of,
     half_power_part,
-    relative_index,
+    index_in_g5,
     smallest_rational_integer,
 )
 from .reduction import (
@@ -51,7 +54,7 @@ from .ring import (
     gcd,
     lambda_pow,
 )
-from .subgroups import coset_table, g0_contains, schreier_generators
+from .subgroups import _MAX_POINTS, _upper_left_image, coset_table, g0_contains
 
 #: Names of the three possible quotient groups N(G0(tau))/G0(tau), keyed by h.
 QUOTIENT_TRIVIAL = "Trivial"
@@ -192,7 +195,10 @@ def quotient_table(tau: RingElt) -> QuotientTable:
     classes = tuple(
         i for i, pt in enumerate(base.points) if sub_ctx.divides(RingElt(*pt[:2]))
     )
-    expected = relative_index(tau_c, result.modulus)
+    small = index_in_g5(result.modulus)
+    if base.size % small:
+        raise IntegrityError("relative index did not produce an integer")
+    expected = base.size // small
     if len(classes) != expected:
         raise NotAGroupError(
             f"{len(classes)} cosets lie in G0({result.modulus}) but the "
@@ -406,6 +412,19 @@ NO_COUNTEREXAMPLE = "NoCounterexampleUpTo"
 #: Default half-width of the coefficient box searched for counterexamples.
 DEFAULT_ELEMENTARY_BOUND = 12
 
+#: The walk that builds A runs only when the index of G0(r) is at most
+#: min(_MAX_POINTS, max(20, (2*bound + 1)**4 // _WALK_PAIRS_PER_CLASS)); 20
+#: admits the divisors of 4 (index 5 and 20) at every bound.  Measured with
+#: CPython 3.11 on a 2-vCPU VM, on the moduli up to norm 8000 that no
+#: targeted witness settles (2, 4 and multiples of 6(2L-1)), the walk costs
+#: 8 to 20 us per class, residue line included, and a full unpruned sweep 3
+#: to 10 us per (2*bound + 1)**4, so at the limit the walk costs about one
+#: full sweep.  The pruned sweep then costs 2 to 25% of the full one (2% at
+#: the box modulus 18L+6, where A has 16 of 96 units).  The norm, a lower
+#: bound of the index, is checked first, so an r past the limit is never
+#: factored.
+_WALK_PAIRS_PER_CLASS = 4
+
 #: Targeted witness numerators with the lambda-exponent of their reduced
 #: denominator n(r)*L**k, tried before any box search.
 _TARGETED_WITNESSES = (
@@ -424,9 +443,10 @@ class ElementaryVerdict:
     ``verdict`` is COUNTEREXAMPLE_FOUND with ``witness = (x, y)`` — so the
     offending reduced fraction is x/(r*y) — or NO_COUNTEREXAMPLE.  The
     latter says that the coefficient box [-bound, bound] holds no
-    counterexample; it rests either on an exhaustive scan of the box or on
-    the exact proof that no counterexample exists at all (every Schreier
-    generator of G0(r) has a**2 = 1 mod r), which covers the box too.
+    counterexample; it rests either on a scan of the box, which skips only
+    x that no reduced fraction has, or on the exact proof that no
+    counterexample exists at all (every a in the image A of G0(r) modulo r
+    has a**2 = 1), which covers the box too.
     """
 
     r: RingElt
@@ -460,12 +480,14 @@ def is_g5_elementary(
     """Search for a reduced form x/(r*y) violating x**2 = 1 (mod r).
 
     Tries the targeted witness numerators (2L^2, 3L^3, 9L^3, 9L^9, 5L^6 over
-    denominators n(r)*L^k) first.  Then, when r divides 4, it walks the
-    Schreier generators of G0(r): if every one has a**2 = 1 (mod r), no
-    counterexample exists anywhere and NO_COUNTEREXAMPLE is exact.
-    Otherwise it sweeps all coefficient pairs (x, y) in the box
-    [-bound, bound]^2 in a fixed deterministic order, so the reported
-    witness depends on the box alone.
+    denominators n(r)*L^k) first.  Then, when the index of G0(r) is within
+    the guard of ``_WALK_PAIRS_PER_CLASS`` (always for divisors of 4), one
+    coset walk builds the image A of a -> a mod r on G0(r): if every
+    a in A has a**2 = 1 (mod r), no counterexample exists anywhere and
+    NO_COUNTEREXAMPLE is exact.  Otherwise it sweeps all coefficient pairs
+    (x, y) in the box [-bound, bound]^2 in a fixed deterministic order,
+    skipping every x outside A when A is known, so the reported witness
+    depends on the box alone.
     Because x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over
     one sign class only.  A unit r divides everything, so the verdict is
     immediate.
@@ -494,27 +516,45 @@ def _elementary_search(r: RingElt, bound: int) -> ElementaryVerdict:
                 r, COUNTEREXAMPLE_FOUND, (numerator, y), bound
             )
 
-    # Exact: c = 0 (mod r) on G0(r), so a -> a mod r is a homomorphism into
-    # (O/r)^x/+-1 and the elements with a**2 = 1 (mod r) form a subgroup.  It
-    # is all of G0(r) when it holds every Schreier generator, and every
-    # reduced x/(r*y) is the first column of an element of G0(r).  Only
-    # divisors of 4 pass, so any other r goes straight to the sweep, as a
-    # walk stopped at its first failing generator would.
-    if ctx.divides(RingElt(4, 0)) and all(
-        ctx.divides(s.a * s.a - ONE) for s in schreier_generators(r)
-    ):
-        return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
-    return _box_sweep(r, ctx, bound)
+    # c = 0 (mod r) on G0(r), so a -> a mod r is a homomorphism into
+    # (O/r)^x/+-1 and its image A holds the x of every reduced x/(r*y); the
+    # elements with a**2 = 1 form a subgroup, which holds G0(r) exactly
+    # when it holds A
+    box_limit = (2 * bound + 1) ** 4 // _WALK_PAIRS_PER_CLASS
+    limit = min(_MAX_POINTS, max(20, box_limit))
+    image = None
+    if r.abs_norm() <= limit:
+        try:
+            image = _upper_left_image(r, limit)
+        except BoundExceededError:
+            pass
+        else:
+            if all(ctx.divides(RingElt(*a) * RingElt(*a) - ONE) for a in image):
+                return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
+    return _box_sweep(r, ctx, bound, image)
 
 
-def _box_sweep(r: RingElt, ctx: ResidueCtx, bound: int) -> ElementaryVerdict:
+def _box_sweep(
+    r: RingElt,
+    ctx: ResidueCtx,
+    bound: int,
+    image: Optional[frozenset[tuple[int, int]]] = None,
+) -> ElementaryVerdict:
     """The first counterexample x/(r*y) with x and y in the coefficient box,
     in the order of ``_box_coefficients``, or NO_COUNTEREXAMPLE; ``ctx`` is
-    the residue context of r."""
+    the residue context of r.
+
+    When ``image`` is the group A of upper-left entries of G0(r) modulo r,
+    as reduced pairs, every x whose residue lies outside A is skipped
+    unread: a reduced x/(r*y) is the first column of an element of G0(r),
+    so its x lies in A, and the first witness in box order is the same.
+    """
     box = _box_coefficients(bound)
     denominators = [(r * y, y) for y in box if y]
     for x in box:
         if (x.a, x.b) <= (0, 0):
+            continue
+        if image is not None and ctx.reduce(x).coeffs not in image:
             continue
         if ctx.divides(x * x - ONE) or not gcd(x, r).is_unit():
             continue

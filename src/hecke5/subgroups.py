@@ -303,6 +303,46 @@ def schreier_generators(modulus: RingElt) -> Iterator[GMatrix]:
             yield reps[i] * _GENERATORS[name] * reps[j].inverse()
 
 
+def _upper_left_image(
+    modulus: RingElt, max_points: int
+) -> frozenset[tuple[int, int]]:
+    """The upper-left entries of the level-``modulus`` subgroup modulo the
+    level: a group A of invertible residues holding -1, as reduced pairs.
+
+    On the subgroup c = 0 modulo the level, so a -> a mod level is a
+    homomorphism, and A is generated by -1 (the matrices are taken up to
+    sign) and the upper-left entries of the Schreier generators.  One walk
+    of ``_Orbit`` reads these on residues alone: it tracks the top row of
+    each representative, and the generator rep_i * g * rep_j**-1 of an edge
+    that closes a cycle has upper-left entry a' d_j - b' c_j, where (a', b')
+    is the top row of rep_i * g and (c_j, d_j) the bottom row of rep_j.
+    Raises BoundExceededError when the index exceeds ``max_points``.
+    """
+    orbit = _Orbit(modulus, max_points)
+    line, points = orbit.line, orbit.points
+    red, mul = line.red, line.mul
+    tops = [(*red(1, 0), *red(0, 0))]
+    values = {red(-1, 0)}
+    for i, name, j, new in orbit.edges():
+        top = line.act(name, tops[i])
+        if new:
+            tops.append(top)
+        else:
+            ca, cb, da, db = points[j]
+            (pa, pb), (qa, qb) = mul(top[:2], (da, db)), mul(top[2:], (ca, cb))
+            values.add(red(pa - qa, pb - qb))
+
+    # in a finite abelian group, <A, v> is the union of the cosets v**k A
+    # for k below the order of v modulo A
+    image = {red(1, 0)}
+    for v in values:
+        coset, power = list(image), v
+        while power not in image:
+            image.update(mul(power, a) for a in coset)
+            power = mul(power, v)
+    return frozenset(image)
+
+
 # --- shear families ----------------------------------------------------------------
 
 

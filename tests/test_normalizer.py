@@ -1,5 +1,7 @@
 """Tests for the normalizer module: normalizer levels, chain, quotients, searches."""
 
+import hashlib
+
 import pytest
 
 from hecke5.errors import (
@@ -40,6 +42,7 @@ from hecke5.reduction import (
 )
 from hecke5.ring import LAMBDA, ONE, RingElt, gcd, lambda_pow, parse_element
 from hecke5.subgroups import (
+    _upper_left_image,
     conjugate,
     coset_table,
     g0_contains,
@@ -348,46 +351,57 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
         return _exponent_or_none(num, den)
 
     monkeypatch.setattr(normalizer, "_exponent_or_none", counted)
-    for r in (ints(2), ints(4), LAMBDA * ints(2)):
-        verdict = _elementary_search(r, 12)
-        assert verdict.verdict == NO_COUNTEREXAMPLE
-        assert verdict.witness is None
+    for bound in (1, 12):
+        for r in (ints(2), ints(4), LAMBDA * ints(2)):
+            verdict = _elementary_search(r, bound)
+            assert verdict.verdict == NO_COUNTEREXAMPLE
+            assert verdict.witness is None
     assert calls == []
 
 
-def test_exact_check_runs_for_divisors_of_4_only(monkeypatch):
-    # The walk runs only when r divides 4.  No targeted witness settles 30
-    # or 36L-18 (norms 900 and 1620), so the box gives their verdict.
+def test_image_walk_runs_within_its_guard_only(monkeypatch):
+    # The walk runs when the index is at most max(20, (2b+1)**4 / 4), which
+    # always admits 2 and 4 (index 5 and 20).  No targeted witness settles
+    # 30 or 36L-18 (index 1500 and 2700), so the box gives their verdict.
     from hecke5 import ideals, normalizer
 
     walked = []
 
-    def recorded(r):
-        walked.append(r)
-        return schreier_generators(r)
+    def recorded(r, max_points):
+        walked.append((r, max_points))
+        return _upper_left_image(r, max_points)
 
-    monkeypatch.setattr(normalizer, "schreier_generators", recorded)
-    for r, walks in (
-        (ints(4), True),
-        (LAMBDA * ints(2), True),
-        (ints(30), False),
-        (elt("36*L-18"), False),
+    monkeypatch.setattr(normalizer, "_upper_left_image", recorded)
+    for r, bound, walks, verdict in (
+        (ints(4), 1, True, NO_COUNTEREXAMPLE),
+        (LAMBDA * ints(2), 1, True, NO_COUNTEREXAMPLE),
+        (ints(30), 1, False, NO_COUNTEREXAMPLE),
+        (ints(30), 4, True, NO_COUNTEREXAMPLE),
+        (elt("36*L-18"), 1, False, NO_COUNTEREXAMPLE),
+        # norm 1620 is within the limit 1640 and its index is not
+        (elt("36*L-18"), 4, True, NO_COUNTEREXAMPLE),
+        (elt("36*L-18"), 6, True, COUNTEREXAMPLE_FOUND),
     ):
-        verdict = is_g5_elementary(r, 1)
-        assert verdict.verdict == NO_COUNTEREXAMPLE
-        assert walked == ([r] if walks else [])
+        assert is_g5_elementary(r, bound).verdict == verdict
+        limit = max(20, (2 * bound + 1) ** 4 // 4)
+        assert walked == ([(r, limit)] if walks else [])
         walked.clear()
 
-    # norm 13680: r is never factored (subgroups factors through ideals)
+    # r is never factored when its norm is past the limit: norm 13680 at
+    # bound 3, and at bound 1 a norm of 9.0e28, whose factoring would raise
+    # FactorCapError
     def refuse(x):
         raise AssertionError(f"factored {x}")
 
     for module in (ideals, normalizer):
         monkeypatch.setattr(module, "factor", refuse)
-    r = elt("84*L-192")
-    verdict = is_g5_elementary(r, 3)
-    assert verdict.verdict == NO_COUNTEREXAMPLE
-    assert verdict.witness is None
+    for r, bound in (
+        (elt("84*L-192"), 3),
+        (ints(30) * RingElt(10**13, 1), 1),
+    ):
+        verdict = is_g5_elementary(r, bound)
+        assert verdict.verdict == NO_COUNTEREXAMPLE
+        assert verdict.witness is None
     assert walked == []
 
 
@@ -396,6 +410,43 @@ def test_box_sweep_finds_nothing_for_associates_of_2_and_4():
         verdict = _box_sweep(r, ResidueCtx(r), 6)
         assert verdict.verdict == NO_COUNTEREXAMPLE, r
         assert verdict.witness is None
+
+
+def test_pruned_box_sweep_matches_the_full_sweep():
+    # skipping every x outside the image A of G0(r) keeps verdict and witness
+    cases = [(tau, 4) for tau in ideals_up_to_norm(400)]
+    box_modulus = elt("12*L-6") * lambda_pow(2)
+    cases += [(box_modulus, bound) for bound in range(4, 9)]
+    for r, bound in cases:
+        ctx = ResidueCtx(r)
+        image = _upper_left_image(r, 10_000)
+        assert _box_sweep(r, ctx, bound, image) == _box_sweep(r, ctx, bound), r
+
+
+#: sha256 of the (verdict, witness) of ``is_g5_elementary`` on every ideal of
+#: norm at most 1000 and its -L associate at bounds 3 and 4, as computed by
+#: the search before the box sweep was pruned.
+ELEMENTARY_SWEEP_GOLDEN = (
+    "bee35552e19cb1ae54d7b21caf0df80064af2bb1bfc7248d00b24b2b21c24c56"
+)
+
+
+def test_elementary_verdicts_match_the_golden():
+    moduli = [r for tau in ideals_up_to_norm(1000) for r in (tau, -tau * LAMBDA)]
+    assert len(moduli) == 860
+    digest = hashlib.sha256()
+    for r in moduli:
+        for bound in (3, 4):
+            verdict = is_g5_elementary(r, bound)
+            w = verdict.witness
+            cells = (
+                r.coeffs,
+                bound,
+                verdict.verdict,
+                None if w is None else (w[0].coeffs, w[1].coeffs),
+            )
+            digest.update(repr(cells).encode() + b"\n")
+    assert digest.hexdigest() == ELEMENTARY_SWEEP_GOLDEN
 
 
 # --- fast exponent chain ------------------------------------------------------------

@@ -347,6 +347,60 @@ def test_schreier_generators_bound():
         next(schreier_generators(tau))
 
 
+def residue_closure(ctx: ResidueCtx, generators: set[RingElt]) -> frozenset:
+    """The group that ``generators`` span under products reduced by ``ctx``,
+    as coefficient pairs: a breadth-first closure, extended by each
+    generator not yet reached."""
+    group, spanning = {ctx.reduce(ONE)}, []
+    for g in generators:
+        if g in group:
+            continue
+        spanning.append(g)
+        frontier = list(group)
+        while frontier:
+            reached = []
+            for a in frontier:
+                for s in spanning:
+                    b = ctx.reduce(a * s)
+                    if b not in group:
+                        group.add(b)
+                        reached.append(b)
+            frontier = reached
+    return frozenset(e.coeffs for e in group)
+
+
+def test_upper_left_image_matches_the_schreier_generators():
+    # the residue walk gives the group spanned by -1 and the upper-left
+    # entries of the matrix Schreier generators, on 170 moduli
+    moduli = [r for tau in ideals_up_to_norm(200) for r in (tau, -tau * LAMBDA)]
+    assert len(moduli) == 170
+    for r in moduli:
+        ctx = ResidueCtx(r)
+        generators = {ctx.reduce(s.a) for s in schreier_generators(r)}
+        expected = residue_closure(ctx, generators | {ctx.reduce(-ONE)})
+        assert subgroups._upper_left_image(r, 10_000) == expected, r
+
+
+def test_upper_left_image_squares_to_one_only_for_2_and_4():
+    elementary = [
+        tau
+        for tau in ideals_up_to_norm(400)
+        if all(
+            ResidueCtx(tau).divides(elem(*a) * elem(*a) - ONE)
+            for a in subgroups._upper_left_image(tau, 10_000)
+        )
+    ]
+    assert elementary == [elem(2), elem(4)]
+    # the bench's box modulus L**2 * (12L - 6) = 18L + 6: 16 of its 96 units
+    assert len(subgroups._upper_left_image(elem(6, 18), 10_000)) == 16
+
+
+def test_upper_left_image_bound():
+    with pytest.raises(BoundExceededError):
+        subgroups._upper_left_image(elem(30), 1499)  # index 1500
+    assert len(subgroups._upper_left_image(elem(30), 1500)) == 80
+
+
 # --- shear families ----------------------------------------------------------------
 
 
