@@ -78,17 +78,16 @@ _ERROR_TYPES = tuple(
 
 @dataclass(frozen=True)
 class Command:
-    """A parsed batch command: verb, raw arguments, output mode."""
+    """A parsed batch command: verb and raw arguments."""
 
     verb: str
     arguments: tuple[str, ...]
-    output_mode: str  # "text" or "json"
 
     def line(self) -> str:
         return shlex.join((self.verb, *self.arguments))
 
 
-def parse_command(line: str, output_mode: str = "text") -> Command:
+def parse_command(line: str) -> Command:
     """Split one batch line into a Command (verb first, then arguments)."""
     try:
         words = shlex.split(line, comments=False)
@@ -98,7 +97,7 @@ def parse_command(line: str, output_mode: str = "text") -> Command:
         raise UsageError("empty command")
     if words[0].startswith("-"):
         raise UsageError(f"batch lines start with a verb, got {words[0]!r}")
-    return Command(words[0], tuple(words[1:]), output_mode)
+    return Command(words[0], tuple(words[1:]))
 
 
 @dataclass(frozen=True)

@@ -324,16 +324,17 @@ class ResidueCtx:
         """Number of residue classes, which equals |norm(modulus)|."""
         return self.n * self.g
 
+    def red(self, a: int, b: int) -> tuple[int, int]:
+        """Coefficients of the representative of a + b*L in the HNF box."""
+        k = b // self.g
+        return (a - k * self.m) % self.n, b - k * self.g
+
     def reduce(self, x: RingElt) -> RingElt:
         """The unique representative of ``x`` in the HNF box."""
-        a, b = x.coeffs
-        k = b // self.g
-        a -= k * self.m
-        b -= k * self.g
-        return RingElt(a % self.n, b)
+        return RingElt(*self.red(*x.coeffs))
 
     def divides(self, x: RingElt) -> bool:
-        return not self.reduce(x)
+        return self.red(*x.coeffs) == (0, 0)
 
     def residues(self) -> Iterator[RingElt]:
         """All canonical representatives, row-major over the box."""

@@ -193,7 +193,7 @@ def quotient_table(tau: RingElt) -> QuotientTable:
     base = coset_table(tau_c)
     sub_ctx = ResidueCtx(result.modulus)
     classes = tuple(
-        i for i, pt in enumerate(base.points) if sub_ctx.divides(RingElt(*pt[:2]))
+        i for i, pt in enumerate(base.points) if sub_ctx.red(*pt[:2]) == (0, 0)
     )
     small = index_in_g5(result.modulus)
     if base.size % small:
@@ -554,7 +554,7 @@ def _box_sweep(
     for x in box:
         if (x.a, x.b) <= (0, 0):
             continue
-        if image is not None and ctx.reduce(x).coeffs not in image:
+        if image is not None and ctx.red(*x.coeffs) not in image:
             continue
         if ctx.divides(x * x - ONE) or not gcd(x, r).is_unit():
             continue

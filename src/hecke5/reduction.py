@@ -43,7 +43,9 @@ Word = tuple[Token, ...]
 
 
 class GMatrix:
-    """A determinant-one 2x2 matrix over Z[L], compared modulo global sign."""
+    """A determinant-one 2x2 matrix over Z[L], compared modulo global sign;
+    read-only (properties with no setter, ``__slots__``) and copyable and
+    picklable, as RingElt is."""
 
     __slots__ = ("_a", "_b", "_c", "_d")
 
@@ -59,13 +61,10 @@ class GMatrix:
             raise TypeError("matrix entries must be RingElt or int")
         if a * d - b * c != ONE:
             raise BadDeterminantError("matrix determinant must be 1")
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_d", d)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GMatrix is immutable")
+        self._a = a
+        self._b = b
+        self._c = c
+        self._d = d
 
     @property
     def a(self) -> RingElt:

@@ -17,18 +17,17 @@ from .errors import BothZeroError, NotAUnitError, ParseError, ZeroInputError
 
 
 class RingElt:
-    """An element a + b*L of Z[L], immutable and hashable."""
+    """An element a + b*L of Z[L], hashable and read-only: ``a``, ``b`` and
+    ``coeffs`` are properties with no setter, ``__slots__`` admits no new
+    attribute, and copy, deepcopy and pickle work."""
 
     __slots__ = ("_a", "_b")
 
     def __init__(self, a: int, b: int = 0) -> None:
         if not isinstance(a, int) or not isinstance(b, int):
             raise TypeError("coefficients must be int")
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_b", b)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RingElt is immutable")
+        self._a = a
+        self._b = b
 
     @property
     def a(self) -> int:

@@ -485,7 +485,7 @@ def test_batch_missing_file_is_error(capsys):
 
 def test_command_roundtrip():
     cmd = parse_command("reduce 2*L-1 12")
-    assert cmd == Command("reduce", ("2*L-1", "12"), "text")
+    assert cmd == Command("reduce", ("2*L-1", "12"))
     assert parse_command(cmd.line()) == cmd
     quoted = parse_command("factor '12*L + 7'")
     assert quoted.arguments == ("12*L + 7",)

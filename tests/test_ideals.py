@@ -14,6 +14,7 @@ import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.polys.numberfields.primes import prime_decomp
 
 from hecke5 import ideals
 from hecke5.errors import (
@@ -123,6 +124,27 @@ def test_primes_above_shapes():
         assert canonical_associate(pair[0] * pair[1]) == canonical_associate(
             elem(p, 0)
         )
+
+
+def test_primes_above_match_sympy_prime_decomp():
+    x = sympy.symbols("x")
+    minimal_polynomial = sympy.Poly(x**2 - x - 1)  # of L
+    for p in sympy.primerange(2, 10**4):
+        ours = primes_above(p)
+        pattern = []
+        for prime in ours:
+            f = 1 if prime.abs_norm() == p else 2
+            assert prime.abs_norm() == p**f, (p, prime)
+            e, rest = 0, RingElt(p, 0)
+            while (quotient := exact_divide(rest, prime)) is not None:
+                e, rest = e + 1, quotient
+            pattern.append((e, f))
+        theirs = prime_decomp(p, T=minimal_polynomial)
+        assert sorted(pattern) == sorted((q.e, q.f) for q in theirs), p
+        expected = p**2 * sympy.prod(
+            sympy.Rational(p**q.f + 1, p**q.f) for q in theirs
+        )
+        assert index_in_g5(RingElt(p, 0)) == expected, p
 
 
 # --- factorization ----------------------------------------------------------------
@@ -279,6 +301,7 @@ def test_residue_ctx_frozen():
     ctx = ResidueCtx(elem(7, 12))
     assert (ctx.n, ctx.g) == (11, 1)
     assert ctx.reduce(elem(44, 72)) == elem(2, 0)
+    assert ctx.red(44, 72) == (2, 0)
     ctx2 = ResidueCtx(elem(2, 0))
     assert (ctx2.n, ctx2.g) == (2, 2)
     assert ctx2.reduce(elem(11, 18)) == elem(1, 0)

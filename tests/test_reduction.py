@@ -68,13 +68,22 @@ def coprime_pairs():
     )
 
 
-words = st.lists(
-    st.one_of(
-        st.tuples(st.just("S"), st.just(1)),
-        st.tuples(st.just("T"), st.integers(min_value=-6, max_value=6).filter(bool)),
-    ),
-    max_size=12,
-).map(tuple)
+def words_of(t_exponents):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("S"), st.just(1)),
+            st.tuples(st.just("T"), t_exponents.filter(bool)),
+        ),
+        max_size=12,
+    ).map(tuple)
+
+
+small_exponents = st.integers(min_value=-6, max_value=6)
+words = words_of(small_exponents)
+# T-exponents up to 10**30 as well, for the round trip through g5_decompose
+wide_words = words_of(
+    st.one_of(small_exponents, st.integers(min_value=-10**30, max_value=10**30))
+)
 
 
 # --- matrices -------------------------------------------------------------------
@@ -255,7 +264,7 @@ def test_membership_frozen():
     assert g5_decompose(shear) is None
 
 
-@given(words)
+@given(wide_words)
 def test_membership_round_trip(word):
     m = eval_word(word)
     dec = g5_decompose(m)

@@ -7,6 +7,8 @@ an independent high-precision rational bracketing of sqrt(5).
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import isqrt
 
@@ -15,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hecke5.errors import BothZeroError, NotAUnitError, ParseError, ZeroInputError
+from hecke5.reduction import GMatrix
 from hecke5.ring import (
     LAMBDA,
     LAMBDA_INV,
@@ -44,8 +47,13 @@ def elem(a: int, b: int = 0) -> RingElt:
 
 
 coeffs = st.integers(min_value=-10**6, max_value=10**6)
+big_coeffs = st.integers(min_value=-10**30, max_value=10**30)
 elements = st.builds(RingElt, coeffs, coeffs)
 nonzero_elements = elements.filter(bool)
+# coefficients up to 10**30 as well, for the gcd and associate laws
+wide_nonzero_elements = st.one_of(
+    nonzero_elements, st.builds(RingElt, big_coeffs, big_coeffs).filter(bool)
+)
 
 
 def sign_oracle(x: RingElt) -> int:
@@ -130,7 +138,6 @@ def test_sign_real_examples():
     assert sign_real(elem(-2, 1)) == -1
 
 
-big = st.integers(min_value=-10**30, max_value=10**30)
 # s*L**-k + t with |coefficients| up to about 10**29 and a real value that
 # nearly cancels: the hardest case for an exact sign
 near_zero = st.builds(
@@ -141,7 +148,7 @@ near_zero = st.builds(
 )
 
 
-@given(st.one_of(st.builds(RingElt, big, big), near_zero))
+@given(st.one_of(st.builds(RingElt, big_coeffs, big_coeffs), near_zero))
 def test_sign_real_against_oracle(x):
     assert sign_real(x) == sign_oracle(x)
 
@@ -199,9 +206,6 @@ def test_unit_decompose_matches_walk_oracle():
         for s in (1, -1):
             unit = u if s > 0 else -u
             assert unit_decompose(unit) == unit_walk_oracle(unit) == UnitRep(s, k)
-
-
-big_coeffs = st.integers(min_value=-10**30, max_value=10**30)
 
 
 @given(big_coeffs, big_coeffs)
@@ -264,15 +268,21 @@ def test_gcd_both_zero():
         gcd(ZERO, ZERO)
 
 
-@given(nonzero_elements, nonzero_elements)
-def test_gcd_divides_both(x, y):
+@given(
+    wide_nonzero_elements,
+    wide_nonzero_elements,
+    st.integers(min_value=-12, max_value=12),
+    st.sampled_from([1, -1]),
+)
+def test_gcd_divides_both(x, y, k, s):
     g = gcd(x, y)
     assert exact_divide(x, g) is not None
     assert exact_divide(y, g) is not None
     assert is_canonical_associate(g)
+    assert gcd(x * lambda_pow(k) * s, y) == g
 
 
-@given(nonzero_elements, nonzero_elements, nonzero_elements)
+@given(wide_nonzero_elements, wide_nonzero_elements, wide_nonzero_elements)
 def test_gcd_scales(c, x, y):
     g1 = gcd(c * x, c * y)
     g2 = canonical_associate(c * gcd(x, y))
@@ -307,10 +317,15 @@ def test_canonical_examples():
         canonical_associate(ZERO)
 
 
-@given(nonzero_elements, st.integers(min_value=-12, max_value=12), st.sampled_from([1, -1]))
+@given(
+    wide_nonzero_elements,
+    st.integers(min_value=-12, max_value=12),
+    st.sampled_from([1, -1]),
+)
 def test_canonical_constant_on_associates(x, k, s):
     c = canonical_associate(x)
     assert is_canonical_associate(c)
+    assert canonical_associate(c) == c
     assert canonical_associate(x * lambda_pow(k) * s) == c
     u = exact_divide(x, c)
     assert u is not None and u.is_unit()
@@ -360,6 +375,30 @@ def test_immutability_and_hash():
     x = elem(1, 2)
     with pytest.raises(AttributeError):
         x.a = 5  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        x.coeffs = (5, 0)  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        x.extra = 5  # type: ignore[attr-defined]
+    m = GMatrix(1, L, 0, 1)
+    with pytest.raises(AttributeError):
+        m.c = ONE  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        m.entries = (ONE, ZERO, ZERO, ONE)  # type: ignore[misc]
+    assert m == GMatrix(1, L, 0, 1)
     assert hash(elem(1, 2)) == hash(RingElt(1, 2))
     assert elem(3, 0) == 3 and elem(3, 1) != 3
     assert LAMBDA_INV * LAMBDA == ONE
+
+
+def test_copy_and_pickle_give_equal_objects():
+    x = elem(-12345678901234567890, 7)
+    m = GMatrix(elem(1, 1), L, 1, 1)  # det (L+1) - L = 1
+    for obj in (x, m):
+        for clone in (
+            copy.copy(obj),
+            copy.deepcopy(obj),
+            pickle.loads(pickle.dumps(obj)),
+        ):
+            assert type(clone) is type(obj)
+            assert clone == obj and hash(clone) == hash(obj)
+    assert pickle.loads(pickle.dumps(m)).entries == m.entries
