@@ -115,13 +115,7 @@ class _Outcome:
     schema: str
     payload: dict
     text: tuple[str, ...]
-    refuted: bool = False
-    exit_override: Optional[int] = None
-
-    def exit_code(self) -> int:
-        if self.exit_override is not None:
-            return self.exit_override
-        return 2 if self.refuted else 0
+    exit_code: int = 0
 
 
 _fmt = format_element
@@ -217,7 +211,9 @@ def _cmd_member(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
     text = [f"member = {'true' if member else 'false'}"]
     if word is not None:
         text.append(f"word = {word_string(word) or '1'}")
-    return _Outcome("hecke5.member/1", payload, tuple(text), refuted=not member)
+    return _Outcome(
+        "hecke5.member/1", payload, tuple(text), exit_code=0 if member else 2
+    )
 
 
 def _cmd_normalizer(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
@@ -305,7 +301,10 @@ def _cmd_elementary(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
             text.append(f"x = {_fmt(x)}")
             text.append(f"denominator = {_fmt(verdict.failing_divisor * y)}")
         return _Outcome(
-            "hecke5.elementary/1", payload, tuple(text), refuted=not verdict.holds
+            "hecke5.elementary/1",
+            payload,
+            tuple(text),
+            exit_code=0 if verdict.holds else 2,
         )
     verdict = is_g5_elementary(r, bound)
     payload = {
@@ -324,7 +323,7 @@ def _cmd_elementary(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
         text.append(f"denominator = {_fmt(r * y)}")
     text.append(f"bound = {verdict.bound}")
     return _Outcome(
-        "hecke5.elementary/1", payload, tuple(text), refuted=verdict.found
+        "hecke5.elementary/1", payload, tuple(text), exit_code=2 if verdict.found else 0
     )
 
 
@@ -537,7 +536,7 @@ def _cmd_selftest(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
         "hecke5.selftest/1",
         payload,
         tuple(text),
-        exit_override=0 if failed == 0 else 1,
+        exit_code=0 if failed == 0 else 1,
     )
 
 
@@ -556,13 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=argparse.SUPPRESS,
         help="emit one JSON object (with a 'schema' field) instead of text",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        metavar="INT",
-        help="seed for sampled operations (reserved; outputs stay deterministic)",
     )
     common.add_argument(
         "--bound",
@@ -660,10 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag(ns: argparse.Namespace, name: str, fallback):
-    return getattr(ns, name, fallback)
-
-
 def _error_code(exc: BaseException) -> str:
     name = type(exc).__name__
     return name[: -len("Error")] if name.endswith("Error") else name
@@ -681,7 +669,7 @@ def _emit_error(exc: BaseException, json_mode: bool, stream=None) -> None:
         print(f"error[{_error_code(exc)}]: {exc}", file=stream or sys.stderr)
 
 
-def _emit(outcome: _Outcome, json_mode: bool, single_line: bool = False) -> None:
+def _emit(outcome: _Outcome, json_mode: bool, single_line: bool) -> None:
     if json_mode:
         obj = {"schema": outcome.schema, **outcome.payload}
         print(json.dumps(obj))
@@ -692,16 +680,16 @@ def _emit(outcome: _Outcome, json_mode: bool, single_line: bool = False) -> None
             print(line)
 
 
-def _execute(
-    ns: argparse.Namespace, ctx: _Ctx, *, in_stream: bool, single_line: bool
-) -> int:
+def _execute(ns: argparse.Namespace, ctx: _Ctx, *, in_stream: bool) -> int:
+    """Run one command; batch lines (``in_stream``) put errors on stdout and
+    text results on one line."""
     try:
         outcome = ns.handler(ns, ctx)
     except _ERROR_TYPES as exc:
         _emit_error(exc, ctx.json, stream=sys.stdout if in_stream else None)
         return 1
-    _emit(outcome, ctx.json, single_line=single_line)
-    return outcome.exit_code()
+    _emit(outcome, ctx.json, single_line=in_stream)
+    return outcome.exit_code
 
 
 def _run_batch(parser: argparse.ArgumentParser, outer: argparse.Namespace) -> int:
@@ -709,7 +697,7 @@ def _run_batch(parser: argparse.ArgumentParser, outer: argparse.Namespace) -> in
         with open(outer.batch, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
-        _emit_error(UsageError(str(exc)), _flag(outer, "json", False))
+        _emit_error(UsageError(str(exc)), getattr(outer, "json", False))
         return 1
     saw_error = saw_refutation = False
     for line in lines:
@@ -725,7 +713,7 @@ def _run_batch(parser: argparse.ArgumentParser, outer: argparse.Namespace) -> in
 def _run_batch_line(
     parser: argparse.ArgumentParser, outer: argparse.Namespace, line: str
 ) -> int:
-    outer_json = _flag(outer, "json", False)
+    outer_json = getattr(outer, "json", False)
     try:
         command = parse_command(line)
         ns = parser.parse_args([command.verb, *command.arguments])
@@ -739,10 +727,10 @@ def _run_batch_line(
     except SystemExit as exc:  # --help on a batch line prints and succeeds
         return int(exc.code or 0)
     ctx = _Ctx(
-        json=_flag(ns, "json", outer_json),
-        bound=_flag(ns, "bound", _flag(outer, "bound", None)),
+        json=getattr(ns, "json", outer_json),
+        bound=getattr(ns, "bound", getattr(outer, "bound", None)),
     )
-    return _execute(ns, ctx, in_stream=True, single_line=not ctx.json)
+    return _execute(ns, ctx, in_stream=True)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -759,7 +747,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(ns, "verb", None) is not None:
             _emit_error(
                 UsageError("--batch FILE replaces the command-line verb"),
-                _flag(ns, "json", False),
+                getattr(ns, "json", False),
             )
             return 1
         return _run_batch(parser, ns)
@@ -767,10 +755,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit_error(UsageError("a verb is required (see --help)"), False)
         return 1
     ctx = _Ctx(
-        json=_flag(ns, "json", False),
-        bound=_flag(ns, "bound", None),
+        json=getattr(ns, "json", False),
+        bound=getattr(ns, "bound", None),
     )
-    return _execute(ns, ctx, in_stream=False, single_line=False)
+    return _execute(ns, ctx, in_stream=False)
 
 
 if __name__ == "__main__":  # pragma: no cover

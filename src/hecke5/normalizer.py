@@ -173,54 +173,44 @@ def quotient_table(tau: RingElt) -> QuotientTable:
     Keeps the cosets of G0(tau) whose point has tau/h | c, which puts them
     in G0(tau/h) since tau/h | tau, multiplies the matrices of their words
     pairwise, and checks closure, associativity, and commutativity before
-    classifying the group by its element-order histogram.
+    classifying the group by its element-order histogram.  When h = 1 the
+    quotient is the identity coset alone and no coset table is built.
     """
     result = normalizer_of(tau)
     tau_c = canonical_associate(tau)
-    if result.h == 1:
-        return QuotientTable(
-            modulus=tau_c,
-            normalizer_modulus=result.modulus,
-            order=1,
-            classes=(0,),
-            representatives=(IDENTITY,),
-            table=((0,),),
-            element_orders=(1,),
-            order_profile=((1, 1),),
-            classification=QUOTIENT_TRIVIAL,
+    classes, reps, table = (0,), (IDENTITY,), ((0,),)
+    if result.h > 1:
+        base = coset_table(tau_c)
+        sub_ctx = ResidueCtx(result.modulus)
+        classes = tuple(
+            i for i, pt in enumerate(base.points) if sub_ctx.red(*pt[:2]) == (0, 0)
         )
+        small = index_in_g5(result.modulus)
+        if base.size % small:
+            raise IntegrityError("relative index did not produce an integer")
+        expected = base.size // small
+        if len(classes) != expected:
+            raise NotAGroupError(
+                f"{len(classes)} cosets lie in G0({result.modulus}) but the "
+                f"index formula gives {expected}"
+            )
+        position = {cls: k for k, cls in enumerate(classes)}
+        if classes[0] != 0 or base.locate(IDENTITY) != 0:
+            raise NotAGroupError("identity coset is not in position zero")
 
-    base = coset_table(tau_c)
-    sub_ctx = ResidueCtx(result.modulus)
-    classes = tuple(
-        i for i, pt in enumerate(base.points) if sub_ctx.red(*pt[:2]) == (0, 0)
-    )
-    small = index_in_g5(result.modulus)
-    if base.size % small:
-        raise IntegrityError("relative index did not produce an integer")
-    expected = base.size // small
-    if len(classes) != expected:
-        raise NotAGroupError(
-            f"{len(classes)} cosets lie in G0({result.modulus}) but the "
-            f"index formula gives {expected}"
-        )
-    position = {cls: k for k, cls in enumerate(classes)}
-    if classes[0] != 0 or base.locate(IDENTITY) != 0:
-        raise NotAGroupError("identity coset is not in position zero")
-
-    reps = tuple(eval_word(base.rep_words[i]) for i in classes)
-    rows = []
-    for left in reps:
-        row = []
-        for right in reps:
-            located = base.locate(left * right)
-            if located not in position:
-                raise NotAGroupError(
-                    "product of quotient representatives left the subset"
-                )
-            row.append(position[located])
-        rows.append(tuple(row))
-    table = tuple(rows)
+        reps = tuple(eval_word(base.rep_words[i]) for i in classes)
+        rows = []
+        for left in reps:
+            row = []
+            for right in reps:
+                located = base.locate(left * right)
+                if located not in position:
+                    raise NotAGroupError(
+                        "product of quotient representatives left the subset"
+                    )
+                row.append(position[located])
+            rows.append(tuple(row))
+        table = tuple(rows)
 
     size = len(table)
     for i in range(size):
@@ -496,10 +486,6 @@ def is_g5_elementary(
         raise ZeroInputError("r must be nonzero")
     if bound < 1:
         raise BadRangeError(f"bound must be >= 1, got {bound}")
-    return _elementary_search(r, bound)
-
-
-def _elementary_search(r: RingElt, bound: int) -> ElementaryVerdict:
     if r.is_unit():
         return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
 

@@ -35,7 +35,6 @@ from .ring import (
     _unit_log,
     format_element,
     lambda_pow,
-    sign_real,
 )
 
 Token = tuple[str, int]
@@ -94,13 +93,6 @@ class GMatrix:
     def second_column(self) -> tuple[RingElt, RingElt]:
         return (self._b, self._d)
 
-    def _sign_canon(self) -> tuple[RingElt, ...]:
-        for entry in self.entries:
-            s = sign_real(entry)
-            if s:
-                return self.entries if s > 0 else tuple(-e for e in self.entries)
-        raise AssertionError("zero matrix cannot have determinant 1")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GMatrix):
             return NotImplemented
@@ -108,7 +100,10 @@ class GMatrix:
         return mine == theirs or mine == tuple(-e for e in theirs)
 
     def __hash__(self) -> int:
-        return hash(tuple(e.coeffs for e in self._sign_canon()))
+        # M and -M are equal: hash the one whose first nonzero coefficient is > 0
+        coeffs = (*self._a.coeffs, *self._b.coeffs, *self._c.coeffs, *self._d.coeffs)
+        lead = next(x for x in coeffs if x)
+        return hash(coeffs if lead > 0 else tuple(-x for x in coeffs))
 
     def __neg__(self) -> "GMatrix":
         return GMatrix(-self._a, -self._b, -self._c, -self._d)
@@ -361,22 +356,14 @@ def _exponent_or_none(num: RingElt, den: RingElt) -> Optional[int]:
 def g5_decompose(m: GMatrix) -> Optional[Word]:
     """Write +-m as a word in S and T, or return None when impossible.
 
-    Runs the reduction chain on the first column; membership holds exactly
-    when the leftover upper-triangular cofactor is +-T**k.
+    Runs the reduction chain on the first column.  Membership needs e = 0;
+    then completed() has the first column of m, so completed()**-1 * m is
+    [[1, x], [0, 1]], and membership holds exactly when x = k*L (T**k).
     """
     result = reduced_factor(m.a, m.c)
-    prefix = eval_word(result.full_word)
-    rest = prefix.inverse() * m
-    if rest.c != ZERO:
+    if result.e:
         return None
-    if rest.a == ONE:
-        sign = 1
-    elif rest.a == -ONE:
-        sign = -1
-    else:
+    x = (result.completed().inverse() * m).b
+    if x.a:
         return None
-    if rest.b.a != 0:
-        return None
-    k = sign * rest.b.b
-    word = result.full_word + ((("T", k),) if k else ())
-    return word
+    return result.full_word + ((("T", x.b),) if x.b else ())

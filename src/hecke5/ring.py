@@ -192,17 +192,16 @@ def _cmp_int_sqrt5(m: int, q: int) -> int:
 
 
 def _floor_quad(p: int, q: int, r: int) -> int:
-    """floor((p + q*sqrt(5)) / r) for integers with r != 0, exactly."""
+    """floor((p + q*sqrt(5)) / r) for integers with r != 0, exactly.
+
+    floor(floor(x) / r) = floor(x / r) for r > 0, and q*sqrt(5) is
+    irrational unless q = 0, so floor(q*sqrt(5)) is isqrt(5*q*q) for q >= 0
+    and -isqrt(5*q*q) - 1 for q < 0.
+    """
     if r < 0:
         p, q, r = -p, -q, -r
     s = isqrt(5 * q * q)
-    approx = (p + s if q >= 0 else p - s - 1) // r
-    # (p + q*sqrt5) >= r*k  iff  p - r*k >= -q*sqrt5
-    while _cmp_int_sqrt5(p - r * approx, -q) < 0:
-        approx -= 1
-    while _cmp_int_sqrt5(p - r * (approx + 1), -q) >= 0:
-        approx += 1
-    return approx
+    return (p + s if q >= 0 else p - s - 1) // r
 
 
 # --- units ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from hecke5.errors import (
     BadRangeError,
+    BoundExceededError,
     NotCoprimeError,
     NotReducedError,
     UnitModulusError,
@@ -25,7 +26,6 @@ from hecke5.normalizer import (
     QUOTIENT_TRIVIAL,
     QUOTIENT_Z4XZ4,
     _box_sweep,
-    _elementary_search,
     is_g5_elementary,
     normalizer_of,
     normalizes,
@@ -154,6 +154,17 @@ def test_quotient_table_z4xz4_for_16():
 def test_quotient_table_trivial_for_9():
     q = quotient_table(ints(9))
     assert q.order == 1
+    assert q.classification == QUOTIENT_TRIVIAL
+
+
+def test_quotient_table_trivial_builds_no_coset_table():
+    # 103 is inert, so G0(103) has index 103**2 + 1 = 10610, past the coset
+    # table's cap: h = 1 must answer without building the table
+    with pytest.raises(BoundExceededError):
+        coset_table(ints(103))
+    q = quotient_table(ints(103))
+    assert (q.order, q.classes, q.table) == (1, (0,), ((0,),))
+    assert q.order_profile == ((1, 1),)
     assert q.classification == QUOTIENT_TRIVIAL
 
 
@@ -353,7 +364,7 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
     monkeypatch.setattr(normalizer, "_exponent_or_none", counted)
     for bound in (1, 12):
         for r in (ints(2), ints(4), LAMBDA * ints(2)):
-            verdict = _elementary_search(r, bound)
+            verdict = is_g5_elementary(r, bound)
             assert verdict.verdict == NO_COUNTEREXAMPLE
             assert verdict.witness is None
     assert calls == []

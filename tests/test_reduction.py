@@ -111,6 +111,20 @@ def test_matrix_sign_semantics():
     assert (GEN_S * GEN_S).entries == (-ONE, ZERO, ZERO, -ONE)
 
 
+def test_matrix_hash_ignores_global_sign():
+    # L**-1 = L - 1 is positive with a negative first coefficient, so the
+    # coefficient sign and the real sign of the leading entry disagree
+    for m in (
+        GMatrix(elem(-1, 1), 0, 0, L),
+        GMatrix(elem(1, -1), 0, 0, -L),
+        GMatrix(0, elem(-1, 1), -L, elem(2, -3)),
+        GEN_S,
+        GEN_S * GEN_T,
+    ):
+        assert hash(m) == hash(-m)
+        assert {m: True}[-m]
+
+
 def test_matrix_algebra():
     assert GEN_T**3 == t_power(3)
     assert t_power(-2).b == elem(0, -2)

@@ -26,6 +26,8 @@ from hecke5.ring import (
     ZERO,
     RingElt,
     UnitRep,
+    _cmp_int_sqrt5,
+    _floor_quad,
     canonical_associate,
     divmod_nearest,
     exact_divide,
@@ -157,6 +159,55 @@ def test_sign_real_against_oracle(x):
 def test_units_are_positive_powers(k):
     assert sign_real(lambda_pow(k)) == 1
     assert sign_real(-lambda_pow(k)) == -1
+
+
+def floor_quad_brackets(p: int, q: int, r: int, k: int) -> bool:
+    """r*k <= p + q*sqrt(5) < r*(k + 1) after making r positive, decided by
+    the exact sign of (p - r*k) - (-q)*sqrt(5)."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    return (
+        _cmp_int_sqrt5(p - r * k, -q) >= 0
+        and _cmp_int_sqrt5(p - r * (k + 1), -q) < 0
+    )
+
+
+def sqrt5_convergents(count: int) -> list[tuple[int, int]]:
+    """(p, q) with p/q the convergents 2/1, 9/4, 38/17, 161/72, 682/305, ...
+    of sqrt(5), so that p - q*sqrt(5) = +-1/(p + q*sqrt(5)) is nearly 0."""
+    pairs = [(2, 1), (9, 4)]
+    while len(pairs) < count:
+        (p0, q0), (p1, q1) = pairs[-2], pairs[-1]
+        pairs.append((4 * p1 + p0, 4 * q1 + q0))
+    return pairs
+
+
+def test_floor_quad_rational_and_negative_divisor():
+    for p in range(-12, 13):
+        for r in (1, 2, 3, 7, -1, -2, -5):
+            assert _floor_quad(p, 0, r) == p // r
+            for q in (-3, -1, 1, 3):
+                assert floor_quad_brackets(p, q, r, _floor_quad(p, q, r))
+    assert _floor_quad(0, 1, 1) == 2  # sqrt(5) = 2.236...
+    assert _floor_quad(0, -1, 1) == -3
+    assert _floor_quad(0, 1, -1) == -3
+    assert _floor_quad(1, 1, 2) == 1  # L = 1.618...
+
+
+def test_floor_quad_near_integers():
+    # p - q*sqrt(5) and q*sqrt(5) - p are both within 1/(2p) of 0, from
+    # either side, for the convergents p/q of sqrt(5)
+    for p, q in sqrt5_convergents(60):
+        for sign in (1, -1):
+            for r in (1, 2, 3, -1, -4, 7 * q):
+                for shift in (-1, 0, 1):
+                    a, b = sign * p + shift * r, -sign * q
+                    assert floor_quad_brackets(a, b, r, _floor_quad(a, b, r))
+
+
+@given(big_coeffs, big_coeffs, big_coeffs.filter(bool))
+def test_floor_quad_brackets_at_large_coefficients(p, q, r):
+    assert floor_quad_brackets(p, q, r, _floor_quad(p, q, r))
 
 
 # --- units ----------------------------------------------------------------------
