@@ -10,7 +10,7 @@ member A B C D [TAU]      group membership (level-TAU subgroup when TAU given)
 normalizer TAU            normalizer level, h, and quotient classification
 explain TAU               witness-by-witness derivation of the normalizer
 elementary R [--strong]   search for reduced x/(R*y) with x**2 != 1 (mod R)
-quotient TAU              multiplication table of normalizer modulo subgroup
+quotient TAU              order and classification of normalizer modulo subgroup
 selftest [--only TEXT]    run the built-in reproduction suite
 
 Contract
@@ -25,7 +25,8 @@ Contract
   the answer is a refutation (``member`` false, ``elementary`` counterexample
   found, ``--strong`` violated).  exit 1: the command could not be computed;
   the error carries a machine-readable ``code`` (exception class name minus
-  the ``Error`` suffix).
+  the ``Error`` suffix).  exit 1 also, with no traceback, when stdout closes
+  early, as under ``| head -1``.
 * arguments that begin with a minus sign (``-3``, ``-L-2``) must follow a
   ``--`` separator, or the matrix/element can be globally negated first.
 """
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from dataclasses import dataclass
@@ -735,6 +737,18 @@ def _run_batch_line(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one CLI invocation; returns the process exit code."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader quit: point stdout at devnull so the flush at exit cannot
+        # fail again (Python's signal docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

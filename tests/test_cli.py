@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,13 @@ COSET_GOLDENS = {
     ("--json", "cosets", "20"): "2ae14156fc55736e1792dfe759a15e0e730babd1e8c051c7b3e58b18ced47b50",
     ("cosets", "20"): "bc95b037de8b8b437eb634609ab95d3d32af9b00bdc590e495a7d75731c108ae",
     ("--json", "quotient", "20"): "75fe6802464a9f0ebb277700d8cceb5a71e8a62e47e3184aa7e36d25cc078805",
+    # index 208080, 24000000 and 20275200: past any coset table
+    ("quotient", "404"): "67aca2a2192f6c328c1c47a6613d23303c9b9f820a00382e40b1a7ef14981d38",
+    ("--json", "quotient", "404"): "7ae2a5867aa99d9e1544af273df10dd3ea91dd73c3a734a27700c0204e021213",
+    ("quotient", "4000"): "6d71b18132d0146e9c868e2e5c056b6d3ea98c83fc1d88f295451b493038fa0f",
+    ("--json", "quotient", "4000"): "88273468edeeeffd982da7333012961d0a9240aea5c263354b2ebe7899faf5fd",
+    ("quotient", "16*L+4000"): "19674a8a14ab4d1e45eddfa9ed329e3d5e8ed186107a34399907f1394d3eb634",
+    ("--json", "quotient", "16*L+4000"): "a07f2ed0c5be0da0fadb6f64b0d70a7864bab7faa0244bc8d6e1595b10e16865",
 }
 
 
@@ -143,6 +154,25 @@ def test_coset_and_quotient_output_goldens(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COSET_GOLDENS[argv]
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 250 kB of output, more than a pipe buffer holds, so the process
+    # is still writing when the reader closes its end
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    with subprocess.Popen(
+        [sys.executable, "-m", "hecke5", "cosets", "60"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"size = 6000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 #: sha256 of the full stdout of ``hecke5 --json elementary R --bound B``, with

@@ -4,9 +4,10 @@ import hashlib
 
 import pytest
 
+import hecke5.normalizer as normalizer_module
 from hecke5.errors import (
     BadRangeError,
-    BoundExceededError,
+    IntegrityError,
     NotCoprimeError,
     NotReducedError,
     UnitModulusError,
@@ -42,6 +43,7 @@ from hecke5.reduction import (
 )
 from hecke5.ring import LAMBDA, ONE, RingElt, gcd, lambda_pow, parse_element
 from hecke5.subgroups import (
+    CosetTable,
     _upper_left_image,
     conjugate,
     coset_table,
@@ -134,7 +136,7 @@ def test_quotient_table_klein4_for_4():
     assert q.order == 4
     assert q.order_profile == ((1, 1), (2, 3))
     assert q.classification == QUOTIENT_KLEIN4
-    assert q.classes[0] == 0
+    assert q.locate(GMatrix(1, 0, 0, 1)) == 0
     assert q.table[0] == tuple(range(4))
 
 
@@ -157,15 +159,22 @@ def test_quotient_table_trivial_for_9():
     assert q.classification == QUOTIENT_TRIVIAL
 
 
-def test_quotient_table_trivial_builds_no_coset_table():
-    # 103 is inert, so G0(103) has index 103**2 + 1 = 10610, past the coset
-    # table's cap: h = 1 must answer without building the table
-    with pytest.raises(BoundExceededError):
-        coset_table(ints(103))
+def test_quotient_table_builds_no_coset_table(monkeypatch):
+    # 103, 404 and 4000 (h = 1, 2, 4) have index 10610, 208080 and
+    # 24000000 in G5, all past the coset table's cap
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a CosetTable was built")
+
+    monkeypatch.setattr(CosetTable, "__init__", unbuilt)
+    with pytest.raises(AssertionError):
+        coset_table(ints(16))
     q = quotient_table(ints(103))
-    assert (q.order, q.classes, q.table) == (1, (0,), ((0,),))
-    assert q.order_profile == ((1, 1),)
+    assert (q.order, q.table, q.order_profile) == (1, ((0,),), ((1, 1),))
     assert q.classification == QUOTIENT_TRIVIAL
+    assert quotient_table(ints(404)).classification == QUOTIENT_KLEIN4
+    q = quotient_table(ints(4000))
+    assert q.classification == QUOTIENT_Z4XZ4
+    assert q.element_orders[q.locate(GMatrix(1, 0, RingElt(0, 1000), 1))] == 4
 
 
 def test_quotient_table_klein4_for_36():
@@ -177,16 +186,28 @@ def test_quotient_table_klein4_for_36():
 def test_quarter_shear_has_order_4_in_16_quotient():
     q = quotient_table(ints(16))
     shear = GMatrix(1, 0, RingElt(0, 4), 1)  # [[1, 0], [(16/4)L, 1]]
-    positions = [
-        k for k, rep in enumerate(q.representatives)
-        if g0_contains(shear * rep.inverse(), ints(16))
-    ]
-    assert len(positions) == 1
-    assert q.element_orders[positions[0]] == 4
+    assert q.element_orders[q.locate(shear)] == 4
+
+
+def test_quotient_table_raises_when_the_premise_fails(monkeypatch):
+    # L**2 = L + 1 is not 1 modulo 4: were it an upper-left entry on G0(4),
+    # y*a mod h would not be additive
+    monkeypatch.setattr(
+        normalizer_module, "_upper_left_image", lambda r, limit: frozenset({(0, 1)})
+    )
+    with pytest.raises(IntegrityError):
+        quotient_table(ints(4))
+    assert quotient_table(ints(9)).order == 1
+
+
+def test_quotient_locate_rejects_matrices_outside_the_normalizer():
+    q = quotient_table(ints(16))
+    with pytest.raises(ValueError):
+        q.locate(GMatrix(1, 0, ints(2), 1))
 
 
 QUOTIENT_ORACLE_MODULI = (
-    *(t for t in ideals_up_to_norm(400) if h_of(t) > 1),
+    *(t for t in ideals_up_to_norm(2000) if h_of(t) > 1),
     *(-t * LAMBDA for t in ideals_up_to_norm(400) if h_of(t) > 1),
     ints(16) * LAMBDA,
     *(ints(4) * p for p in primes_above(11)),
@@ -195,23 +216,20 @@ QUOTIENT_ORACLE_MODULI = (
 
 @pytest.mark.parametrize("tau", QUOTIENT_ORACLE_MODULI, ids=lambda t: str(t.coeffs))
 def test_quotient_table_matches_the_matrix_filter(tau):
-    # the classes and representatives read from points and words agree with
-    # filtering the coset table's matrix representatives by tau/h | c
+    # the enumeration that the closed form replaced: the coset
+    # representatives of G0(tau) with tau/h | c are the quotient's elements,
+    # and their products, located in the coset table, multiply them
     q = quotient_table(tau)
     base = coset_table(q.modulus)
     sub = ResidueCtx(q.normalizer_modulus)
-    classes = tuple(i for i, rep in enumerate(base.reps) if sub.divides(rep.c))
-    assert q.classes == classes
-    assert [r.entries for r in q.representatives] == [
-        base.reps[i].entries for i in classes
-    ]
-
-
-def test_quotient_representatives_lie_in_supergroup():
-    q = quotient_table(ints(16))
-    sub = ResidueCtx(q.normalizer_modulus)
-    for rep in q.representatives:
-        assert sub.divides(rep.c)
+    reps = [rep for rep in base.reps if sub.divides(rep.c)]
+    images = [q.locate(rep) for rep in reps]
+    assert sorted(images) == list(range(q.order))
+    for left, i in zip(reps, images):
+        for right, j in zip(reps, images):
+            product = left * right
+            assert q.locate(product) == q.table[i][j]
+            assert q.locate(base.reps[base.locate(product)]) == q.table[i][j]
 
 
 # --- reduced_witness_bound ----------------------------------------------------------
