@@ -7,6 +7,7 @@ import pytest
 import hecke5.normalizer as normalizer_module
 from hecke5.errors import (
     BadRangeError,
+    BoundExceededError,
     IntegrityError,
     NotCoprimeError,
     NotReducedError,
@@ -159,18 +160,30 @@ def test_quotient_table_trivial_for_9():
     assert q.classification == QUOTIENT_TRIVIAL
 
 
+def test_quotient_table_trivial_builds_no_coset_table(monkeypatch):
+    # 103 is inert, so G0(103) has index 103**2 + 1 = 10610, past the coset
+    # table's cap: h = 1 must answer without building the table
+    with pytest.raises(BoundExceededError):
+        coset_table(ints(103))
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a CosetTable was built")
+
+    monkeypatch.setattr(CosetTable, "__init__", unbuilt)
+    q = quotient_table(ints(103))
+    assert (q.order, q.table, q.order_profile) == (1, ((0,),), ((1, 1),))
+    assert q.classification == QUOTIENT_TRIVIAL
+
+
 def test_quotient_table_builds_no_coset_table(monkeypatch):
-    # 103, 404 and 4000 (h = 1, 2, 4) have index 10610, 208080 and
-    # 24000000 in G5, all past the coset table's cap
+    # 404 and 4000 (h = 2, 4) have index 208080 and 24000000 in G5, both
+    # past the coset table's cap
     def unbuilt(*args, **kwargs):
         raise AssertionError("a CosetTable was built")
 
     monkeypatch.setattr(CosetTable, "__init__", unbuilt)
     with pytest.raises(AssertionError):
         coset_table(ints(16))
-    q = quotient_table(ints(103))
-    assert (q.order, q.table, q.order_profile) == (1, ((0,),), ((1, 1),))
-    assert q.classification == QUOTIENT_TRIVIAL
     assert quotient_table(ints(404)).classification == QUOTIENT_KLEIN4
     q = quotient_table(ints(4000))
     assert q.classification == QUOTIENT_Z4XZ4
