@@ -389,12 +389,13 @@ DEFAULT_ELEMENTARY_BOUND = 12
 #: admits the divisors of 4 (index 5 and 20) at every bound.  Measured with
 #: CPython 3.11 on a 2-vCPU VM, on the moduli up to norm 8000 that no
 #: targeted witness settles (2, 4 and multiples of 6(2L-1)), the walk costs
-#: 8 to 20 us per class, residue line included, and a full unpruned sweep 3
-#: to 10 us per (2*bound + 1)**4, so at the limit the walk costs about one
-#: full sweep.  The pruned sweep then costs 2 to 25% of the full one (2% at
-#: the box modulus 18L+6, where A has 16 of 96 units).  The norm, a lower
-#: bound of the index, is checked first, so an r past the limit is never
-#: factored.
+#: 7 to 12 us per class from index 300 up, residue line included (17 and
+#: 32 us at the index 20 and 5 of 4 and 2, mostly fixed costs), and a full
+#: unpruned sweep 3 to 10 us per (2*bound + 1)**4, so at the limit the walk
+#: costs at most about one full sweep.  The pruned sweep then costs 2 to 25%
+#: of the full one (2% at the box modulus 18L+6, where A has 16 of 96
+#: units).  The norm, a lower bound of the index, is checked first, so an r
+#: past the limit is never factored.
 _WALK_PAIRS_PER_CLASS = 4
 
 #: Targeted witness numerators with the lambda-exponent of their reduced

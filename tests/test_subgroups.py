@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke5.errors import BadRangeError, BoundExceededError
+from hecke5.errors import BadRangeError, BoundExceededError, IntegrityError
 from hecke5.ideals import ResidueCtx, factor, ideals_up_to_norm, primes_above
 from hecke5.reduction import (
     GEN_S,
@@ -188,6 +189,63 @@ def test_product_of_all_unit_residues_is_its_own_inverse():
         assert ctx.reduce(product * product) == ctx.reduce(ONE), tau
         orders.add(1 if product == ctx.reduce(ONE) else 2)
     assert orders == {1, 2}
+
+
+def test_unit_orbit_sizes_sum_to_the_norm():
+    # _ProjectiveLine stops filling the orbit of c0 at phi(tau / gcd(c0, tau))
+    # residues; the orbits partition O/tau, so these sizes must sum to
+    # N(tau) over the divisors of tau
+    for tau in ideals_up_to_norm(2000):
+        factors = factor(tau).factors
+        primes = [ResidueCtx(p) for p, _ in factors]
+        total = 0
+        for exponents in itertools.product(*(range(e + 1) for _, e in factors)):
+            mu = ONE
+            for (p, _), k in zip(factors, exponents):
+                mu = mu * p**k
+            total += subgroups._unit_count(mu, primes)
+        assert total == tau.abs_norm(), tau
+
+
+def test_projective_line_raises_when_the_units_leave_an_orbit_short(monkeypatch):
+    def one_too_many(mu, primes):
+        return unit_count(mu, primes) + 1
+
+    unit_count = subgroups._unit_count
+    monkeypatch.setattr(subgroups, "_unit_count", one_too_many)
+    with pytest.raises(IntegrityError, match="unreached"):
+        CosetTable(elem(12))
+
+
+def test_class_numbering_skips_pairs_that_are_not_points():
+    # modulo 4 the least residue 2L of its orbit has mu = 2, and (2L, 0) has
+    # a key like any point's; but 2 holds both entries, so (2L, 0) is no
+    # point, and the scan must not rank a class by it
+    line = subgroups._ProjectiveLine(elem(4), (elem(2),))
+    non_point = line.key(0, 2, 0, 0)
+    assert non_point == 2 * 16
+    assert line.ranks({line.key(0, 2, 1, 0): 0}) == [2 * 16 + 4]
+    with pytest.raises(IntegrityError, match="no point"):
+        line.ranks({non_point: 0})
+
+
+#: sha256 of the points, words and action of the coset table of every ideal
+#: of norm at most 600 and its -L associate, as computed when the classes
+#: were numbered from their stabilisers.
+COSET_TABLE_GOLDEN = (
+    "2cc25d1503cfdddbc020113922996028de37948bd6555101071b2343b4fd6d04"
+)
+
+
+def test_coset_tables_match_the_golden():
+    moduli = [r for tau in ideals_up_to_norm(600) for r in (tau, -tau * LAMBDA)]
+    assert len(moduli) == 514
+    digest = hashlib.sha256()
+    for r in moduli:
+        table = CosetTable(r)
+        cells = (r.coeffs, table.points, table.rep_words, table.action)
+        digest.update(repr(cells).encode() + b"\n")
+    assert digest.hexdigest() == COSET_TABLE_GOLDEN
 
 
 # --- coset tables against a brute-force oracle --------------------------------------
