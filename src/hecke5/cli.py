@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shlex
 import sys
 from dataclasses import dataclass
@@ -89,12 +90,20 @@ class Command:
         return shlex.join((self.verb, *self.arguments))
 
 
+#: A quote, a backslash, or whitespace that shlex does not split on.  A line
+#: with none of these splits under shlex exactly as under ``str.split``.
+_NEEDS_SHLEX = re.compile(r"['\"\\]|[^\S \t\r\n]")
+
+
 def parse_command(line: str) -> Command:
     """Split one batch line into a Command (verb first, then arguments)."""
-    try:
-        words = shlex.split(line, comments=False)
-    except ValueError as exc:
-        raise UsageError(f"unbalanced quoting: {exc}") from exc
+    if _NEEDS_SHLEX.search(line) is None:
+        words = line.split()
+    else:
+        try:
+            words = shlex.split(line, comments=False)
+        except ValueError as exc:
+            raise UsageError(f"unbalanced quoting: {exc}") from exc
     if not words:
         raise UsageError("empty command")
     if words[0].startswith("-"):

@@ -46,10 +46,13 @@ RHO_STEP_BUDGET = 1 << 22
 def _factor_int(n: int) -> dict[int, int]:
     """Factor ``n >= 1`` by trial division with a 6k+-1 wheel.
 
-    A cofactor with no prime divisor up to TRIAL_DIVISION_CAP is split by
-    Pollard-Brent rho and its parts certified prime by Miller-Rabin.  Raises
-    FactorCapError when that cofactor is at least PRIMALITY_LIMIT or a split
-    needs more than RHO_STEP_BUDGET steps.
+    A cofactor above TRIAL_DIVISION_CAP and below PRIMALITY_LIMIT is
+    certified prime by Miller-Rabin before any further trial division: it
+    is tested once 2, 3 and 5 are removed and again after each divisor
+    found.  A cofactor with no prime divisor up to TRIAL_DIVISION_CAP is
+    split by Pollard-Brent rho and its parts certified the same way.
+    Raises FactorCapError when that cofactor is at least PRIMALITY_LIMIT or
+    a split needs more than RHO_STEP_BUDGET steps.
     """
     out: dict[int, int] = {}
     for p in (2, 3, 5):
@@ -57,7 +60,8 @@ def _factor_int(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     d, step = 7, 4
-    while d * d <= n:
+    prime = _certified_prime(n)
+    while not prime and d * d <= n:
         if d > TRIAL_DIVISION_CAP:
             if n >= PRIMALITY_LIMIT:
                 raise FactorCapError(
@@ -66,14 +70,25 @@ def _factor_int(n: int) -> dict[int, int]:
             for p in _split_cofactor(n):
                 out[p] = out.get(p, 0) + 1
             return out
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            prime = _certified_prime(n)
         d += step
         step = 6 - step
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _certified_prime(n: int) -> bool:
+    """True for a prime ``n`` in (TRIAL_DIVISION_CAP, PRIMALITY_LIMIT).
+
+    Below the cap trial division is cheaper than Miller-Rabin, so such
+    ``n`` is never tested.
+    """
+    return TRIAL_DIVISION_CAP < n < PRIMALITY_LIMIT and _is_prime(n)
 
 
 def _is_prime(n: int) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from typing import Optional
 
@@ -179,6 +180,17 @@ def _squares_to_one(ctx: ResidueCtx, image: frozenset[tuple[int, int]]) -> bool:
     return all(ctx.divides(RingElt(*a) * RingElt(*a) - ONE) for a in image)
 
 
+@cache
+def _premise_holds_on_g0_4() -> bool:
+    """True when a**2 = 1 (mod 4) on the image walk of G0(4).
+
+    A constant of the group, so the walk runs once per process.
+    """
+    return _squares_to_one(
+        ResidueCtx(_FOUR), _upper_left_image(_FOUR, _MAX_POINTS)
+    )
+
+
 def quotient_table(tau: RingElt) -> QuotientTable:
     """The group N(G0(tau))/G0(tau) in closed form, as (O/h, +).
 
@@ -198,9 +210,7 @@ def quotient_table(tau: RingElt) -> QuotientTable:
     """
     result = normalizer_of(tau)
     h = result.h
-    if h > 1 and not _squares_to_one(
-        ResidueCtx(_FOUR), _upper_left_image(_FOUR, _MAX_POINTS)
-    ):
+    if h > 1 and not _premise_holds_on_g0_4():
         raise IntegrityError("a**2 = 1 (mod 4) fails on G0(4)")
     residues = [(a, b) for a in range(h) for b in range(h)]
     table = tuple(

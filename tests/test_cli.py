@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hecke5.reduction as reduction_module
-from hecke5.cli import Command, main, parse_command
+from hecke5.cli import Command, UsageError, main, parse_command
 from hecke5.reduction import eval_word, parse_word
 from hecke5.ring import RingElt, format_element, parse_element
 
@@ -520,6 +522,35 @@ def test_command_roundtrip():
     quoted = parse_command("factor '12*L + 7'")
     assert quoted.arguments == ("12*L + 7",)
     assert parse_command(quoted.line()) == quoted
+
+
+def test_parse_command_splits_as_shlex():
+    # plain characters, then every character that needs shlex: quotes,
+    # backslash, and whitespace that str.split splits on but shlex does not
+    plain, special = "ab1-# \t\r\n", "'\"\\\x0b\x0c\x1c\x1f\x85\xa0\u2003\u3000"
+    rng = random.Random(18)
+    for _ in range(20000):
+        line = "".join(
+            rng.choice(special if rng.random() < 0.1 else plain)
+            for _ in range(rng.randint(0, 12))
+        )
+        try:
+            words = shlex.split(line, comments=False)
+        except ValueError:
+            with pytest.raises(UsageError, match="unbalanced quoting"):
+                parse_command(line)
+            continue
+        if words and not words[0].startswith("-"):
+            expected = Command(words[0], tuple(words[1:]))
+            assert parse_command(line) == expected, repr(line)
+        else:
+            with pytest.raises(UsageError):
+                parse_command(line)
+
+
+def test_parse_command_long_unbalanced_line_is_usage_error():
+    with pytest.raises(UsageError, match="unbalanced quoting"):
+        parse_command(" " * 10**4 + "'")
 
 
 # --- selftest ------------------------------------------------------------------------

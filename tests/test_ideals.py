@@ -206,6 +206,31 @@ def test_factor_int_matches_sympy():
         assert ideals._factor_int(n) == sympy.factorint(n), n
 
 
+def test_factor_int_certifies_a_prime_cofactor_without_rho(monkeypatch):
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(ideals, "_split_cofactor", no_rho)
+    # 10**13 + 37 is past the square of the first wheel divisor above the
+    # cap, so trial division alone would hand it to rho
+    for p in (sympy.nextprime(10**12), sympy.nextprime(10**13)):
+        assert ideals._factor_int(p) == {p: 1}
+        assert ideals._factor_int(12 * p) == {2: 2, 3: 1, p: 1}
+
+
+def test_factor_int_around_the_certification_gate():
+    cap = ideals.TRIAL_DIVISION_CAP
+    q = sympy.nextprime(10**11)
+    cases = [cap + k for k in range(-20, 21)]
+    cases += [1000003, 1000003**2, sympy.prevprime(cap), sympy.nextprime(cap)]
+    cases += [7**k * q for k in range(1, 5)]
+    cases += [2 * 3 * 5 * 7 * q, 2**3 * 3**2 * 5 * 7**2 * q]
+    cases += [p * r for p in (7, 997, sympy.prevprime(cap)) for r in (1000003, q)]
+    cases += [sympy.nextprime(10**12), sympy.nextprime(10**20)]
+    for n in cases:
+        assert ideals._factor_int(n) == sympy.factorint(n), n
+
+
 @given(st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60))
 def test_factor_round_trip(a, b):
     x = RingElt(a, b)
