@@ -79,24 +79,13 @@ _ERROR_TYPES = tuple(
 ) + (UsageError,)
 
 
-@dataclass(frozen=True)
-class Command:
-    """A parsed batch command: verb and raw arguments."""
-
-    verb: str
-    arguments: tuple[str, ...]
-
-    def line(self) -> str:
-        return shlex.join((self.verb, *self.arguments))
-
-
 #: A quote, a backslash, or whitespace that shlex does not split on.  A line
 #: with none of these splits under shlex exactly as under ``str.split``.
 _NEEDS_SHLEX = re.compile(r"['\"\\]|[^\S \t\r\n]")
 
 
-def parse_command(line: str) -> Command:
-    """Split one batch line into a Command (verb first, then arguments)."""
+def parse_command(line: str) -> list[str]:
+    """Split one batch line into its words (verb first, then arguments)."""
     if _NEEDS_SHLEX.search(line) is None:
         words = line.split()
     else:
@@ -108,15 +97,7 @@ def parse_command(line: str) -> Command:
         raise UsageError("empty command")
     if words[0].startswith("-"):
         raise UsageError(f"batch lines start with a verb, got {words[0]!r}")
-    return Command(words[0], tuple(words[1:]))
-
-
-@dataclass(frozen=True)
-class _Ctx:
-    """Effective global options for one command."""
-
-    json: bool
-    bound: Optional[int]
+    return words
 
 
 @dataclass(frozen=True)
@@ -150,7 +131,7 @@ def _fmt_list(elts: Sequence[RingElt]) -> str:
 # --- verb handlers -------------------------------------------------------------------
 
 
-def _cmd_factor(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_factor(ns: argparse.Namespace) -> _Outcome:
     x = parse_element(ns.element)
     f = factor(x)
     payload = {
@@ -161,7 +142,7 @@ def _cmd_factor(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
     return _Outcome("hecke5.factor/1", payload, (f"{_fmt(x)} = {f}",))
 
 
-def _cmd_reduce(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_reduce(ns: argparse.Namespace) -> _Outcome:
     num, den = parse_element(ns.num), parse_element(ns.den)
     r = reduced_factor(num, den)
     factored = [_scaled(num, r.e), _scaled(den, r.e)]
@@ -182,16 +163,16 @@ def _cmd_reduce(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
     return _Outcome("hecke5.reduce/1", payload, text)
 
 
-def _cmd_index(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_index(ns: argparse.Namespace) -> _Outcome:
     tau = parse_element(ns.modulus)
     n = index_in_g5(tau)
     payload = {"input": _fmt(tau), "index": n}
     return _Outcome("hecke5.index/1", payload, (str(n),))
 
 
-def _cmd_cosets(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_cosets(ns: argparse.Namespace) -> _Outcome:
     tau = parse_element(ns.modulus)
-    table = coset_table(tau) if ctx.bound is None else coset_table(tau, ctx.bound)
+    table = coset_table(tau) if ns.bound is None else coset_table(tau, ns.bound)
     reps = []
     text = [f"size = {table.size}"]
     for i, (point, word) in enumerate(zip(table.points, table.rep_words)):
@@ -203,7 +184,7 @@ def _cmd_cosets(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
     return _Outcome("hecke5.cosets/1", payload, tuple(text))
 
 
-def _cmd_member(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_member(ns: argparse.Namespace) -> _Outcome:
     entries = [parse_element(s) for s in ns.entry]
     m = GMatrix(*entries)
     modulus = parse_element(ns.modulus) if ns.modulus is not None else None
@@ -227,7 +208,7 @@ def _cmd_member(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
     )
 
 
-def _cmd_normalizer(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_normalizer(ns: argparse.Namespace) -> _Outcome:
     tau = parse_element(ns.modulus)
     r = normalizer_of(tau)
     payload = {
@@ -244,7 +225,7 @@ def _cmd_normalizer(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
     return _Outcome("hecke5.normalizer/1", payload, text)
 
 
-def _cmd_explain(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_explain(ns: argparse.Namespace) -> _Outcome:
     tau = parse_element(ns.modulus)
     report = supergroup_chain(tau)
     steps = []
@@ -280,9 +261,9 @@ def _cmd_explain(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
     return _Outcome("hecke5.explain/1", payload, tuple(text))
 
 
-def _cmd_elementary(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_elementary(ns: argparse.Namespace) -> _Outcome:
     r = parse_element(ns.r)
-    bound = ctx.bound if ctx.bound is not None else DEFAULT_ELEMENTARY_BOUND
+    bound = ns.bound if ns.bound is not None else DEFAULT_ELEMENTARY_BOUND
     if ns.strong:
         verdict = strongly_elementary(r, bound)
         payload = {
@@ -338,7 +319,7 @@ def _cmd_elementary(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
     )
 
 
-def _cmd_quotient(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_quotient(ns: argparse.Namespace) -> _Outcome:
     tau = parse_element(ns.modulus)
     q = quotient_table(tau)
     payload = {
@@ -516,7 +497,7 @@ def _selftest_items() -> list[tuple[str, Callable[[], str]]]:
     return items
 
 
-def _cmd_selftest(ns: argparse.Namespace, ctx: _Ctx) -> _Outcome:
+def _cmd_selftest(ns: argparse.Namespace) -> _Outcome:
     items = _selftest_items()
     if ns.only is not None:
         items = [(name, fn) for name, fn in items if ns.only in name]
@@ -691,15 +672,38 @@ def _emit(outcome: _Outcome, json_mode: bool, single_line: bool) -> None:
             print(line)
 
 
-def _execute(ns: argparse.Namespace, ctx: _Ctx, *, in_stream: bool) -> int:
-    """Run one command; batch lines (``in_stream``) put errors on stdout and
-    text results on one line."""
+def _run(
+    parser: argparse.ArgumentParser,
+    words: Optional[Sequence[str]],
+    outer: Optional[argparse.Namespace] = None,
+) -> int:
+    """Run one command.  ``words`` is the argv of an invocation, or the words
+    of a line of the ``--batch`` file that ``outer`` was parsed from; a line
+    takes ``--json`` and ``--bound`` from ``outer`` unless it sets its own,
+    puts its errors on stdout and its text result on one line."""
+    stream = sys.stdout if outer is not None else None
     try:
-        outcome = ns.handler(ns, ctx)
-    except _ERROR_TYPES as exc:
-        _emit_error(exc, ctx.json, stream=sys.stdout if in_stream else None)
+        ns = parser.parse_args(words)
+    except UsageError as exc:
+        _emit_error(exc, getattr(outer, "json", False), stream)
         return 1
-    _emit(outcome, ctx.json, single_line=in_stream)
+    except SystemExit as exc:  # --help / --version
+        return int(exc.code or 0)
+    ns.json = getattr(ns, "json", getattr(outer, "json", False))
+    ns.bound = getattr(ns, "bound", getattr(outer, "bound", None))
+    if ns.verb is None:
+        if ns.batch is not None:
+            return _run_batch(parser, ns)
+        _emit_error(UsageError("a verb is required (see --help)"), False)
+        return 1
+    try:
+        if ns.batch is not None:
+            raise UsageError("--batch FILE replaces the command-line verb")
+        outcome = ns.handler(ns)
+    except _ERROR_TYPES as exc:
+        _emit_error(exc, ns.json, stream)
+        return 1
+    _emit(outcome, ns.json, single_line=outer is not None)
     return outcome.exit_code
 
 
@@ -708,46 +712,29 @@ def _run_batch(parser: argparse.ArgumentParser, outer: argparse.Namespace) -> in
         with open(outer.batch, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
-        _emit_error(UsageError(str(exc)), getattr(outer, "json", False))
+        _emit_error(UsageError(str(exc)), outer.json)
         return 1
     saw_error = saw_refutation = False
     for line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        code = _run_batch_line(parser, outer, stripped)
+        try:
+            words = parse_command(stripped)
+        except UsageError as exc:
+            _emit_error(exc, outer.json, sys.stdout)
+            code = 1
+        else:
+            code = _run(parser, words, outer)
         saw_error = saw_error or code == 1
         saw_refutation = saw_refutation or code == 2
     return 1 if saw_error else (2 if saw_refutation else 0)
 
 
-def _run_batch_line(
-    parser: argparse.ArgumentParser, outer: argparse.Namespace, line: str
-) -> int:
-    outer_json = getattr(outer, "json", False)
-    try:
-        command = parse_command(line)
-        ns = parser.parse_args([command.verb, *command.arguments])
-        if ns.batch is not None:
-            raise UsageError("--batch cannot appear inside a batch file")
-        if getattr(ns, "verb", None) is None or not hasattr(ns, "handler"):
-            raise UsageError(f"line has no verb: {line!r}")
-    except UsageError as exc:
-        _emit_error(exc, outer_json, stream=sys.stdout)
-        return 1
-    except SystemExit as exc:  # --help on a batch line prints and succeeds
-        return int(exc.code or 0)
-    ctx = _Ctx(
-        json=getattr(ns, "json", outer_json),
-        bound=getattr(ns, "bound", getattr(outer, "bound", None)),
-    )
-    return _execute(ns, ctx, in_stream=True)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one CLI invocation; returns the process exit code."""
     try:
-        code = _main(argv)
+        code = _run(build_parser(), argv)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -755,33 +742,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # fail again (Python's signal docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-def _main(argv: Optional[Sequence[str]]) -> int:
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except UsageError as exc:
-        _emit_error(exc, False)
-        return 1
-    except SystemExit as exc:  # --help / --version
-        return int(exc.code or 0)
-    if ns.batch is not None:
-        if getattr(ns, "verb", None) is not None:
-            _emit_error(
-                UsageError("--batch FILE replaces the command-line verb"),
-                getattr(ns, "json", False),
-            )
-            return 1
-        return _run_batch(parser, ns)
-    if getattr(ns, "verb", None) is None or not hasattr(ns, "handler"):
-        _emit_error(UsageError("a verb is required (see --help)"), False)
-        return 1
-    ctx = _Ctx(
-        json=getattr(ns, "json", False),
-        bound=getattr(ns, "bound", None),
-    )
-    return _execute(ns, ctx, in_stream=False)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     BadRangeError,
@@ -303,26 +303,36 @@ _W9_LONG = _NINE * lambda_pow(9)
 _W5 = _FIVE * lambda_pow(6)
 
 
+def _product(factors: Iterable[tuple[RingElt, int]]) -> RingElt:
+    """Canonical product of the given prime powers."""
+    acc = ONE
+    for prime, exponent in factors:
+        acc = acc * prime ** exponent
+    return canonical_associate(acc)
+
+
+def _three_witnesses(n: int) -> "list[tuple[RingElt, int]]":
+    return [(_W3, 4), (_W9_SHORT, 4) if n % 9 in (1, 8) else (_W9_LONG, 10)]
+
+
 def _strip_step(
     part: str,
-    tau: RingElt,
+    factors: "tuple[tuple[RingElt, int], ...]",
     prime: RingElt,
-    exponent: int,
-    witness_pairs: "list[tuple[RingElt, int]]",
+    witness_pairs: "Callable[[int], list[tuple[RingElt, int]]]",
 ) -> ChainStep:
-    """Strip prime**exponent from tau and bound the cofactor via witnesses."""
-    removed = canonical_associate(prime ** exponent) if exponent else ONE
-    remaining = exact_divide(tau, prime ** exponent) if exponent else tau
-    assert remaining is not None
-    remaining = canonical_associate(remaining)
+    """Strip the prime's power from the factored tau and bound the cofactor
+    via the witnesses that ``witness_pairs`` picks for its n."""
+    removed = _product((p, e) for p, e in factors if p == prime)
+    rest = [(p, e) for p, e in factors if p != prime]
+    remaining = _product(rest)
     if remaining.is_unit():
         return ChainStep(part, removed, ONE, (), (), ONE)
 
     n = smallest_rational_integer(remaining)
-    cofactor = exact_divide(remaining, half_power_part(remaining))
-    assert cofactor is not None
+    cofactor = _product((p, e // 2) for p, e in rest)
     witnesses, gcds, combined = [], [], cofactor
-    for numerator, k in witness_pairs:
+    for numerator, k in witness_pairs(n):
         denominator = RingElt(n, 0) * lambda_pow(k)
         if not is_reduced_form(numerator, denominator):
             raise IntegrityError(
@@ -347,32 +357,18 @@ def supergroup_chain(tau: RingElt) -> ChainReport:
     the inert-3 part (witness fractions 3/nL and 9/nL, whose reduced
     numerators are 3L^3 and 9L^3 or 9L^9 according to n mod 9), strips the
     ramified-5 part (witness 5/nL with numerator 5L^6), and intersects the
-    bounds via lcm.  Raises IntegrityError if the combined bound differs
-    from the closed-form answer tau/h.
+    bounds via lcm.  tau is factored once.  Raises IntegrityError if the
+    combined bound differs from the closed-form answer tau/h.
     """
     result = normalizer_of(tau)
     tau_c = canonical_associate(tau)
-    half_power = half_power_part(tau_c)
-    factorization = factor(tau_c)
-
-    e3 = factorization.exponent_of(_THREE)
-    nu1 = exact_divide(tau_c, _THREE ** e3) if e3 else tau_c
-    assert nu1 is not None
-    if not canonical_associate(nu1).is_unit():
-        n1 = smallest_rational_integer(canonical_associate(nu1))
-        nine_witness = (_W9_SHORT, 4) if n1 % 9 in (1, 8) else (_W9_LONG, 10)
-        three_pairs = [(_W3, 4), nine_witness]
-    else:
-        three_pairs = []
-    step3 = _strip_step("3-part", tau_c, _THREE, e3, three_pairs)
-
-    e5 = factorization.exponent_of(_ROOT5_PRIME)
-    step5 = _strip_step(
-        "root5-part", tau_c, _ROOT5_PRIME, e5, [(_W5, 7)]
+    factors = factor(tau_c).factors
+    half_power = _product((p, (e + 1) // 2) for p, e in factors)
+    steps = (
+        _strip_step("3-part", factors, _THREE, _three_witnesses),
+        _strip_step("root5-part", factors, _ROOT5_PRIME, lambda n: [(_W5, 7)]),
     )
-
     final = half_power
-    steps = (step3, step5)
     for step in steps:
         if not step.bound.is_unit():
             final = _lcm(final, step.bound)
@@ -488,9 +484,7 @@ def is_g5_elementary(
         y = exact_divide(denominator, r)
         if y is None or ctx.divides(numerator * numerator - ONE):
             continue
-        if gcd(numerator, denominator).is_unit() and is_reduced_form(
-            numerator, denominator
-        ):
+        if _exponent_or_none(numerator, denominator) == 0:
             return ElementaryVerdict(
                 r, COUNTEREXAMPLE_FOUND, (numerator, y), bound
             )

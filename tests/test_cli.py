@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import hecke5.cli as cli
 import hecke5.reduction as reduction_module
-from hecke5.cli import Command, UsageError, main, parse_command
+from hecke5.cli import UsageError, main, parse_command
 from hecke5.reduction import eval_word, parse_word
 from hecke5.ring import RingElt, format_element, parse_element
 
@@ -509,6 +510,41 @@ def test_batch_plus_verb_rejected(tmp_path, capsys):
     assert "error[Usage]" in err
 
 
+def test_batch_lines_that_are_not_commands_fail_in_stream(tmp_path, capsys):
+    path = tmp_path / "commands.txt"
+    path.write_text("index 3 --batch x\nx\n--json index 3\nindex 3\n", "utf-8")
+
+    def check_usage_messages(messages):
+        assert messages[0] == "unrecognized arguments: --batch x"
+        # argparse words the choice list differently across Python versions
+        assert messages[1].startswith("argument VERB: invalid choice: 'x' (")
+        assert messages[2] == "batch lines start with a verb, got '--json'"
+
+    code, out, err = run(capsys, "--batch", str(path))
+    lines = out.splitlines()
+    assert (code, err, len(lines), lines[3]) == (1, "", 4, "10")
+    assert all(line.startswith("error[Usage]: ") for line in lines[:3])
+    check_usage_messages([line.removeprefix("error[Usage]: ") for line in lines])
+
+    code, objects, err = run_json(capsys, "--batch", str(path))
+    assert (code, err, len(objects)) == (1, "", 4)
+    assert all(
+        (obj["schema"], obj["code"]) == ("hecke5.error/1", "Usage")
+        for obj in objects[:3]
+    )
+    check_usage_messages([obj.get("message") for obj in objects])
+    assert objects[3] == {"schema": "hecke5.index/1", "input": "3", "index": 10}
+
+
+def test_error_codes_are_pinned():
+    codes = sorted(cli._error_code(t.__new__(t)) for t in cli._ERROR_TYPES)
+    assert codes == [
+        "BadDeterminant", "BadRange", "BothZero", "BoundExceeded", "FactorCap",
+        "Integrity", "IterationCap", "NotADivisor", "NotAGroup", "NotAUnit",
+        "NotCoprime", "NotReduced", "Parse", "UnitModulus", "Usage", "ZeroInput",
+    ]
+
+
 def test_batch_missing_file_is_error(capsys):
     code, _, err = run(capsys, "--batch", "/nonexistent/commands.txt")
     assert code == 1
@@ -516,12 +552,12 @@ def test_batch_missing_file_is_error(capsys):
 
 
 def test_command_roundtrip():
-    cmd = parse_command("reduce 2*L-1 12")
-    assert cmd == Command("reduce", ("2*L-1", "12"))
-    assert parse_command(cmd.line()) == cmd
+    words = parse_command("reduce 2*L-1 12")
+    assert words == ["reduce", "2*L-1", "12"]
+    assert parse_command(shlex.join(words)) == words
     quoted = parse_command("factor '12*L + 7'")
-    assert quoted.arguments == ("12*L + 7",)
-    assert parse_command(quoted.line()) == quoted
+    assert quoted == ["factor", "12*L + 7"]
+    assert parse_command(shlex.join(quoted)) == quoted
 
 
 def test_parse_command_splits_as_shlex():
@@ -541,8 +577,7 @@ def test_parse_command_splits_as_shlex():
                 parse_command(line)
             continue
         if words and not words[0].startswith("-"):
-            expected = Command(words[0], tuple(words[1:]))
-            assert parse_command(line) == expected, repr(line)
+            assert parse_command(line) == words, repr(line)
         else:
             with pytest.raises(UsageError):
                 parse_command(line)

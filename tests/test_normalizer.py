@@ -318,6 +318,24 @@ def test_chain_agrees_with_closed_form_up_to_norm_400():
         assert supergroup_chain(tau).final == normalizer_of(tau).modulus
 
 
+def test_chain_factors_tau_once(monkeypatch):
+    from hecke5 import ideals
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return factor(x)
+
+    factor = ideals.factor
+    monkeypatch.setattr(ideals, "factor", counted)
+    monkeypatch.setattr(normalizer_module, "factor", counted)
+    for tau in ideals_up_to_norm(100) + [ints(48), ints(225), ints(45) * LAMBDA]:
+        del calls[:]
+        supergroup_chain(tau)
+        assert len(calls) == 1, tau
+
+
 def test_chain_rejects_unit_modulus():
     with pytest.raises(UnitModulusError):
         supergroup_chain(ONE)
@@ -393,11 +411,11 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
 
     calls = []
 
-    def counted(num, den):
-        calls.append((num, den))
-        return _exponent_or_none(num, den)
+    def counted(r, ctx, bound, image=None):
+        calls.append(r)
+        return _box_sweep(r, ctx, bound, image)
 
-    monkeypatch.setattr(normalizer, "_exponent_or_none", counted)
+    monkeypatch.setattr(normalizer, "_box_sweep", counted)
     for bound in (1, 12):
         for r in (ints(2), ints(4), LAMBDA * ints(2)):
             verdict = is_g5_elementary(r, bound)
