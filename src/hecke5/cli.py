@@ -16,7 +16,8 @@ selftest [--only TEXT]    run the built-in reproduction suite
 Contract
 --------
 * ``--json`` prints exactly one JSON object per command, each carrying a
-  ``schema`` field naming its payload shape; text mode prints readable lines.
+  ``schema`` field naming its payload shape (``hecke5.error/1`` for every
+  error, usage errors included); text mode prints readable lines.
 * ``--batch FILE`` runs one command per non-blank, non-``#`` line of FILE
   (verb first, then arguments) and emits one result per command in input
   order; output is byte-identical across runs of the same input.  In batch
@@ -44,6 +45,7 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from . import errors as _errors
+from .errors import UsageError
 from .ideals import ResidueCtx, factor, ideals_up_to_norm, index_in_g5
 from .normalizer import (
     DEFAULT_ELEMENTARY_BOUND,
@@ -64,11 +66,7 @@ from .ring import (
     lambda_pow,
     parse_element,
 )
-from .subgroups import coset_table, g0_contains
-
-
-class UsageError(ValueError):
-    """Raised on malformed command lines (bad verb, flags, or arity)."""
+from .subgroups import coset_table
 
 
 #: Every package exception type, for uniform error rendering.
@@ -76,7 +74,7 @@ _ERROR_TYPES = tuple(
     obj
     for name, obj in vars(_errors).items()
     if isinstance(obj, type) and issubclass(obj, Exception) and name.endswith("Error")
-) + (UsageError,)
+)
 
 
 #: A quote, a backslash, or whitespace that shlex does not split on.  A line
@@ -188,21 +186,19 @@ def _cmd_member(ns: argparse.Namespace) -> _Outcome:
     entries = [parse_element(s) for s in ns.entry]
     m = GMatrix(*entries)
     modulus = parse_element(ns.modulus) if ns.modulus is not None else None
-    if modulus is None:
-        word = g5_decompose(m)
-        member = word is not None
-    else:
-        member = g0_contains(m, modulus)
-        word = g5_decompose(m) if member else None
+    in_level = modulus is None or ResidueCtx(modulus).divides(m.c)
+    decomposed = g5_decompose(m) if in_level else None
+    member = decomposed is not None
+    word = word_string(decomposed) if member else None
     payload = {
         "matrix": [_fmt(x) for x in entries],
         "modulus": _fmt(modulus) if modulus is not None else None,
         "member": member,
-        "word": word_string(word) if word is not None else None,
+        "word": word,
     }
     text = [f"member = {'true' if member else 'false'}"]
-    if word is not None:
-        text.append(f"word = {word_string(word) or '1'}")
+    if member:
+        text.append(f"word = {word or '1'}")
     return _Outcome(
         "hecke5.member/1", payload, tuple(text), exit_code=0 if member else 2
     )
@@ -649,27 +645,34 @@ def _error_code(exc: BaseException) -> str:
     return name[: -len("Error")] if name.endswith("Error") else name
 
 
-def _emit_error(exc: BaseException, json_mode: bool, stream=None) -> None:
-    if json_mode:
-        obj = {
-            "schema": "hecke5.error/1",
-            "code": _error_code(exc),
-            "message": str(exc),
-        }
-        print(json.dumps(obj), file=stream or sys.stdout)
-    else:
-        print(f"error[{_error_code(exc)}]: {exc}", file=stream or sys.stderr)
+def _error(exc: BaseException) -> _Outcome:
+    code, message = _error_code(exc), str(exc)
+    text = (f"error[{code}]: {message}",)
+    return _Outcome("hecke5.error/1", {"code": code, "message": message}, text, 1)
 
 
-def _emit(outcome: _Outcome, json_mode: bool, single_line: bool) -> None:
+def _emit(outcome: _Outcome, json_mode: bool, in_batch: bool) -> int:
+    """Print one outcome and return its exit code.  JSON and batch lines go to
+    stdout as one line; a text error from the command line goes to stderr."""
     if json_mode:
-        obj = {"schema": outcome.schema, **outcome.payload}
-        print(json.dumps(obj))
-    elif single_line:
+        print(json.dumps({"schema": outcome.schema, **outcome.payload}))
+    elif in_batch:
         print("; ".join(outcome.text))
     else:
-        for line in outcome.text:
-            print(line)
+        failed = outcome.schema == "hecke5.error/1"
+        print("\n".join(outcome.text), file=sys.stderr if failed else sys.stdout)
+    return outcome.exit_code
+
+
+def _asks_for_json(words: Optional[Sequence[str]]) -> bool:
+    """Whether ``words`` set ``--json`` as argparse reads them: ``--json`` or
+    a prefix of it down to ``--j``, before any ``--`` separator."""
+    for word in sys.argv[1:] if words is None else words:
+        if word == "--":
+            return False
+        if len(word) > 2 and "--json".startswith(word):
+            return True
+    return False
 
 
 def _run(
@@ -681,30 +684,27 @@ def _run(
     of a line of the ``--batch`` file that ``outer`` was parsed from; a line
     takes ``--json`` and ``--bound`` from ``outer`` unless it sets its own,
     puts its errors on stdout and its text result on one line."""
-    stream = sys.stdout if outer is not None else None
+    in_batch = outer is not None
     try:
         ns = parser.parse_args(words)
     except UsageError as exc:
-        _emit_error(exc, getattr(outer, "json", False), stream)
-        return 1
+        json_mode = _asks_for_json(words) or getattr(outer, "json", False)
+        return _emit(_error(exc), json_mode, in_batch)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     ns.json = getattr(ns, "json", getattr(outer, "json", False))
     ns.bound = getattr(ns, "bound", getattr(outer, "bound", None))
-    if ns.verb is None:
-        if ns.batch is not None:
-            return _run_batch(parser, ns)
-        _emit_error(UsageError("a verb is required (see --help)"), False)
-        return 1
+    if ns.verb is None and ns.batch is not None:
+        return _run_batch(parser, ns)
     try:
+        if ns.verb is None:
+            raise UsageError("a verb is required (see --help)")
         if ns.batch is not None:
             raise UsageError("--batch FILE replaces the command-line verb")
         outcome = ns.handler(ns)
     except _ERROR_TYPES as exc:
-        _emit_error(exc, ns.json, stream)
-        return 1
-    _emit(outcome, ns.json, single_line=outer is not None)
-    return outcome.exit_code
+        outcome = _error(exc)
+    return _emit(outcome, ns.json, in_batch)
 
 
 def _run_batch(parser: argparse.ArgumentParser, outer: argparse.Namespace) -> int:
@@ -712,8 +712,7 @@ def _run_batch(parser: argparse.ArgumentParser, outer: argparse.Namespace) -> in
         with open(outer.batch, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
-        _emit_error(UsageError(str(exc)), outer.json)
-        return 1
+        return _emit(_error(UsageError(str(exc))), outer.json, in_batch=False)
     saw_error = saw_refutation = False
     for line in lines:
         stripped = line.strip()
@@ -722,8 +721,7 @@ def _run_batch(parser: argparse.ArgumentParser, outer: argparse.Namespace) -> in
         try:
             words = parse_command(stripped)
         except UsageError as exc:
-            _emit_error(exc, outer.json, sys.stdout)
-            code = 1
+            code = _emit(_error(exc), outer.json, in_batch=True)
         else:
             code = _run(parser, words, outer)
         saw_error = saw_error or code == 1

@@ -63,6 +63,10 @@ class NotAGroupError(RuntimeError):
     """Raised when a quotient table fails its group-law checks."""
 
 
+class UsageError(ValueError):
+    """Raised on malformed command lines (bad verb, flags, or arity)."""
+
+
 class ParseError(ValueError):
     """Raised on malformed element text; carries the offending position."""
 

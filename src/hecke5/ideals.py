@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd as _gcd_int
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     FactorCapError,
@@ -244,12 +244,17 @@ def factor(x: RingElt) -> Factorization:
     return Factorization(unit=unit_decompose(rest), factors=tuple(found))
 
 
+def _product(factors: Iterable[tuple[RingElt, int]]) -> RingElt:
+    """Canonical product of the given prime powers."""
+    acc = ONE
+    for prime, exponent in factors:
+        acc = acc * prime ** exponent
+    return canonical_associate(acc)
+
+
 def half_power_part(x: RingElt) -> RingElt:
     """Canonical product of primes of ``x`` raised to ceil(multiplicity / 2)."""
-    acc = ONE
-    for prime, exp in factor(x).factors:
-        acc = acc * prime ** ((exp + 1) // 2)
-    return canonical_associate(acc)
+    return _product((p, (e + 1) // 2) for p, e in factor(x).factors)
 
 
 def h_of(x: RingElt) -> int:

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import (
     BadRangeError,
@@ -37,9 +37,9 @@ from .errors import (
 )
 from .ideals import (
     ResidueCtx,
+    _product,
     factor,
     h_of,
-    half_power_part,
     smallest_rational_integer,
 )
 from .reduction import GMatrix, _exponent_or_none, is_reduced_form
@@ -248,14 +248,14 @@ def reduced_witness_bound(tau: RingElt, u: RingElt, w: RingElt) -> RingElt:
     If u/(w*tau) is a reduced form, then G0(tau) contains a matrix with first
     column (u, w*tau), and conjugating it shows every normalizing matrix has
     lower-left entry divisible by tau/x where x = gcd(tau/[tau], u**2 - 1)
-    ([tau] being the half-power part of tau).  Returns tau/x as a canonical
+    ([tau] being the half-power part of tau, so tau/[tau] is the product of
+    p**(e // 2) over the prime powers p**e of tau).  Returns tau/x as a canonical
     generator.  Raises NotReducedError when the fraction is not reduced.
     """
     _require_modulus(tau)
     if not is_reduced_form(u, w * tau):
         raise NotReducedError(f"{u}/({w})*({tau}) is not a reduced form")
-    cofactor = exact_divide(tau, half_power_part(tau))
-    assert cofactor is not None
+    cofactor = _product((p, e // 2) for p, e in factor(tau).factors)
     x = gcd(cofactor, u * u - ONE)
     bound = exact_divide(tau, x)
     assert bound is not None
@@ -301,14 +301,6 @@ _W3 = _THREE * lambda_pow(3)
 _W9_SHORT = _NINE * lambda_pow(3)
 _W9_LONG = _NINE * lambda_pow(9)
 _W5 = _FIVE * lambda_pow(6)
-
-
-def _product(factors: Iterable[tuple[RingElt, int]]) -> RingElt:
-    """Canonical product of the given prime powers."""
-    acc = ONE
-    for prime, exponent in factors:
-        acc = acc * prime ** exponent
-    return canonical_associate(acc)
 
 
 def _three_witnesses(n: int) -> "list[tuple[RingElt, int]]":

@@ -13,6 +13,7 @@ import pytest
 
 import hecke5.cli as cli
 import hecke5.reduction as reduction_module
+import hecke5.subgroups as subgroups_module
 from hecke5.cli import UsageError, main, parse_command
 from hecke5.reduction import eval_word, parse_word
 from hecke5.ring import RingElt, format_element, parse_element
@@ -318,6 +319,27 @@ def test_member_level_output_goldens(capsys, entries):
     assert (code, digest) == MEMBER_LEVEL_GOLDENS[entries]
 
 
+@pytest.mark.parametrize("entries", MEMBER_LEVEL_GOLDENS, ids=" ".join)
+def test_member_level_decomposes_at_most_once(capsys, monkeypatch, entries):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return reduction_module.g5_decompose(m)
+
+    monkeypatch.setattr(cli, "g5_decompose", counted)
+    monkeypatch.setattr(subgroups_module, "g5_decompose", counted)
+    code, out, _ = run(capsys, "--json", "member", "--", *entries, "4*L+2")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == MEMBER_LEVEL_GOLDENS[entries]
+    # the last golden's corner is not divisible by 4L+2: no word is needed
+    assert len(calls) == (0 if entries[2] == "42*L+31" else 1)
+
+    calls.clear()  # a zero level is rejected before any decomposition
+    code, (obj,), _ = run_json(capsys, "member", "--", *entries, "0")
+    assert (code, obj["code"], calls) == (1, "ZeroInput", [])
+
+
 # --- membership and exit-code semantics ----------------------------------------------
 
 
@@ -413,6 +435,46 @@ def test_error_text_mode_goes_to_stderr(capsys):
     assert code == 1
     assert out == ""
     assert "error[ZeroInput]" in err
+
+
+#: Malformed command lines: (words, whether the words themselves ask for
+#: JSON).  As a batch line, ``--bound 3`` fails for its leading dash.
+USAGE_ERROR_SHAPES = (
+    ("--bound 3", False),  # no verb
+    ("index", False),  # missing positional
+    ("index 3 4", False),  # extra positional
+    ("frobnicate 3", False),  # unknown verb
+    ("index 3 --frob", False),  # unknown option
+    ("cosets 3 --bound x", False),  # bad --bound
+    ("index 3 4 --js", True),  # an abbreviation of --json counts
+    ("index 3 4 --json", True),
+    ("index 3 -- --json", False),  # after --, --json is a positional
+)
+
+
+@pytest.mark.parametrize("outer_json", (False, True), ids=("text", "json"))
+@pytest.mark.parametrize("line, asks_json", USAGE_ERROR_SHAPES)
+def test_usage_errors_follow_json_mode(tmp_path, capsys, line, asks_json, outer_json):
+    json_mode = outer_json or asks_json
+    outer = ["--json"] if outer_json else []
+
+    def check_one_error(text):
+        if json_mode:
+            (obj,) = [json.loads(row) for row in text.splitlines()]
+            assert (obj["schema"], obj["code"]) == ("hecke5.error/1", "Usage")
+        else:
+            assert text.startswith("error[Usage]: ") and text.count("\n") == 1
+
+    code, out, err = run(capsys, *outer, *shlex.split(line))
+    printed, silent = (out, err) if json_mode else (err, out)
+    assert (code, silent) == (1, "")
+    check_one_error(printed)
+
+    path = tmp_path / "commands.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *outer, "--batch", str(path))
+    assert (code, err) == (1, "")
+    check_one_error(out)
 
 
 def test_parse_error_carries_position(capsys):
