@@ -164,8 +164,11 @@ def _cmd_reduce(ns: argparse.Namespace) -> _Outcome:
 def _cmd_index(ns: argparse.Namespace) -> _Outcome:
     tau = parse_element(ns.modulus)
     n = index_in_g5(tau)
+    # formatted before the outcome, so an index past the int-to-str digit
+    # limit is a coded error in text and JSON alike
+    text = _fmt(RingElt(n, 0))
     payload = {"input": _fmt(tau), "index": n}
-    return _Outcome("hecke5.index/1", payload, (str(n),))
+    return _Outcome("hecke5.index/1", payload, (text,))
 
 
 def _cmd_cosets(ns: argparse.Namespace) -> _Outcome:

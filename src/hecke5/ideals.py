@@ -28,6 +28,7 @@ from .ring import (
     exact_divide,
     format_element,
     gcd,
+    int_text,
     unit_decompose,
 )
 
@@ -65,7 +66,7 @@ def _factor_int(n: int) -> dict[int, int]:
         if d > TRIAL_DIVISION_CAP:
             if n >= PRIMALITY_LIMIT:
                 raise FactorCapError(
-                    f"no prime divisor of {n} below {TRIAL_DIVISION_CAP}"
+                    f"no prime divisor of {int_text(n)} below {TRIAL_DIVISION_CAP}"
                 )
             for p in _split_cofactor(n):
                 out[p] = out.get(p, 0) + 1

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     BadRangeError,
     BoundExceededError,
     IntegrityError,
+    NotADivisorError,
     NotAGroupError,
     NotReducedError,
     UnitModulusError,
@@ -147,12 +148,12 @@ class QuotientTable:
 
     def locate(self, m: GMatrix) -> int:
         """Index of the quotient element holding ``m`` (assumed in the group):
-        the residue of y*a modulo h, where c = (tau/h)*y.  Raises ValueError
-        when tau/h does not divide c, as then ``m`` is not in G0(tau/h).
+        the residue of y*a modulo h, where c = (tau/h)*y.  Raises
+        NotADivisorError when tau/h does not divide c: ``m`` is not in G0(tau/h).
         """
         y = exact_divide(m.c, self.normalizer_modulus)
         if y is None:
-            raise ValueError(f"matrix is not in G0({self.normalizer_modulus})")
+            raise NotADivisorError(f"matrix is not in G0({self.normalizer_modulus})")
         image, h = y * m.a, isqrt(self.order)
         return image.a % h * h + image.b % h
 
@@ -241,6 +242,18 @@ def quotient_table(tau: RingElt) -> QuotientTable:
 
 # --- witness bounds and the derivation chain ---------------------------------------
 
+def _witness_gcd(
+    u: RingElt,
+    denominator: RingElt,
+    factors: Callable[[], Iterable[tuple[RingElt, int]]],
+) -> Optional[RingElt]:
+    """x = gcd(nu/[nu], u**2 - 1) of ``reduced_witness_bound``'s lemma, or None
+    when u/denominator is not reduced.  ``factors()`` gives the prime powers
+    of nu; it is called only for a reduced fraction."""
+    if not is_reduced_form(u, denominator):
+        return None
+    return gcd(_product((p, e // 2) for p, e in factors()), u * u - ONE)
+
 
 def reduced_witness_bound(tau: RingElt, u: RingElt, w: RingElt) -> RingElt:
     """Supergroup bound extracted from one reduced fraction u/(w*tau).
@@ -253,10 +266,9 @@ def reduced_witness_bound(tau: RingElt, u: RingElt, w: RingElt) -> RingElt:
     generator.  Raises NotReducedError when the fraction is not reduced.
     """
     _require_modulus(tau)
-    if not is_reduced_form(u, w * tau):
+    x = _witness_gcd(u, w * tau, lambda: factor(tau).factors)
+    if x is None:
         raise NotReducedError(f"{u}/({w})*({tau}) is not a reduced form")
-    cofactor = _product((p, e // 2) for p, e in factor(tau).factors)
-    x = gcd(cofactor, u * u - ONE)
     bound = exact_divide(tau, x)
     assert bound is not None
     return canonical_associate(bound)
@@ -291,30 +303,27 @@ class ChainReport:
 
 
 _THREE = RingElt(3, 0)
-_NINE = RingElt(9, 0)
-_FIVE = RingElt(5, 0)
 _ROOT5_PRIME = canonical_associate(RingElt(-1, 2))
 
-#: Witness numerators: the reduced form of p/(n*L) for p = 3, 9, 5 has
-#: numerator p*L**e with e depending only on a congruence condition on n.
-_W3 = _THREE * lambda_pow(3)
-_W9_SHORT = _NINE * lambda_pow(3)
-_W9_LONG = _NINE * lambda_pow(9)
-_W5 = _FIVE * lambda_pow(6)
-
-
-def _three_witnesses(n: int) -> "list[tuple[RingElt, int]]":
-    return [(_W3, 4), (_W9_SHORT, 4) if n % 9 in (1, 8) else (_W9_LONG, 10)]
+#: Witnesses (u, k): u/(n*L**k) is p/(n*L) for p = 2, 3, 9, 5, scaled to
+#: its reduced form, n being the smallest rational integer of a modulus;
+#: for p = 9 the scale depends on n: k = 4 when n = +-1 (mod 9), else 10.
+_W2 = (RingElt(2, 0) * lambda_pow(2), 3)
+_W3 = (_THREE * lambda_pow(3), 4)
+_W9_SHORT = (RingElt(9, 0) * lambda_pow(3), 4)
+_W9_LONG = (RingElt(9, 0) * lambda_pow(9), 10)
+_W5 = (RingElt(5, 0) * lambda_pow(6), 7)
 
 
 def _strip_step(
     part: str,
-    factors: "tuple[tuple[RingElt, int], ...]",
+    factors: tuple[tuple[RingElt, int], ...],
     prime: RingElt,
-    witness_pairs: "Callable[[int], list[tuple[RingElt, int]]]",
+    witnesses: Callable[[int], tuple[tuple[RingElt, int], ...]],
 ) -> ChainStep:
     """Strip the prime's power from the factored tau and bound the cofactor
-    via the witnesses that ``witness_pairs`` picks for its n."""
+    by the witness lemma, applied to the witnesses that ``witnesses`` picks
+    for its n."""
     removed = _product((p, e) for p, e in factors if p == prime)
     rest = [(p, e) for p, e in factors if p != prime]
     remaining = _product(rest)
@@ -322,22 +331,18 @@ def _strip_step(
         return ChainStep(part, removed, ONE, (), (), ONE)
 
     n = smallest_rational_integer(remaining)
-    cofactor = _product((p, e // 2) for p, e in rest)
-    witnesses, gcds, combined = [], [], cofactor
-    for numerator, k in witness_pairs(n):
+    pairs = witnesses(n)
+    gcds = []
+    for u, k in pairs:
         denominator = RingElt(n, 0) * lambda_pow(k)
-        if not is_reduced_form(numerator, denominator):
-            raise IntegrityError(
-                f"witness {numerator}/{denominator} failed to be reduced"
-            )
-        g = gcd(cofactor, numerator * numerator - ONE)
-        witnesses.append(numerator)
+        g = _witness_gcd(u, denominator, lambda: rest)
+        if g is None:
+            raise IntegrityError(f"witness {u}/{denominator} failed to be reduced")
         gcds.append(g)
-        combined = gcd(combined, g)
-    bound = exact_divide(remaining, combined)
+    bound = exact_divide(remaining, reduce(gcd, gcds))
     assert bound is not None
     return ChainStep(
-        part, removed, remaining, tuple(witnesses), tuple(gcds),
+        part, removed, remaining, tuple(u for u, _ in pairs), tuple(gcds),
         canonical_associate(bound),
     )
 
@@ -357,8 +362,11 @@ def supergroup_chain(tau: RingElt) -> ChainReport:
     factors = factor(tau_c).factors
     half_power = _product((p, (e + 1) // 2) for p, e in factors)
     steps = (
-        _strip_step("3-part", factors, _THREE, _three_witnesses),
-        _strip_step("root5-part", factors, _ROOT5_PRIME, lambda n: [(_W5, 7)]),
+        _strip_step(
+            "3-part", factors, _THREE,
+            lambda n: (_W3, _W9_SHORT if n % 9 in (1, 8) else _W9_LONG),
+        ),
+        _strip_step("root5-part", factors, _ROOT5_PRIME, lambda n: (_W5,)),
     )
     final = half_power
     for step in steps:
@@ -395,17 +403,6 @@ DEFAULT_ELEMENTARY_BOUND = 12
 #: units).  The norm, a lower bound of the index, is checked first, so an r
 #: past the limit is never factored.
 _WALK_PAIRS_PER_CLASS = 4
-
-#: Targeted witness numerators with the lambda-exponent of their reduced
-#: denominator n(r)*L**k, tried before any box search.
-_TARGETED_WITNESSES = (
-    (RingElt(2, 0) * lambda_pow(2), 3),
-    (_W3, 4),
-    (_W9_SHORT, 4),
-    (_W9_LONG, 10),
-    (_W5, 7),
-)
-
 
 @dataclass(frozen=True)
 class ElementaryVerdict:
@@ -471,7 +468,7 @@ def is_g5_elementary(
         return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
 
     ctx = ResidueCtx(r)
-    for numerator, k in _TARGETED_WITNESSES:
+    for numerator, k in (_W2, _W3, _W9_SHORT, _W9_LONG, _W5):
         denominator = ctx.n * lambda_pow(k)
         y = exact_divide(denominator, r)
         if y is None or ctx.divides(numerator * numerator - ONE):

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .errors import BothZeroError, NotAUnitError, ParseError, ZeroInputError
+from .errors import (
+    BothZeroError,
+    BoundExceededError,
+    NotAUnitError,
+    ParseError,
+    ZeroInputError,
+)
 
 
 class RingElt:
@@ -365,29 +371,50 @@ def is_canonical_associate(x: RingElt) -> bool:
 # --- text form ----------------------------------------------------------------
 
 
+def int_text(n: int) -> str:
+    """str(n) for an error message, or "<B-bit integer>" when n has more
+    digits than the interpreter converts to text."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
+
+
 def format_element(x: RingElt) -> str:
-    """Render a + b*L in the CLI grammar, e.g. 2*L-1, L, -3, 18*L+11."""
+    """Render a + b*L in the CLI grammar, e.g. 2*L-1, L, -3, 18*L+11.
+
+    Raises BoundExceededError when a coefficient has more digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits``).
+    """
     a, b = x.a, x.b
-    if b == 0:
-        return str(a)
-    if b == 1:
-        s = "L"
-    elif b == -1:
-        s = "-L"
-    else:
-        s = f"{b}*L"
-    if a > 0:
-        s += f"+{a}"
-    elif a < 0:
-        s += str(a)
-    return s
+    try:
+        if b == 0:
+            return str(a)
+        if b == 1:
+            s = "L"
+        elif b == -1:
+            s = "-L"
+        else:
+            s = f"{b}*L"
+        if a > 0:
+            s += f"+{a}"
+        elif a < 0:
+            s += str(a)
+        return s
+    except ValueError as exc:
+        bits = max(abs(a).bit_length(), abs(b).bit_length())
+        raise BoundExceededError(
+            f"a {bits}-bit integer is past the int-to-str digit limit"
+        ) from exc
 
 
 def parse_element(text: str) -> RingElt:
     """Parse the CLI grammar: integers, L, + and -, * for scalar products.
 
     Examples: "2*L-1" -> RingElt(-1, 2); "5" -> RingElt(5, 0); "-L+3".
-    Raises ParseError with the offending position.
+    Digits are the Unicode decimal digits that ``int`` reads.  Raises
+    ParseError with the offending position, also for an integer literal
+    longer than the interpreter converts (``sys.get_int_max_str_digits``).
     """
     a_total = 0
     b_total = 0
@@ -398,6 +425,14 @@ def parse_element(text: str) -> RingElt:
         while j < n and text[j].isspace():
             j += 1
         return j
+
+    def literal(start: int, end: int) -> int:
+        try:
+            return int(text[start:end])
+        except ValueError:
+            raise ParseError(
+                f"integer literal of {end - start} digits is too long", start
+            ) from None
 
     i = skip_ws(i)
     if i == n:
@@ -416,11 +451,11 @@ def parse_element(text: str) -> RingElt:
             raise ParseError("dangling sign", i)
         coeff: Optional[int] = None
         has_lambda = False
-        if text[i].isdigit():
+        if text[i].isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            coeff = int(text[i:j])
+            coeff = literal(i, j)
             i = skip_ws(j)
             if i < n and text[i] == "*":
                 i = skip_ws(i + 1)
@@ -435,11 +470,11 @@ def parse_element(text: str) -> RingElt:
             if i < n and text[i] == "*":
                 i = skip_ws(i + 1)
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 if j == i:
                     raise ParseError("expected integer after '*'", i)
-                coeff = int(text[i:j])
+                coeff = literal(i, j)
                 i = j
         else:
             raise ParseError(f"unexpected character {text[i]!r}", i)

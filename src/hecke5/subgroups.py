@@ -25,7 +25,7 @@ from .reduction import (
     g5_decompose,
     t_power,
 )
-from .ring import ONE, ZERO, RingElt, exact_divide, gcd
+from .ring import ONE, ZERO, RingElt, exact_divide, gcd, int_text
 
 
 def g0_contains(m: GMatrix, modulus: RingElt) -> bool:
@@ -216,7 +216,8 @@ class _Orbit:
         self.expected, primes = _index_and_primes(modulus)
         if self.expected > max_points:
             raise BoundExceededError(
-                f"index {self.expected} exceeds the configured bound {max_points}"
+                f"index {int_text(self.expected)} exceeds the configured bound "
+                f"{max_points}"
             )
         self.line = line = _ProjectiveLine(modulus, primes)
         self.points = [(*line.red(0, 0), *line.red(1, 0))]

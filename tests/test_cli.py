@@ -15,6 +15,7 @@ import hecke5.cli as cli
 import hecke5.reduction as reduction_module
 import hecke5.subgroups as subgroups_module
 from hecke5.cli import UsageError, main, parse_command
+from hecke5.errors import BoundExceededError, ParseError
 from hecke5.reduction import eval_word, parse_word
 from hecke5.ring import RingElt, format_element, parse_element
 
@@ -39,6 +40,54 @@ def test_parse_element_goldens():
     assert parse_element("225*L+139") == RingElt(139, 225)
     assert parse_element("5") == RingElt(5, 0)
     assert parse_element(" 2 * L - 1 ") == RingElt(-1, 2)
+
+
+def test_parse_element_reads_decimal_digits_only():
+    assert parse_element("٣*L+１２") == RingElt(12, 3)
+    for text, position in (("²", 0), ("2²", 1), ("L*²", 2), ("½", 0), ("Ⅻ", 0)):
+        with pytest.raises(ParseError) as info:
+            parse_element(text)
+        assert info.value.position == position
+    with pytest.raises(ParseError, match=r"^unexpected character '²' \(at position 0\)$"):
+        parse_element("²")
+
+
+def test_parse_element_refuses_literals_past_the_digit_limit():
+    assert parse_element("9" * 4300) == RingElt(10**4300 - 1, 0)
+    for text, position in (("1" + "0" * 5000, 0), ("2*L+" + "1" * 4301, 4)):
+        with pytest.raises(ParseError) as info:
+            parse_element(text)
+        assert info.value.position == position
+    with pytest.raises(ParseError) as info:
+        parse_element("L*" + "7" * 4301)
+    assert info.value.position == 2
+
+
+def test_format_element_refuses_coefficients_past_the_digit_limit():
+    assert format_element(RingElt(-1, 10**4299)) == "1" + "0" * 4299 + "*L-1"
+    for x in (RingElt(10**4300, 0), RingElt(1, -(10**4300)), RingElt(10**4300, 1)):
+        with pytest.raises(BoundExceededError):
+            format_element(x)
+
+
+def test_index_past_the_digit_limit_is_a_coded_error(capsys):
+    modulus = "1" + "0" * 2200
+    code, (obj,), _ = run_json(capsys, "index", modulus)
+    assert (code, obj["schema"], obj["code"]) == (1, "hecke5.error/1", "BoundExceeded")
+    code, out, err = run(capsys, "index", modulus)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[BoundExceeded]: ") and err.count("\n") == 1
+
+
+def test_batch_goes_on_past_an_over_long_literal(tmp_path, capsys):
+    path = tmp_path / "commands.txt"
+    path.write_text("factor 1" + "0" * 5000 + "\nindex 6\n", encoding="utf-8")
+    code, out, err = run(capsys, "--batch", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "error[Parse]: integer literal of 5001 digits is too long (at position 0)",
+        "50",
+    ]
 
 
 # --- single-command goldens ----------------------------------------------------------
@@ -709,3 +758,134 @@ def test_selftest_negative_control_reports_table_failures(capsys, monkeypatch):
     assert code == 1
     assert "FAIL table 3/" in out
     assert "0/3 passed" in out
+
+
+# --- fuzz: every command ends in an answer or a coded error ----------------------------
+
+#: Largest chain quotient of a drawn ``reduce`` pair, as in the benchmark:
+#: word_string writes T**q as q letters, so a quotient between about 10**7
+#: and 2**63 allocates gigabytes.
+FUZZ_MAX_QUOTIENT = 10**4
+
+#: Malformed elements, Unicode digits (the decimal ones parse) and odd spacing.
+FUZZ_ODD_ELEMENTS = (
+    "", " ", "L*", "2*", "*L", "++1", "1 2", "2*L*L", "L L", "L+", "(1)", "1e5",
+    "0x1F", "2*-L", "-L", "--1", "²", "2²", "½", "Ⅻ", "٣*L+٣", "１２*L-３", "𝟗",
+    "2\u00a0*\u00a0L",
+)
+
+FUZZ_ONE_ARGUMENT = (
+    "factor", "index", "cosets", "normalizer", "explain", "elementary", "quotient",
+)
+FUZZ_VERBS = ("reduce", "member", *FUZZ_ONE_ARGUMENT)
+
+
+def _fuzz_element(rng):
+    if rng.random() < 0.2:
+        return rng.choice(FUZZ_ODD_ELEMENTS)
+    return format_element(RingElt(rng.randint(-30, 30), rng.randint(-30, 30)))
+
+
+def _fuzz_reduce_pair(rng):
+    while True:
+        size = 10 ** rng.randint(1, 40)
+        num, den = (
+            RingElt(rng.randint(-size, size), rng.randint(-size, size))
+            for _ in range(2)
+        )
+        quotients = []
+        reduction_module._chain(num, den, quotients)
+        if max(map(abs, quotients), default=0) <= FUZZ_MAX_QUOTIENT:
+            return [format_element(num), format_element(den)]
+
+
+def _fuzz_cases(seed, count):
+    """Seeded command lines, each as its words: verb, options, "--" (left out
+    of one line in five), arguments."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        verb = rng.choice(FUZZ_VERBS)
+        options = []
+        if verb == "reduce" and rng.random() < 0.8:
+            args = _fuzz_reduce_pair(rng)
+        elif verb == "reduce":
+            args = [_fuzz_element(rng), _fuzz_element(rng)]
+        elif verb == "member" and rng.random() < 0.7:
+            tokens = [("S", 1), ("T", 1), ("T", -1), ("T", 2)]
+            word = tuple(rng.choice(tokens) for _ in range(rng.randint(0, 12)))
+            args = [format_element(x) for x in eval_word(word).entries]
+        elif verb == "member":
+            args = [_fuzz_element(rng) for _ in range(4)]
+        else:
+            args = [_fuzz_element(rng)]
+        if verb == "member" and rng.random() < 0.5:
+            args.append(_fuzz_element(rng))
+        if verb == "cosets":
+            options = ["--bound", rng.choice(("5", "50", "500"))]
+        if verb == "elementary":
+            options = ["--bound", rng.choice(("-1", "0", "1", "2"))]
+            options += ["--strong"] if rng.random() < 0.3 else []
+        separator = ["--"] if rng.random() < 0.8 else []
+        cases.append([verb, *options, *separator, *args])
+    return cases
+
+
+def _digits(rng, count):
+    return str(rng.randint(1, 9)) + "".join(
+        rng.choice("0123456789") for _ in range(count - 1)
+    )
+
+
+_rng = random.Random(4300)
+#: Literals at the interpreter's 4300-digit int-to-str limit.  Those read in
+#: full go only to verbs that stay fast on them: 10**k factors into 2s and 5s,
+#: and the elementary box at bound 1 is small.
+FUZZ_LIMIT_CASES = [
+    ["factor", "1" + "0" * 4298],
+    ["index", "1" + "0" * 4299],
+    ["cosets", "1" + "0" * 4299],
+    ["normalizer", "--", f"-{_digits(_rng, 4299)}*L+7"],
+    ["quotient", _digits(_rng, 4300)],
+    ["elementary", "--bound", "1", "--", _digits(_rng, 4300)],
+    ["elementary", "--bound", "1", "--", f"{_digits(_rng, 4299)}*L-1"],
+    *([verb, _digits(_rng, 4301)] for verb in FUZZ_ONE_ARGUMENT),
+    ["reduce", "1", _digits(_rng, 4301)],
+    ["reduce", f"L*{_digits(_rng, 4301)}", "1"],
+    ["member", "1", "0", "0", "1", _digits(_rng, 4301)],
+]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        *(pytest.param(_fuzz_cases(seed, 100), id=f"seed{seed}") for seed in (1, 2)),
+        pytest.param(FUZZ_LIMIT_CASES, id="digit-limit"),
+        pytest.param(
+            [["reduce", "100000000000000000000", "1"]],
+            id="quotient-past-2**63",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=OverflowError,
+                reason="word_string writes T**q as q letters; open defect, "
+                "ROADMAP item 4",
+            ),
+        ),
+    ],
+)
+def test_every_command_ends_in_an_answer_or_a_coded_error(capsys, tmp_path, cases):
+    """Each case on the command line and all as one batch, in text and JSON,
+    ends with exit 0, 1 or 2, prints one result or coded error, and raises
+    nothing (an exception escaping ``main`` is a traceback)."""
+    for case in cases:
+        code, out, err = run(capsys, *case)
+        assert code in (0, 1, 2) and "Traceback" not in out + err, case
+        code, objects, err = run_json(capsys, *case)
+        assert code in (0, 1, 2) and err == "" and len(objects) == 1, case
+    path = tmp_path / "commands.txt"
+    path.write_text("".join(shlex.join(case) + "\n" for case in cases), "utf-8")
+    code, out, err = run(capsys, "--batch", str(path))
+    assert code in (0, 1, 2) and err == "" and out.count("\n") == len(cases)
+    assert "Traceback" not in out
+    code, objects, err = run_json(capsys, "--batch", str(path))
+    assert code in (0, 1, 2) and err == "" and len(objects) == len(cases)

@@ -9,6 +9,7 @@ from hecke5.errors import (
     BadRangeError,
     BoundExceededError,
     IntegrityError,
+    NotADivisorError,
     NotCoprimeError,
     NotReducedError,
     UnitModulusError,
@@ -222,6 +223,11 @@ def test_quotient_locate_rejects_matrices_outside_the_normalizer():
     q = quotient_table(ints(16))
     with pytest.raises(ValueError):
         q.locate(GMatrix(1, 0, ints(2), 1))
+
+
+def test_quotient_locate_raises_a_coded_error():
+    with pytest.raises(NotADivisorError, match=r"not in G0\(4\)"):
+        quotient_table(ints(16)).locate(GMatrix(1, 0, ints(2), 1))
 
 
 QUOTIENT_ORACLE_MODULI = (

@@ -1,0 +1,134 @@
+"""The theorem inside G5, re-checked by ``bench/zl.py``.
+
+``bench/zl.py`` is a Z[L] arithmetic written apart from hecke5, with its own
+division chain and word evaluation.  It re-checks the finite facts that
+N(G0(tau)) = G0(tau/h) rests on: the lower bound's premise, the G0(4) coset
+action with a**2 = 1 (mod 4) on its Schreier generators, and the upper
+bound's witness fractions u/(n*L**k) in every step of ``supergroup_chain``.
+The module is loaded from its file and never edited.
+"""
+
+import dataclasses
+import importlib.util
+from functools import cache
+from pathlib import Path
+
+from hecke5 import coset_table, supergroup_chain
+from hecke5.ideals import ideals_up_to_norm
+from hecke5.reduction import word_string
+from hecke5.ring import LAMBDA, RingElt
+
+_spec = importlib.util.spec_from_file_location(
+    "zl", Path(__file__).resolve().parent.parent / "bench" / "zl.py"
+)
+zl = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(zl)
+
+FOUR = (4, 0)
+
+#: The lambda-exponents k tried for a witness denominator n*L**k.
+WITNESS_EXPONENTS = range(16)
+
+
+def _in_g0_4(m):
+    return zl.divides(FOUR, m[2])
+
+
+def _action_holds(words, action):
+    """The Schreier generators rep_i * g * rep_j**-1 of the edges i -> j by
+    g that are not the walk's first path to j, when the classes are the
+    cosets of G0(4) (rep_i * rep_j**-1 is in G0(4) only for i = j) and the
+    action is right (every edge's rep_i * g * rep_j**-1 is in G0(4));
+    otherwise None."""
+    reps = [zl.eval_word(word_string(w)) for w in words]
+    for i, left in enumerate(reps):
+        for j, right in enumerate(reps):
+            if _in_g0_4(zl.mat_mul(left, zl.mat_inv(right))) != (i == j):
+                return None
+    generators = []
+    for name, gen in (("S", zl.S), ("T", zl.T)):
+        for i, j in enumerate(action[name]):
+            m = zl.mat_mul(zl.mat_mul(reps[i], gen), zl.mat_inv(reps[j]))
+            if not _in_g0_4(m):
+                return None
+            if words[j] != words[i] + ((name, 1),):
+                generators.append(m)
+    return generators
+
+
+def test_g0_4_action_and_generators_square_to_one_outside():
+    table = coset_table(RingElt(4, 0))
+    assert table.size == zl.index(FOUR) == 20
+    generators = _action_holds(table.rep_words, table.action)
+    assert generators is not None and len(generators) == 21
+    for a, _, c, _ in generators:
+        assert zl.divides(FOUR, c)
+        assert zl.divides(FOUR, zl.sub(zl.mul(a, a), zl.ONE))
+
+
+def test_g0_4_action_check_rejects_a_wrong_action():
+    table = coset_table(RingElt(4, 0))
+    t_action = list(table.action["T"])
+    t_action[1], t_action[2] = t_action[2], t_action[1]
+    assert _action_holds(table.rep_words, {**table.action, "T": t_action}) is None
+
+
+def _step_holds(step):
+    """The witness lemma's premises and arithmetic for one chain step: n is
+    the smallest rational integer of nu = ``remaining`` and nu | n; each
+    witness u has some k with u/(n*L**k) reduced; each gcd x divides nu and
+    u**2 - 1; and bound * combined = nu with combined dividing every x."""
+    nu = step.remaining.coeffs
+    n = zl.smallest_integer(nu)
+    combined = zl.exact_div(nu, step.bound.coeffs)
+    if not zl.divides(nu, (n, 0)) or combined is None:
+        return False
+    for u, x in zip(step.witnesses, step.gcds):
+        u, x = u.coeffs, x.coeffs
+        if not any(
+            zl.is_reduced_pair(u, zl.scale(zl.lam_pow(k), n))
+            for k in WITNESS_EXPONENTS
+        ):
+            return False
+        square_less_one = zl.sub(zl.mul(u, u), zl.ONE)
+        if not (
+            zl.divides(x, nu)
+            and zl.divides(x, square_less_one)
+            and zl.divides(combined, x)
+        ):
+            return False
+    return True
+
+
+@cache
+def _chain_steps(bound):
+    return tuple(
+        step
+        for tau in ideals_up_to_norm(bound)
+        for step in supergroup_chain(tau).steps
+        if step.witnesses
+    )
+
+
+def test_chain_witnesses_hold_outside():
+    steps = _chain_steps(2000)
+    assert sum(len(step.witnesses) for step in steps) == 2579
+    assert all(_step_holds(step) for step in steps)
+
+
+def test_chain_check_rejects_a_witness_times_lambda():
+    # a witness u*L that is reduced for some other k and has a unit gcd is a
+    # valid witness too, so the mutation is made where the gcd is not a unit
+    mutants = [
+        dataclasses.replace(
+            step,
+            witnesses=tuple(
+                u * LAMBDA if i == at else u for i, u in enumerate(step.witnesses)
+            ),
+        )
+        for step in _chain_steps(2000)
+        for at, x in enumerate(step.gcds)
+        if not x.is_unit()
+    ]
+    assert len(mutants) == 204
+    assert not any(_step_holds(step) for step in mutants)
