@@ -28,7 +28,6 @@ from .ring import (
     exact_divide,
     format_element,
     gcd,
-    int_text,
     unit_decompose,
 )
 
@@ -65,8 +64,11 @@ def _factor_int(n: int) -> dict[int, int]:
     while not prime and d * d <= n:
         if d > TRIAL_DIVISION_CAP:
             if n >= PRIMALITY_LIMIT:
+                # past 40 digits the cofactor is named by its size, as int_text
+                # names an integer past the interpreter's digit limit
+                shown = str(n) if n < 10**40 else f"<{n.bit_length()}-bit integer>"
                 raise FactorCapError(
-                    f"no prime divisor of {int_text(n)} below {TRIAL_DIVISION_CAP}"
+                    f"no prime divisor of {shown} below {TRIAL_DIVISION_CAP}"
                 )
             for p in _split_cofactor(n):
                 out[p] = out.get(p, 0) + 1

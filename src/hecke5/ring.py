@@ -3,8 +3,11 @@
 Elements are written a + b*L with arbitrary-precision integer coefficients.
 The ring is the full ring of integers of Q(sqrt(5)): its units are +-L**k,
 its norm form is a**2 + a*b - b**2, and it is norm-Euclidean, so gcds exist.
-All order comparisons against the real embedding are done with exact integer
-predicates; no floating point is used anywhere.
+Every order comparison against the real embedding is an exact integer
+predicate.  Floats only propose: ``_unit_log`` estimates an exponent from
+float logs and confirms it with integers, and the reduction chain takes a
+quotient from a double-precision image only where a proved error bound makes
+it the exact one (see ``hecke5.reduction._chain``).
 """
 
 from __future__ import annotations

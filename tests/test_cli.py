@@ -787,8 +787,10 @@ def _fuzz_element(rng):
 
 
 def _fuzz_reduce_pair(rng):
+    """A pair of up to 40 digits, or of 300 to 400 (past the double range
+    that the chain's float steps need), whose chain quotients are small."""
     while True:
-        size = 10 ** rng.randint(1, 40)
+        size = 10 ** rng.choice((rng.randint(1, 40), rng.randint(300, 400)))
         num, den = (
             RingElt(rng.randint(-size, size), rng.randint(-size, size))
             for _ in range(2)

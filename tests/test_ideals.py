@@ -182,6 +182,19 @@ def test_factor_splits_cofactors_past_trial_division():
     assert f.factors == ((elem(1000003, 0), 1), (elem(1000033, 0), 1))
 
 
+def test_factor_cap_names_a_long_cofactor_by_its_bit_length(monkeypatch):
+    monkeypatch.setattr(ideals, "TRIAL_DIVISION_CAP", 100)
+    short = (10000019 * 10000079) ** 2  # 29 digits
+    message = rf"^no prime divisor of {short} below 100$"
+    with pytest.raises(FactorCapError, match=message):
+        ideals._factor_int(short)
+    long = 10000019**6  # 43 digits
+    with pytest.raises(
+        FactorCapError, match=r"^no prime divisor of <140-bit integer> below 100$"
+    ):
+        ideals._factor_int(long)
+
+
 def test_factor_int_rho_budget_is_a_cap(monkeypatch):
     monkeypatch.setattr(ideals, "RHO_STEP_BUDGET", 4)
     with pytest.raises(FactorCapError):

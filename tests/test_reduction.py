@@ -13,9 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hecke5.reduction as reduction
 from hecke5.errors import (
     BadDeterminantError,
     BothZeroError,
+    IterationCapError,
     NotAUnitError,
     NotCoprimeError,
     ParseError,
@@ -27,6 +29,7 @@ from hecke5.reduction import (
     GMatrix,
     PseudoStep,
     ReducedFormResult,
+    _chain,
     _exponent_or_none,
     eval_word,
     g5_decompose,
@@ -301,22 +304,58 @@ def test_result_is_dataclass():
     assert res.unit_sign in (1, -1)
 
 
-def _large_pairs():
-    """2000 seeded pairs, log-uniform sizes up to 10**30; every third pair
-    gets a common factor."""
-    rng = random.Random(20261018)
+def _large_pairs(count=2000, low=0, high=30, seed=20261018):
+    """Seeded pairs with coefficients log-uniform from 10**low to 10**high;
+    every third pair gets a common factor."""
+    rng = random.Random(seed)
 
     def draw():
-        bound = 10 ** rng.randint(0, 30)
+        bound = 10 ** rng.randint(low, high)
         return elem(rng.randint(-bound, bound), rng.randint(-bound, bound))
 
-    for i in range(2000):
+    for i in range(count):
         num, den = draw(), draw()
         if i % 3 == 0:
             common = elem(rng.randint(-50, 50), rng.randint(-50, 50))
             num, den = num * common, den * common
         if num or den:
             yield num, den
+
+
+def _tie_pairs():
+    """x = ((2k+1)*z + s)*L and y = 2*z, so x/(y*L) = k + 1/2 + s/(2z): an
+    exact tie for s = 0 and within 1/(2|z|) of one for s = +-1, with |z|
+    up to 2**400."""
+    rng = random.Random(20261019)
+    for i in range(300):
+        size = 2 ** rng.randint(1, 400)
+        z = elem(rng.randint(-size, size), rng.randint(-size, size)) or ONE
+        k = rng.randint(-10**4, 10**4)
+        yield (z * (2 * k + 1) + (i % 3 - 1)) * L, z * 2
+
+
+def _divisible_pairs():
+    """x = y*c with y up to 10**90, so the last quotient leaves y = 0 on
+    large operands."""
+    rng = random.Random(20261020)
+    for _ in range(200):
+        size = 10 ** rng.randint(8, 90)
+        y = elem(rng.randint(-size, size), rng.randint(-size, size)) or ONE
+        c = elem(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+        yield y * c, y
+
+
+#: Pairs where the float path ends or must not decide.  Float steps need
+#: products w = x*conj(y*L) inside the double range, about 1.8e308, which
+#: coefficients near 10**154 leave: chains of the first band leave the float
+#: path part way, as their coefficients grow, and the second band starts
+#: past it.
+FLOAT_EDGE_FAMILIES = {
+    "1e140-1e170": lambda: _large_pairs(count=12, low=140, high=170, seed=140),
+    "1e300-1e400": lambda: _large_pairs(count=8, low=300, high=400, seed=300),
+    "ties": _tie_pairs,
+    "y-divides-x": _divisible_pairs,
+}
 
 
 def test_exponent_or_none_matches_reduced_factor_large():
@@ -352,9 +391,9 @@ def oracle_pseudo_divide(x: RingElt, y: RingElt) -> PseudoStep:
 def oracle_chain(num: RingElt, den: RingElt):
     """The reduction chain as a RingElt loop over oracle_pseudo_divide.
 
-    Returns the divisions made, as ((x, y), step) pairs, and either
-    (e, reduced_num, reduced_den, unit_sign, full_word) or None when the
-    leftover is not a unit.
+    Returns the divisions made, as ((x, y), step) pairs, the final x, and
+    either (e, reduced_num, reduced_den, unit_sign, full_word) or None when
+    the final x is not a unit.
     """
     x, y = num, den
     word, divisions = [], []
@@ -368,18 +407,30 @@ def oracle_chain(num: RingElt, den: RingElt):
     try:
         rep = unit_decompose(x)
     except NotAUnitError:
-        return divisions, None
+        return divisions, x, None
     e = -rep.exponent
     scale = lambda_pow(e)
-    return divisions, (e, num * scale, den * scale, rep.sign, tuple(word))
+    return divisions, x, (e, num * scale, den * scale, rep.sign, tuple(word))
 
 
-def test_chain_matches_ringelt_oracle():
+def chain_run(num: RingElt, den: RingElt):
+    """_chain's quotients and final x, as RingElt."""
+    quotients = []
+    final = _chain(num, den, quotients)
+    return quotients, elem(*final)
+
+
+def check_against_oracle(pairs):
+    """Every quotient of the chain, float-decided or exact, is the one
+    pseudo_divide (that is, _pseudo_quotient) gives at that step, and the
+    results agree with the oracle's.  Returns how many pairs were coprime
+    (True) and not (False)."""
     seen = {True: 0, False: 0}
-    for num, den in _large_pairs():
-        divisions, want = oracle_chain(num, den)
+    for num, den in pairs:
+        divisions, final, want = oracle_chain(num, den)
         for (x, y), step in divisions:
             assert pseudo_divide(x, y) == step
+        assert chain_run(num, den) == ([s.quotient for _, s in divisions], final)
         if want is None:
             with pytest.raises(NotCoprimeError):
                 reduced_factor(num, den)
@@ -390,4 +441,48 @@ def test_chain_matches_ringelt_oracle():
             assert got + (res.full_word,) == want
             assert _exponent_or_none(num, den) == res.e
         seen[want is None] += 1
+    return seen
+
+
+def test_chain_matches_ringelt_oracle():
+    seen = check_against_oracle(_large_pairs())
     assert seen[True] > 100 and seen[False] > 100
+
+
+@pytest.mark.parametrize("family", FLOAT_EDGE_FAMILIES)
+def test_chain_matches_ringelt_oracle_at_float_edges(family):
+    check_against_oracle(FLOAT_EDGE_FAMILIES[family]())
+
+
+def test_oracle_check_rejects_an_inexact_golden_ratio(monkeypatch):
+    # L off by one part in 10**9 in the float path: the error bound no
+    # longer covers the image of x/(y*L), and some float-decided quotient
+    # differs from the oracle's
+    for name in ("_PHI", "_PHI2"):
+        monkeypatch.setattr(reduction, name, getattr(reduction, name) * (1 + 1e-9))
+    assert any(
+        chain_run(num, den)[0] != [s.quotient for _, s in oracle_chain(num, den)[0]]
+        for num, den in _large_pairs(count=60)
+    )
+
+
+def test_step_cap_counts_float_steps(monkeypatch):
+    # With L off in its fifth digit the float quotients never bring y to 0,
+    # so the chain runs into its cap, which exact steps alone do not reach.
+    exact = []
+
+    def counted(*args):
+        exact.append(args)
+        return real(*args)
+
+    real = reduction._pseudo_quotient
+    monkeypatch.setattr(reduction, "_pseudo_quotient", counted)
+    monkeypatch.setattr(reduction, "_PHI", 1.618)
+    monkeypatch.setattr(reduction, "_PHI2", 2.618)
+    num, den = elem(3**60, -(5**40)), elem(7**30, 2**100 + 1)
+    cap = 64 * (sum(abs(c).bit_length() for c in (*num.coeffs, *den.coeffs)) + 4)
+    quotients = []
+    with pytest.raises(IterationCapError, match=f"in {cap} steps"):
+        _chain(num, den, quotients)
+    assert len(quotients) > cap
+    assert len(exact) < cap

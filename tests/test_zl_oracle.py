@@ -1,19 +1,24 @@
-"""The theorem inside G5, re-checked by ``bench/zl.py``.
+"""The theorem inside G5, and the CLI's answers, re-checked by ``bench/zl.py``.
 
 ``bench/zl.py`` is a Z[L] arithmetic written apart from hecke5, with its own
 division chain and word evaluation.  It re-checks the finite facts that
 N(G0(tau)) = G0(tau/h) rests on: the lower bound's premise, the G0(4) coset
 action with a**2 = 1 (mod 4) on its Schreier generators, and the upper
 bound's witness fractions u/(n*L**k) in every step of ``supergroup_chain``.
-The module is loaded from its file and never edited.
+It also checks seeded ``reduce``, ``member`` and ``index`` answers of the
+CLI from their JSON text alone.  The module is loaded from its file and
+never edited.
 """
 
 import dataclasses
 import importlib.util
+import json
+import random
 from functools import cache
 from pathlib import Path
 
 from hecke5 import coset_table, supergroup_chain
+from hecke5.cli import main
 from hecke5.ideals import ideals_up_to_norm
 from hecke5.reduction import word_string
 from hecke5.ring import LAMBDA, RingElt
@@ -132,3 +137,117 @@ def test_chain_check_rejects_a_witness_times_lambda():
     ]
     assert len(mutants) == 204
     assert not any(_step_holds(step) for step in mutants)
+
+
+# --- reduce, member and index through the CLI -----------------------------------
+
+#: Digit bands of the reduce pairs: the benchmark's six, then pairs whose
+#: chains leave the float path (products past about 1.8e308) and pairs past
+#: it from the start.
+REDUCE_BANDS = (
+    (3, 10), (11, 20), (21, 30), (31, 40), (41, 50), (51, 60), (61, 160), (300, 400),
+)
+
+#: Largest chain quotient of a reduce pair: word_string writes T**q as q letters.
+MAX_QUOTIENT = 10**4
+
+
+def _cli(capsys, *argv):
+    code = main(["--json", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _coefficient(rng, digits):
+    return rng.choice((1, -1)) * rng.randint(10 ** (digits - 1), 10**digits - 1)
+
+
+def _reduce_pairs():
+    """Three seeded coprime pairs per band, drawn as the benchmark draws them."""
+    rng = random.Random(2610)
+    for lo, hi in REDUCE_BANDS:
+        count = 0
+        while count < 3:
+            d = rng.randint(lo, hi)
+            e = max(1, d - rng.randint(0, 2))
+            num = (_coefficient(rng, d), _coefficient(rng, d))
+            den = (_coefficient(rng, e), _coefficient(rng, e))
+            final, big, _ = zl.chain(num, den)
+            if zl.is_unit(final) and big <= MAX_QUOTIENT:
+                count += 1
+                yield num, den
+
+
+def _scaled(pair, k):
+    scale = zl.lam_pow(k)
+    return tuple(zl.mul(x, scale) for x in pair)
+
+
+def _reduce_holds(num, den, e, reduced, word):
+    """The reduced pair is the input times L**e, reduced for that e alone,
+    and the second column of the word's matrix up to sign."""
+    pair = tuple(zl.parse(x) for x in reduced)
+    m = zl.eval_word(word)
+    return (
+        pair == _scaled((num, den), e)
+        and zl.is_reduced_pair(*pair)
+        and not any(zl.is_reduced_pair(*_scaled(pair, k)) for k in (-1, 1))
+        and (m[1], m[3]) in (pair, tuple(map(zl.neg, pair)))
+    )
+
+
+def test_reduce_holds_outside(capsys):
+    for num, den in _reduce_pairs():
+        code, obj = _cli(capsys, "reduce", "--", zl.fmt(num), zl.fmt(den))
+        assert code == 0
+        assert _reduce_holds(num, den, obj["e"], obj["reduced"], obj["word"])
+
+
+def test_reduce_check_rejects_a_wrong_exponent_or_word(capsys):
+    num, den = next(_reduce_pairs())
+    _, obj = _cli(capsys, "reduce", "--", zl.fmt(num), zl.fmt(den))
+    e, word = obj["e"], obj["word"]
+    for shift in (-1, 1):
+        rescaled = [zl.fmt(x) for x in _scaled((num, den), e + shift)]
+        assert not _reduce_holds(num, den, e + shift, rescaled, word)
+    assert not _reduce_holds(num, den, e, obj["reduced"], word + "T")
+
+
+def _element_of_norm(rng, lo, hi):
+    box = int(hi**0.5) + 2
+    while True:
+        x = (rng.randint(-box, box), rng.randint(-box, box))
+        if lo <= abs(zl.norm(x)) <= hi:
+            return x
+
+
+def _member(capsys, m, *tau):
+    code, obj = _cli(capsys, "member", "--", *map(zl.fmt, m), *map(zl.fmt, tau))
+    assert code == (0 if obj["member"] else 2)
+    if obj["member"]:
+        assert zl.eval_word(obj["word"]) in (m, zl.mat_neg(m))
+    return obj["member"]
+
+
+def test_member_holds_outside(capsys):
+    """Words in S and T are members and come back as words for +-m; a shear
+    by 1 is not (the stabiliser of infinity in G5 is +-T**k); with a level,
+    membership is tau | c, and words in T and the lower shear by the least
+    integer n of (tau) lie in G0(tau)."""
+    rng = random.Random(2611)
+    for _ in range(12):
+        m = zl.eval_word("".join(rng.choice("STt") for _ in range(rng.randint(20, 60))))
+        assert _member(capsys, m)
+        assert not _member(capsys, zl.mat_mul(m, (zl.ONE, zl.ONE, zl.ZERO, zl.ONE)))
+        tau = _element_of_norm(rng, 2, 200)
+        assert _member(capsys, m, tau) == zl.divides(tau, m[2])
+        shear = "S" + "t" * zl.smallest_integer(tau) + "S"
+        level = zl.eval_word("".join(rng.choice(("T", "t", shear)) for _ in range(8)))
+        assert zl.divides(tau, level[2]) and _member(capsys, level, tau)
+
+
+def test_index_holds_outside(capsys):
+    rng = random.Random(2612)
+    for _ in range(12):
+        tau = _element_of_norm(rng, 2, 10**5)
+        code, obj = _cli(capsys, "index", "--", zl.fmt(tau))
+        assert code == 0 and obj["index"] == zl.index(tau)
