@@ -42,46 +42,70 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: Pollard-Brent steps allowed for one split before FactorCapError.
 RHO_STEP_BUDGET = 1 << 22
 
+#: Trial division stops here to try Pollard-Brent on a composite cofactor.
+_RHO_FROM = 1 << 10
+
 
 def _factor_int(n: int) -> dict[int, int]:
-    """Factor ``n >= 1`` by trial division with a 6k+-1 wheel.
+    """Factor ``n >= 1`` by trial division with a 6k+-1 wheel, Pollard-Brent
+    rho and Miller-Rabin.
 
     A cofactor above TRIAL_DIVISION_CAP and below PRIMALITY_LIMIT is
     certified prime by Miller-Rabin before any further trial division: it
     is tested once 2, 3 and 5 are removed and again after each divisor
-    found.  A cofactor with no prime divisor up to TRIAL_DIVISION_CAP is
-    split by Pollard-Brent rho and its parts certified the same way.
-    Raises FactorCapError when that cofactor is at least PRIMALITY_LIMIT or
-    a split needs more than RHO_STEP_BUDGET steps.
+    found.  Trial division first runs up to _RHO_FROM (the cap, if that is
+    lower), which finishes every n below _RHO_FROM**2.  A composite
+    cofactor left below PRIMALITY_LIMIT is then split by Pollard-Brent rho
+    and each part certified by Miller-Rabin.  When rho spends
+    RHO_STEP_BUDGET steps without a split, or the cofactor is at least
+    PRIMALITY_LIMIT, trial division goes on up to TRIAL_DIVISION_CAP, and
+    a cofactor with no prime divisor up to there is handed to rho again.
+    Raises FactorCapError when that last cofactor is at least
+    PRIMALITY_LIMIT or its split needs more than RHO_STEP_BUDGET steps.
     """
     out: dict[int, int] = {}
     for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            out[p] = e
     d, step = 7, 4
     prime = _certified_prime(n)
-    while not prime and d * d <= n:
-        if d > TRIAL_DIVISION_CAP:
-            if n >= PRIMALITY_LIMIT:
-                # past 40 digits the cofactor is named by its size, as int_text
-                # names an integer past the interpreter's digit limit
-                shown = str(n) if n < 10**40 else f"<{n.bit_length()}-bit integer>"
-                raise FactorCapError(
-                    f"no prime divisor of {shown} below {TRIAL_DIVISION_CAP}"
-                )
-            for p in _split_cofactor(n):
-                out[p] = out.get(p, 0) + 1
-            return out
-        if n % d == 0:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-            prime = _certified_prime(n)
-        d += step
-        step = 6 - step
+    cap = TRIAL_DIVISION_CAP
+    stop = _RHO_FROM if _RHO_FROM < cap else cap
+    while True:
+        limit = n if n < stop * stop else stop * stop
+        while not prime and d * d <= limit:
+            if n % d == 0:
+                e = 0
+                while n % d == 0:
+                    n, e = n // d, e + 1
+                out[d] = e
+                prime = _certified_prime(n)
+                limit = n if n < stop * stop else stop * stop
+            d += step
+            step = 6 - step
+        if prime or d * d > n:
+            break
+        if n < PRIMALITY_LIMIT:
+            try:
+                parts = _split_cofactor(n)
+            except FactorCapError:
+                if stop == cap:
+                    raise
+            else:
+                for p in parts:
+                    out[p] = out.get(p, 0) + 1
+                return out
+        elif stop == cap:
+            # past 40 digits the cofactor is named by its size, as int_text
+            # names an integer past the interpreter's digit limit
+            shown = str(n) if n < 10**40 else f"<{n.bit_length()}-bit integer>"
+            raise FactorCapError(f"no prime divisor of {shown} below {cap}")
+        stop = cap
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 

@@ -163,11 +163,26 @@ def _check_word(word: Word) -> None:
 
 def eval_word(word: Word) -> GMatrix:
     """Product of the word's tokens, S first-to-last on the left."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = _fold_word(word)
+    return GMatrix(RingElt(a0, a1), RingElt(b0, b1), RingElt(c0, c1), RingElt(d0, d1))
+
+
+def _fold_word(word: Word) -> tuple[int, int, int, int, int, int, int, int]:
+    """The coefficients (a0, a1, b0, b1, c0, c1, d0, d1) of eval_word's matrix
+    [[a0 + a1*L, b0 + b1*L], [c0 + c1*L, d0 + d1*L]], folded left to right
+    on raw integers: S maps (a, b; c, d) to (b, -a; d, -c), and T**q adds
+    q*L*a to b and q*L*c to d, where q*L*(x + y*L) = q*y + q*(x + y)*L.
+    """
     _check_word(word)
-    acc = IDENTITY
-    for kind, arg in word:
-        acc = acc * (GEN_S if kind == "S" else t_power(arg))
-    return acc
+    a0, a1, b0, b1, c0, c1, d0, d1 = 1, 0, 0, 0, 0, 0, 1, 0
+    for kind, q in word:
+        if kind == "S":
+            a0, a1, b0, b1 = b0, b1, -a0, -a1
+            c0, c1, d0, d1 = d0, d1, -c0, -c1
+        else:
+            b0, b1 = b0 + q * a1, b1 + q * (a0 + a1)
+            d0, d1 = d0 + q * c1, d1 + q * (c0 + c1)
+    return a0, a1, b0, b1, c0, c1, d0, d1
 
 
 def word_string(word: Word) -> str:
@@ -262,10 +277,13 @@ class ReducedFormResult:
         return eval_word(self.word)
 
     def completed(self) -> GMatrix:
-        flips = sum(1 for kind, _ in self.full_word if kind == "S")
-        total = self.unit_sign * (-1 if flips % 2 else 1)
         m = eval_word(self.full_word)
-        return m if total > 0 else -m
+        return m if self._completed_sign() > 0 else -m
+
+    def _completed_sign(self) -> int:
+        """The sign s with completed() == s * eval_word(full_word)."""
+        flips = sum(1 for kind, _ in self.full_word if kind == "S")
+        return -self.unit_sign if flips % 2 else self.unit_sign
 
 
 #: L and L**2 = L + 1 rounded to the nearest double (relative error <= 2**-53).
@@ -442,11 +460,17 @@ def g5_decompose(m: GMatrix) -> Optional[Word]:
     Runs the reduction chain on the first column.  Membership needs e = 0;
     then completed() has the first column of m, so completed()**-1 * m is
     [[1, x], [0, 1]], and membership holds exactly when x = k*L (T**k).
+    With completed() = s * [[a', b'], [c', d']] folded by _fold_word,
+    x = s * (d'*B - b'*D) for m = [[A, B], [C, D]], read on raw integers.
     """
     result = reduced_factor(m.a, m.c)
     if result.e:
         return None
-    x = (result.completed().inverse() * m).b
-    if x.a:
+    _, _, b0, b1, _, _, d0, d1 = _fold_word(result.full_word)
+    (mb0, mb1), (md0, md1) = m.b.coeffs, m.d.coeffs
+    if d0 * mb0 + d1 * mb1 - b0 * md0 - b1 * md1:
         return None
-    return result.full_word + ((("T", x.b),) if x.b else ())
+    k = result._completed_sign() * (
+        d0 * mb1 + d1 * (mb0 + mb1) - b0 * md1 - b1 * (md0 + md1)
+    )
+    return result.full_word + ((("T", k),) if k else ())

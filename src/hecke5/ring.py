@@ -306,30 +306,40 @@ class DivResult(NamedTuple):
     remainder: RingElt
 
 
-def _round_half_up(num: int, den: int) -> int:
-    """Round num/den (den > 0) to the nearest integer, halves up."""
-    return (2 * num + den) // (2 * den)
+def _divmod_step(xa: int, xb: int, da: int, db: int) -> tuple[int, int, int, int]:
+    """(qa, qb, ra, rb) for x = xa + xb*L divided by the nonzero d = da + db*L.
+
+    The quotient's coefficients are those of x*conj(d)/norm(d), each rounded
+    to the nearest integer with halves up, and the remainder is x - q*d.
+    """
+    wa = xa * (da + db) - xb * db  # x * conj(d), conj(d) = (da + db) - db*L
+    wb = xb * da - xa * db
+    n = da * da + da * db - db * db
+    if n < 0:
+        wa, wb, n = -wa, -wb, -n
+    qa = (2 * wa + n) // (2 * n)
+    qb = (2 * wb + n) // (2 * n)
+    return qa, qb, xa - qa * da - qb * db, xb - qa * db - qb * (da + db)
 
 
 def divmod_nearest(x: RingElt, d: RingElt) -> DivResult:
     """Nearest-integer division: |norm(remainder)| < |norm(d)| always."""
     if not d:
         raise ZeroDivisionError("division by zero in Z[L]")
-    w = x * d.conj()
-    n = d.norm()
-    if n < 0:
-        w, n = -w, -n
-    q = RingElt(_round_half_up(w.a, n), _round_half_up(w.b, n))
-    return DivResult(q, x - q * d)
+    qa, qb, ra, rb = _divmod_step(x.a, x.b, d.a, d.b)
+    return DivResult(RingElt(qa, qb), RingElt(ra, rb))
 
 
 def gcd(x: RingElt, y: RingElt) -> RingElt:
-    """Euclidean gcd, returned as the canonical associate."""
+    """Euclidean gcd by divmod_nearest's step, returned as the canonical
+    associate."""
     if not x and not y:
         raise BothZeroError("gcd(0, 0) is undefined")
-    while y:
-        x, y = y, divmod_nearest(x, y).remainder
-    return canonical_associate(x)
+    xa, xb, ya, yb = x.a, x.b, y.a, y.b
+    while ya or yb:
+        ra, rb = _divmod_step(xa, xb, ya, yb)[2:]
+        xa, xb, ya, yb = ya, yb, ra, rb
+    return canonical_associate(RingElt(xa, xb))
 
 
 def exact_divide(x: RingElt, d: RingElt) -> Optional[RingElt]:

@@ -389,6 +389,103 @@ def test_member_level_decomposes_at_most_once(capsys, monkeypatch, entries):
     assert (code, obj["code"], calls) == (1, "ZeroInput", [])
 
 
+#: (exit code, sha256) of ``hecke5 --json VERB -- X`` for VERB in
+#: FACTOR_FAMILY_VERBS, on seeded elements: norms p*q with p and q split
+#: primes in (10**3, 10**6), most of them 12 digits; inert primes; the
+#: ramified prime 5; a repeated prime; a bare unit; and each times a unit
+#: +-L**k with 40 <= |k| < 400.  Pins the factoring, gcd and chain output.
+FACTOR_FAMILY_VERBS = ("factor", "explain", "index", "normalizer")
+FACTOR_FAMILY_GOLDENS = {
+    "-2132957805196789254*L+3451198225377782111": (
+        (0, "5271f9bf5965b8872739c2da8f4e42ea626047c5b449c4dda006d6fc826e0361"),
+        (0, "eed66035447aab47495a7d535b3837f9693ea68464a3c7d001a23b3774dea5f6"),
+        (0, "7e3bbcf5a1d5d2228d6ceb7c3bd152860cb3582ed9a594909a4eeb2252a69e6c"),
+        (0, "c96f58b28148c174d602e4b16a62c19d14ba67d6565852e7e1c9b4e43100ec1b"),
+    ),
+    "-1964314633723084670590132643600544547512977038*L+3178327841962751401298439800528793193011681635": (
+        (0, "1092f5a450a554042cdef95c364174b975825e5fb9e3fde47feab30fbde21f2d"),
+        (0, "3771d8fac141360707ff66355e699b60cbda497a7044c28faf6e5327297e04ff"),
+        (0, "5e121bf76dc12ec839c2e43f5e005410f89b4bbf215c267c590b87f66b83652d"),
+        (0, "a561197813b91149618a7aa33bd9bf9f46ec3d06e4d0073eac6f830861a10828"),
+    ),
+    "-374167419417456135813151044578205836333523489896997543504572455241*L+605415602100281408431977652878887772330571913393248626779328971326": (
+        (0, "0d6b11cee8a57bfa3259ca10e94a8922244a643734f1ae84e9343a3da69725d4"),
+        (0, "c3b6c69b19be46000bdf2cc5a7211d1c03c2844f4bd4aa2178538b052fb564fc"),
+        (0, "6e91d482be86fdb04fb5c0040693fed4ac1dadeb435a0d43989340ce9e0b8ee3"),
+        (0, "d6c4f0636478b3e2c67b7d851194bd2acbcee7855b3a4be80bb0941f6970e65f"),
+    ),
+    "-173285595095464763196919159320237557257428431868317*L+280381982625214066539141782097187913403119380053739": (
+        (0, "59912739d84210c06f7ebdae205dcd9ebe8d10d678d0568da77c278ce661780b"),
+        (0, "0991011ce14d206728d0c2c1490fd7b2bbc4744787b37b8d0f74414e538f2811"),
+        (0, "49ae08b122ce027fbed8f1cfc0fac3cf07dfab238d7123b1ec10a39f992687e2"),
+        (0, "3e1370ce71da10fa2d5de72c5861cfd817d264a0b259c9dbfe7373683e794034"),
+    ),
+    "-325220744976304429129336577353866426320810119301041340881397462280975*L-200997474241917753023855708864687808906457347437060677628821140430168": (
+        (0, "d14bc99f9f396c9c4b5991b7f056db337687f1e5e85571203bfda3b3d31e94f7"),
+        (0, "7fb30b59de084cfb17e703d4a5fe18bca769730f7d4d542d181b7b43bcfc7823"),
+        (0, "dc852005645aa122a142e10017cede7cc4265ed3adba676ac7c1cdc04d6df301"),
+        (0, "0be5df231130f9bedba10d79596eb34cad0d38e63fcb7cff115fcb111cfdb954"),
+    ),
+    "-43079400212306865448824722660804989391475332954216850430934984999181539826459*L+69703933758471944464893778630765395698539848233335064110419814790120448220753": (
+        (0, "6f244f9806bcfb61ec12b4ad31e01d17ef2e3e9ea3ebddd54565e806e0e2e8e3"),
+        (0, "13e921ddec37478c0ddae06a1b7548a6f3187f5bb3525f15e05c471f177a711f"),
+        (0, "4df4c5504762a628d33276d115a92d392b18954f87032fbf9e74263709e5a34b"),
+        (0, "a8ed22a3fc3f33284a21c507f98b8f3556ae5edd2534a1d73731cd5f7aaf2f86"),
+    ),
+    "-314746456628753*L+509270464663917": (
+        (0, "734712c742b369650530d287a344b8275c8b8db6650b7dcb4a7f069067e6dde6"),
+        (0, "c543248f5682d9e7913be062767dbb11f064c11312675fd43e11c24ba5f67243"),
+        (0, "8410b234e3bb9e0e8674e4f6eca6a4b1f420fbcc5ed992adf65ddec38ef662c6"),
+        (0, "5352faedccea9251059269962b9f879f13b05f2777aebce8b3daafd8d7a65e0b"),
+    ),
+    "40313488985069196622054557337023731363110*L+24915106397867265747340255388642480906007": (
+        (0, "aa3187566af986f8d7aee85a773b3d8b51edf10ecae2770ece9bb08fe39b0343"),
+        (0, "54c709fa194b5f93af173a33ca0e70777fbc90f4fe0e4f30a40ba9da6d622d9b"),
+        (0, "c97f652b9a69aa2ca529bb68832dd1f29777b3a93f3a7a00fdd9ccc03170d104"),
+        (0, "dfe3a59251b09e900bc72918259df6526fafa6f580792afa4bbd4f05b510fe3c"),
+    ),
+    "670507": (
+        (0, "dc5be30c538a31816d6eb2a2672b273ca9580f8f7ed5e9febd7943726dd278ee"),
+        (0, "77645ca6c1803c7b19280f41b40b2f66cf28528f8cda92a0265dfa6263e6ad55"),
+        (0, "c59aaa3af5b0ca5485776df822e938dd00edda13c9ef49413d384dba7f6b14cb"),
+        (0, "41bf3428fb901f248da5c44cc7cded0141177772ff95541a6d843156fe9e2724"),
+    ),
+    "1129850267468965*L+698285867493980": (
+        (0, "949982f6e0c31c33240551a6dc4dbdb0260d33fe1612e1d65078af53e4ecb9b9"),
+        (0, "d74a172b0312fdd4b276936f93ad427c7ab10fa3963807bb351114d8b09c6405"),
+        (0, "a60b4e49637f3c597fa9ee15f80e87c57c2469df4806b8a5d5033a871f52341d"),
+        (0, "34ac41558a6f56864f3d1a786e07aaf2d87c86d593ff7f41d4c5077c12b97286"),
+    ),
+    "-134739796566005456134793764479160139732465972220*L-83273773915037736577727227756469055470695737100": (
+        (0, "c438207695a3d631006aed0f7cc51fb18232eb838325547a61ce4f6631b09b4a"),
+        (0, "06a6dcb9f1d71800eefe09d8d32c3e51e5dfde2761db186bcd6fd0f4e13e2293"),
+        (0, "48e4ddbc6deec7dbb9a8531fb6702956dcd3280eb99529e8b609cced73c39e97"),
+        (0, "c819b3ea40c760eea88392f6eefe23c8d979da1097ced167f63cda58b439a4d9"),
+    ),
+    "25299086886458645685589389182743678652930*L+15635695580168194910579363790217849593217": (
+        (0, "0bd8c53c5824ef4d8cfcdf8a24a1cf3974078f20dd2a867cf382752d9c71e6d2"),
+        (1, "7eed8fb72662962a0f68bc50a42672c15f809e37756fabe725c0321613b2660c"),
+        (0, "7534edc9bc193551f5aeec114944ec643393809205571c3732bd4bffdb95775a"),
+        (1, "7eed8fb72662962a0f68bc50a42672c15f809e37756fabe725c0321613b2660c"),
+    ),
+    "54920454162692092844167937329982166646283*L+33942707350124360594206328943030461148037": (
+        (0, "0e10c3dcf845fbbc6ce62c0ec3a08d69a4f0f5e6793702b015ab4c22099feb33"),
+        (0, "34245012f7bc02571b29ad9205bba15f4c89c02f6b45cb796f8ed9c14379ea97"),
+        (0, "6b49811ef5dd7a436aec4d3b6904ca49d9ec6fd4f60e00042dad09f1c7d18993"),
+        (0, "8f639b097b5df930a464a6b86af91d230db6291d270a9d3a9ceeffac64b9751b"),
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", FACTOR_FAMILY_VERBS)
+@pytest.mark.parametrize("text", FACTOR_FAMILY_GOLDENS)
+def test_factor_family_output_goldens(capsys, verb, text):
+    code, out, _ = run(capsys, "--json", verb, "--", text)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    expected = FACTOR_FAMILY_GOLDENS[text][FACTOR_FAMILY_VERBS.index(verb)]
+    assert (code, digest) == expected
+
+
 # --- membership and exit-code semantics ----------------------------------------------
 
 

@@ -244,6 +244,49 @@ def test_factor_int_around_the_certification_gate():
         assert ideals._factor_int(n) == sympy.factorint(n), n
 
 
+def test_factor_int_falls_back_to_trial_division_when_rho_runs_out(monkeypatch):
+    monkeypatch.setattr(ideals, "RHO_STEP_BUDGET", 4)
+    rho_divisor = ideals._rho_divisor
+    splits = []
+
+    def counted(n):
+        splits.append(n)
+        return rho_divisor(n)
+
+    monkeypatch.setattr(ideals, "_rho_divisor", counted)
+    # 1009 is found before rho is tried; 4099 only after rho gives up
+    assert ideals._factor_int(1009 * 1000003) == {1009: 1, 1000003: 1}
+    assert splits == []
+    assert ideals._factor_int(4099 * 1000003) == {4099: 1, 1000003: 1}
+    assert splits == [4099 * 1000003]
+    splits.clear()
+    with pytest.raises(FactorCapError, match=r"^no split of 1000036000099 within 4 "):
+        ideals._factor_int(1000003 * 1000033)
+    assert splits == [1000003 * 1000033] * 2  # before and after the wheel
+
+
+def test_factor_int_below_a_million_never_reaches_rho(monkeypatch):
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(ideals, "_split_cofactor", no_rho)
+    rng = random.Random(23)
+    cases = [rng.randint(2, 10**6) for _ in range(3000)]
+    cases += [991 * 997, 997 * 1003, 999983, 2**19, 3**12, 10**6]
+    for n in cases:
+        assert ideals._factor_int(n) == sympy.factorint(n), n
+
+
+def test_factor_int_matches_sympy_on_semiprimes():
+    rng = random.Random(29)
+    primes = [sympy.nextprime(rng.randint(10**3, 999_000)) for _ in range(60)]
+    primes += [1009, 1013, 1019, 1021, 1031, 1033, 999983]
+    cases = [p * q for p, q in zip(primes, reversed(primes))]
+    cases += [p * p for p in primes[::7]]
+    for n in cases:
+        assert ideals._factor_int(n) == sympy.factorint(n), n
+
+
 @given(st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60))
 def test_factor_round_trip(a, b):
     x = RingElt(a, b)

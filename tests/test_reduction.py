@@ -298,6 +298,88 @@ def test_membership_rejects_shears(word, k):
         assert g5_decompose(m) is None
 
 
+def fold_oracle(word):
+    """eval_word as a left fold of GMatrix products of GEN_S and t_power(q)."""
+    acc = IDENTITY
+    for kind, q in word:
+        acc = acc * (GEN_S if kind == "S" else t_power(q))
+    return acc
+
+
+def decompose_oracle(m):
+    """g5_decompose as the completed matrix's inverse times m, with the
+    completed matrix folded by fold_oracle."""
+    result = reduced_factor(m.a, m.c)
+    if result.e:
+        return None
+    flips = sum(1 for kind, _ in result.full_word if kind == "S")
+    completed = fold_oracle(result.full_word)
+    if result.unit_sign * (-1) ** flips < 0:
+        completed = -completed
+    x = (completed.inverse() * m).b
+    if x.a:
+        return None
+    return result.full_word + ((("T", x.b),) if x.b else ())
+
+
+def _seeded_words(rng, count, max_tokens, max_bits):
+    """Words of 0..max_tokens tokens, T exponents up to 2**max_bits in size
+    (log-uniform, never 0), S and T drawn alike."""
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randint(0, max_tokens)):
+            if rng.random() < 0.5:
+                word.append(("S", 1))
+            else:
+                q = rng.randint(1, 2 ** rng.randint(1, max_bits))
+                word.append(("T", rng.choice((-1, 1)) * q))
+        yield tuple(word)
+
+
+def test_eval_word_matches_gmatrix_fold():
+    rng = random.Random(20261019)
+    for word in _seeded_words(rng, 60, 80, 70):
+        assert eval_word(word).entries == fold_oracle(word).entries, word
+    with pytest.raises(ValueError, match="bad token"):
+        eval_word((("T", 2), ("S", 2)))
+    with pytest.raises(ValueError, match="bad token"):
+        eval_word((("T", 1.5),))
+
+
+def test_g5_decompose_matches_its_definition():
+    rng = random.Random(20261020)
+    shear_one = (GMatrix(1, 1, 0, 1), GMatrix(1, 0, 1, 1))
+    mutated_t = GMatrix(1, elem(1, 1), 0, 1)  # translation by L**2 = L + 1
+    members = non_members = 0
+    for left, right in zip(
+        _seeded_words(rng, 40, 40, 70), _seeded_words(rng, 40, 40, 70)
+    ):
+        m = eval_word(left + right)
+        dec = g5_decompose(m)
+        assert dec == decompose_oracle(m) and eval_word(dec) == m
+        members += 1
+        # b + (L + 1)*a in place of b, and shears by 1: never in G5
+        for u in (mutated_t, *shear_one):
+            m = eval_word(left) * u * eval_word(right)
+            assert g5_decompose(m) is None and decompose_oracle(m) is None
+            non_members += 1
+    # words in T and the lower shear by tau generate G0(tau): some of their
+    # products are in G5, others not
+    found = {True: 0, False: 0}
+    for tau in (elem(2, 4), elem(3), elem(-1, 2), elem(7), elem(0, 3)):
+        lower = GMatrix(1, 0, tau, 1)
+        for _ in range(20):
+            m = IDENTITY
+            for _ in range(rng.randint(1, 8)):
+                k = rng.choice((-3, -2, -1, 1, 2, 3))
+                m = m * (t_power(k) if rng.random() < 0.5 else lower**k)
+            dec = g5_decompose(m)
+            assert dec == decompose_oracle(m)
+            found[dec is not None] += 1
+    assert members == 40 and non_members == 120
+    assert found[True] > 10 and found[False] > 10
+
+
 def test_result_is_dataclass():
     res = reduced_factor(ONE, ONE)
     assert isinstance(res, ReducedFormResult)

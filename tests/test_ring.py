@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hecke5.errors import BothZeroError, NotAUnitError, ParseError, ZeroInputError
@@ -287,6 +287,13 @@ def test_divmod_examples():
     assert q == ONE and r == ZERO
 
 
+def test_divmod_rounds_halves_up():
+    # x * conj(d) / norm(d) is 1/2, L/2 and -1/2: each coefficient rounds up
+    assert divmod_nearest(ONE, elem(2)) == (ONE, -ONE)
+    assert divmod_nearest(L, elem(2)) == (L, -L)
+    assert divmod_nearest(-ONE, elem(2)) == (ZERO, -ONE)
+
+
 def test_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
         divmod_nearest(ONE, ZERO)
@@ -338,6 +345,37 @@ def test_gcd_scales(c, x, y):
     g1 = gcd(c * x, c * y)
     g2 = canonical_associate(c * gcd(x, y))
     assert g1 == g2
+
+
+def euclid_oracle(x: RingElt, y: RingElt) -> RingElt:
+    """gcd as Euclid's loop on divmod_nearest remainders."""
+    while y:
+        x, y = y, divmod_nearest(x, y).remainder
+    return canonical_associate(x)
+
+
+huge_coeffs = st.integers(min_value=-(2**300), max_value=2**300)
+huge_nonzero_elements = st.builds(RingElt, huge_coeffs, huge_coeffs).filter(bool)
+# pairs up to 300-bit coefficients: unrelated, with a common factor of up
+# to 300 bits, or with one zero argument
+gcd_pairs = st.one_of(
+    st.tuples(huge_nonzero_elements, huge_nonzero_elements),
+    st.builds(
+        lambda c, x, y: (c * x, c * y),
+        huge_nonzero_elements,
+        wide_nonzero_elements,
+        wide_nonzero_elements,
+    ),
+    st.tuples(huge_nonzero_elements, st.just(ZERO)),
+    st.tuples(st.just(ZERO), huge_nonzero_elements),
+)
+
+
+@given(gcd_pairs)
+@example((elem(2**300, 1 - 2**299), ZERO))
+@example((ZERO, elem(-(2**300), 3**180)))
+def test_gcd_matches_euclid_on_divmod_nearest(pair):
+    assert gcd(*pair) == euclid_oracle(*pair)
 
 
 def test_exact_divide_examples():
