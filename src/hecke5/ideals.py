@@ -10,7 +10,8 @@ norm p, and primes congruent to +-2 mod 5 stay inert with norm p**2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd as _gcd_int
+from functools import lru_cache
+from math import gcd as _gcd_int, prod
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -62,6 +63,10 @@ def _factor_int(n: int) -> dict[int, int]:
     a cofactor with no prime divisor up to there is handed to rho again.
     Raises FactorCapError when that last cofactor is at least
     PRIMALITY_LIMIT or its split needs more than RHO_STEP_BUDGET steps.
+    A cofactor at least PRIMALITY_LIMIT is first stripped of its primes up
+    to the cap by gcds with their product, and when what is left is still
+    at least PRIMALITY_LIMIT the error names it without trial division,
+    which costs seconds on a norm of thousands of digits.
     """
     out: dict[int, int] = {}
     for p in (2, 3, 5):
@@ -99,14 +104,41 @@ def _factor_int(n: int) -> dict[int, int]:
                     out[p] = out.get(p, 0) + 1
                 return out
         elif stop == cap:
-            # past 40 digits the cofactor is named by its size, as int_text
-            # names an integer past the interpreter's digit limit
-            shown = str(n) if n < 10**40 else f"<{n.bit_length()}-bit integer>"
-            raise FactorCapError(f"no prime divisor of {shown} below {cap}")
+            raise _cap_error(n, cap)
+        elif (rest := _rough_part(n, cap)) >= PRIMALITY_LIMIT:
+            # trial division up to the cap would leave rest and end here
+            raise _cap_error(rest, cap)
         stop = cap
     if n > 1:
         out[n] = 1
     return out
+
+
+def _cap_error(n: int, cap: int) -> FactorCapError:
+    # past 40 digits the cofactor is named by its size, as int_text names an
+    # integer past the interpreter's digit limit
+    shown = str(n) if n < 10**40 else f"<{n.bit_length()}-bit integer>"
+    return FactorCapError(f"no prime divisor of {shown} below {cap}")
+
+
+@lru_cache(maxsize=1)
+def _prime_product(bound: int) -> int:
+    """The product of the primes up to ``bound``, by a product tree, built
+    on first use."""
+    level = _rational_primes_up_to(bound)
+    while len(level) > 1:
+        level = [prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0] if level else 1
+
+
+def _rough_part(n: int, bound: int) -> int:
+    """``n`` stripped of its prime factors up to ``bound``: each gcd with
+    the primes left divides out one power of each."""
+    g = _gcd_int(n, _prime_product(bound))
+    while g > 1:
+        n //= g
+        g = _gcd_int(n, g)
+    return n
 
 
 def _certified_prime(n: int) -> bool:

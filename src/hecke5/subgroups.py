@@ -11,7 +11,9 @@ Schreier generators of G0(tau), one per edge that closes a cycle.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import BadRangeError, BoundExceededError, IntegrityError
@@ -66,56 +68,75 @@ class _ProjectiveLine:
     per residue, so its memory is O(N(modulus)).  ``primes`` are the
     distinct primes dividing the level.
 
-    The orbit of c0 holds phi(mu) residues, one per unit modulo mu, and the
-    pass over the units that fills it stops once it holds them all.  Over
-    the divisors mu of the level these sizes sum to N(modulus), so
-    N(modulus) products fill an entry and the rest meet one already filled:
-    at most 1.64 N(modulus) products over the levels of norm up to 3000,
-    where a full pass per orbit takes phi(modulus) products times the
-    number of divisors.  ``ranks`` numbers the classes in about one key per
-    class.
+    Everything runs on raw coefficient pairs, and each product and row
+    move reduces as ResidueCtx.red does, written out in place.  The mask of
+    a prime is set by stepping through its multiples in the box, read off
+    its Hermite normal form, so no residue is reduced to fill the masks.
+    One prefix-product pass pairs each unit u with x = e * u**-1, e the
+    least unit, in three products per unit.  The orbit of e, the units, is
+    filled from these pairs with no product, since x * u = e.  Any other
+    orbit holds phi(mu) residues, one per unit modulo mu: its pass takes c
+    = u**-1 * c0 with w = u and stops once it holds them all.  Over the
+    levels of norm up to 3000 these passes take at most 0.95 N(modulus)
+    products, where filling every orbit took up to 1.64 N(modulus).
+    ``ranks`` numbers the classes in about one key per class.
     """
 
     def __init__(self, modulus: RingElt, primes: Sequence[RingElt]) -> None:
         ctx = ResidueCtx(modulus)
         self.ctx = ctx
 
-        n, g, red = ctx.n, ctx.g, ctx.red
+        # every residue product and row move below reduces a + b*L as
+        # ResidueCtx.red does, written out to spare a call per product
+        n, g, m = ctx.n, ctx.g, ctx.m
         size = n * g
 
         def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+            """The product of two residues."""
             (xa, xb), (ya, yb) = x, y
-            return red(xa * ya + xb * yb, xa * yb + xb * ya + xb * yb)
+            b = xa * yb + xb * ya + xb * yb
+            k = b // g
+            return (xa * ya + xb * yb - k * m) % n, b - k * g
 
-        def act(name: str, row: tuple[int, ...]) -> tuple[int, ...]:
-            """A row (x, y) times S, giving (y, -x), or times T, giving (x, x L + y)."""
-            xa, xb, ya, yb = row
-            if name == "S":
-                return (ya, yb, *red(-xa, -xb))
-            return (xa, xb, *red(ya + xb, yb + xa + xb))
+        def moves(xa: int, xb: int, ya: int, yb: int) -> tuple[tuple[int, ...], ...]:
+            """A row (x, y) times S, giving (y, -x), and times T, giving
+            (x, x L + y)."""
+            k, b = -xb // g, xa + xb + yb
+            j = b // g
+            return (
+                (ya, yb, (-xa - k * m) % n, -xb - k * g),
+                (xa, xb, (ya + xb - j * m) % n, b - j * g),
+            )
 
-        self.red, self.mul, self.act = red, mul, act
+        self.mul, self.moves = mul, moves
 
         # bit i of held[r] is set when the i-th prime over the level holds
-        # residue r; the invertible residues are those that no prime holds
+        # residue r; the invertible residues are those that no prime holds.
+        # The multiples a + b*L of a prime with column HNF [[pn, pm], [0, pg]]
+        # are the b divisible by pg with a = (b / pg) * pm modulo pn, and pn
+        # and pg divide n and g, so each column b of the box holds them at a
+        # stride of pn rows.
         primes = [ResidueCtx(p) for p in primes]
-        self._held = held = [
-            sum(1 << i for i, p in enumerate(primes) if p.red(a, b) == (0, 0))
-            for a in range(n)
-            for b in range(g)
-        ]
+        self._held = held = [0] * size
+        for i, p in enumerate(primes):
+            bit, stride = 1 << i, p.n * g
+            for b in range(0, g, p.g):
+                start = b // p.g * p.m % p.n * g + b
+                held[start::stride] = [h | bit for h in held[start::stride]]
         units = [divmod(r, g) for r in range(size) if not held[r]]
-        # their inverses by three products per unit
-        prefix = [red(1, 0)]
-        for u in units:
-            prefix.append(mul(prefix[-1], u))
-        # the product of all elements of a finite abelian group has order 1
-        # or 2 (Miller 1903, after Wilson), so it is its own inverse
-        inv = prefix.pop()
-        inverses = [(0, 0)] * len(units)
-        for i in range(len(units) - 1, -1, -1):
-            inverses[i] = mul(inv, prefix[i])
-            inv = mul(inv, units[i])
+        # x = e * u**-1 for each unit u, with e the least unit, by three
+        # products per unit: prefix[i] is the product of the units before
+        # u_i, and tails yields e over the product of the units up to u_i,
+        # from the last unit down.  The product of all elements of a finite
+        # abelian group has order 1 or 2 (Miller 1903, after Wilson), so it
+        # is its own inverse.
+        prefix = list(accumulate(units, mul, initial=ctx.red(1, 0)))
+        start = mul(prefix.pop(), units[0])
+        tails = accumulate(reversed(units[1:]), mul, initial=start)
+        scaled = list(map(mul, tails, reversed(prefix)))
+        scaled.reverse()
+        # e is L when g > 1 and 1 otherwise, and L**-1 = L - 1
+        e_inverse = ctx.red(-1, 1) if g > 1 else ctx.red(1, 0)
 
         # one pass over the units per unit orbit of residues, i.e. per ideal
         # divisor of the level, until the orbit is full; row-major order
@@ -127,13 +148,20 @@ class _ProjectiveLine:
             least = divmod(c0, g)
             divisor = gcd(RingElt(*least), modulus)
             mu = ResidueCtx(exact_divide(modulus, divisor))
-            hnf, base = (mu.n, mu.g, mu.m), c0 * size
+            base, mn, mg, mm = c0 * size, mu.n, mu.g, mu.m
+            if not held[c0]:
+                # the orbit of the units, met at c0 = e: x * u = e
+                for (ua, ub), (wa, wb) in zip(units, scaled):
+                    canon[ua * g + ub] = (base, wa, wb, mn, mg, mm)
+                continue
+            # u * c = c0 for c = x * e**-1 * c0, which is u**-1 * c0
+            shifted = mul(e_inverse, least)
             missing = _unit_count(mu.modulus, primes)
-            for u, w in zip(units, inverses):
-                ca, cb = mul(u, least)
+            for (wa, wb), x in zip(units, scaled):
+                ca, cb = mul(x, shifted)
                 c = ca * g + cb
                 if canon[c] is None:
-                    canon[c] = (base, *w, hnf)
+                    canon[c] = (base, wa, wb, mn, mg, mm)
                     missing -= 1
                     if not missing:
                         break
@@ -146,9 +174,8 @@ class _ProjectiveLine:
         def key(ca: int, cb: int, da: int, db: int) -> int:
             """Class key c0 * N(modulus) + (w*d mod mu) of a point (c, d) with
             c reduced; d may be any representative."""
-            base, wa, wb, (mn, mg, mm) = canon[ca * g + cb]
+            base, wa, wb, mn, mg, mm = canon[ca * g + cb]
             ea, eb = wa * da + wb * db, wa * db + wb * (da + db)
-            # reduced here, not by ResidueCtx.red: that call costs ~12% of a locate
             k = eb // mg
             return base + (ea - k * mm) % mn * mg + eb - k * mg
 
@@ -203,13 +230,15 @@ _MAX_POINTS = 10_000
 
 class _Orbit:
     """The orbit of the point (0, 1) under the right action of S and T,
-    walked breadth-first and lazily by ``edges``.
+    walked breadth-first and lazily by ``walk``.
 
     Class i stands for the coset of the representative reached by the walk's
     first path to it; ``points[i]`` is that matrix's bottom row modulo the
     level, as reduced residue pairs, and ``index_of`` maps each class key to
-    its position.  Raises BoundExceededError when the index exceeds
-    ``max_points``.
+    its position.  Edge 2i goes from class i by S and edge 2i + 1 by T, to
+    the class ``successors`` lists under that number, and ``reaching[j - 1]``
+    is the number of the edge that first reaches class j.  Raises
+    BoundExceededError when the index exceeds ``max_points``.
     """
 
     def __init__(self, modulus: RingElt, max_points: int) -> None:
@@ -220,30 +249,30 @@ class _Orbit:
                 f"{max_points}"
             )
         self.line = line = _ProjectiveLine(modulus, primes)
-        self.points = [(*line.red(0, 0), *line.red(1, 0))]
+        red = line.ctx.red
+        self.points = [(*red(0, 0), *red(1, 0))]
         self.index_of = {line.key(*self.points[0]): 0}
+        self.successors: list[int] = []
+        self.reaching: list[int] = []
 
-    def edges(self) -> Iterator[tuple[int, str, int, bool]]:
-        """Yield (i, name, j, new) for the edge from class i to class j by
-        the generator ``name``: S before T, classes in the order reached.
-
-        ``new`` is True on the edge that reaches j first: the representative
-        of class j is then the one of class i times the generator, and its
-        bottom row is recorded before the yield.
-        """
-        key, act = self.line.key, self.line.act
-        points, index_of = self.points, self.index_of
-        i = 0
-        while i < len(points):
-            for name in "ST":
-                pt = act(name, points[i])
+    def walk(self) -> Iterator[int]:
+        """Visit the classes in the order reached, and yield each class i
+        once its two edges are recorded."""
+        key, moves, points = self.line.key, self.line.moves, self.points
+        index_of, find, add_point = self.index_of, self.index_of.get, points.append
+        successors = self.successors
+        add_successor, add_reaching = successors.append, self.reaching.append
+        # the loop reads the points appended while it runs
+        for i, row in enumerate(points):
+            for pt in moves(*row):
                 k = key(*pt)
-                new = k not in index_of
-                if new:
-                    index_of[k] = len(points)
-                    points.append(pt)
-                yield i, name, index_of[k], new
-            i += 1
+                j = find(k)
+                if j is None:
+                    index_of[k] = j = len(points)
+                    add_point(pt)
+                    add_reaching(len(successors))
+                add_successor(j)
+            yield i
 
 
 class CosetTable:
@@ -265,13 +294,11 @@ class CosetTable:
         self.ctx = orbit.line.ctx
         self._key = orbit.line.key
 
+        deque(orbit.walk(), maxlen=0)
         words: list[Word] = [()]
-        successors: dict[str, list[int]] = {"S": [], "T": []}
-        for i, name, j, new in orbit.edges():
-            successors[name].append(j)
-            if new:
-                words.append(words[i] + ((name, 1),))
-        points = orbit.points
+        for e in orbit.reaching:
+            words.append(words[e // 2] + (("ST"[e % 2], 1),))
+        points, successors = orbit.points, orbit.successors
         if len(points) != orbit.expected:
             raise IntegrityError(
                 f"orbit has {len(points)} classes but the index formula "
@@ -286,9 +313,12 @@ class CosetTable:
         self.points = [points[i] for i in order]
         self._reps: list[GMatrix] | None = None
         self.rep_words = [words[i] for i in order]
-        self._index_of = {k: perm[v] for k, v in orbit.index_of.items()}
+        self._index_of = index_of = orbit.index_of
+        for k, v in index_of.items():
+            index_of[k] = perm[v]
         self.action = {
-            name: [perm[succ[i]] for i in order] for name, succ in successors.items()
+            name: [perm[succ[i]] for i in order]
+            for name, succ in zip("ST", (successors[0::2], successors[1::2]))
         }
 
     @property
@@ -348,12 +378,14 @@ def schreier_generators(modulus: RingElt) -> Iterator[GMatrix]:
     default bound of ``coset_table``.
     """
     orbit = _Orbit(modulus, _MAX_POINTS)
-    reps = [IDENTITY]
-    for i, name, j, new in orbit.edges():
-        if new:
-            reps.append(reps[i] * _GENERATORS[name])
-        else:
-            yield reps[i] * _GENERATORS[name] * reps[j].inverse()
+    successors, reps = orbit.successors, [IDENTITY]
+    for i in orbit.walk():
+        for e, gen in enumerate((GEN_S, GEN_T), 2 * i):
+            j = successors[e]
+            if j == len(reps):  # the edge that reaches j first
+                reps.append(reps[i] * gen)
+            else:
+                yield reps[i] * gen * reps[j].inverse()
 
 
 def _upper_left_image(
@@ -372,18 +404,19 @@ def _upper_left_image(
     Raises BoundExceededError when the index exceeds ``max_points``.
     """
     orbit = _Orbit(modulus, max_points)
-    line, points = orbit.line, orbit.points
-    red, mul = line.red, line.mul
+    line, points, successors = orbit.line, orbit.points, orbit.successors
+    red, mul, moves = line.ctx.red, line.mul, line.moves
     tops = [(*red(1, 0), *red(0, 0))]
     values = {red(-1, 0)}
-    for i, name, j, new in orbit.edges():
-        top = line.act(name, tops[i])
-        if new:
-            tops.append(top)
-        else:
-            ca, cb, da, db = points[j]
-            (pa, pb), (qa, qb) = mul(top[:2], (da, db)), mul(top[2:], (ca, cb))
-            values.add(red(pa - qa, pb - qb))
+    for i in orbit.walk():
+        for e, top in enumerate(moves(*tops[i]), 2 * i):
+            j = successors[e]
+            if j == len(tops):  # the edge that reaches j first
+                tops.append(top)
+            else:
+                ca, cb, da, db = points[j]
+                (pa, pb), (qa, qb) = mul(top[:2], (da, db)), mul(top[2:], (ca, cb))
+                values.add(red(pa - qa, pb - qb))
 
     # in a finite abelian group, <A, v> is the union of the cosets v**k A
     # for k below the order of v modulo A

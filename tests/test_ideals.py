@@ -8,6 +8,7 @@ whole enumeration pipeline without sharing code with it.
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from sympy.polys.numberfields.primes import prime_decomp
 
 from hecke5 import ideals
+from hecke5.cli import main
 from hecke5.errors import (
     FactorCapError,
     NotADivisorError,
@@ -285,6 +287,128 @@ def test_factor_int_matches_sympy_on_semiprimes():
     cases += [p * p for p in primes[::7]]
     for n in cases:
         assert ideals._factor_int(n) == sympy.factorint(n), n
+
+
+def _factor_int_by_trial_division(n: int) -> dict[int, int]:
+    """``_factor_int`` as it was before the cap stage stripped the smooth
+    part by a gcd: a cofactor at or above PRIMALITY_LIMIT is trial-divided
+    up to TRIAL_DIVISION_CAP, one wheel step at a time."""
+    out: dict[int, int] = {}
+    for p in (2, 3, 5):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            out[p] = e
+    d, step = 7, 4
+    prime = ideals._certified_prime(n)
+    cap = ideals.TRIAL_DIVISION_CAP
+    stop = ideals._RHO_FROM if ideals._RHO_FROM < cap else cap
+    while True:
+        limit = n if n < stop * stop else stop * stop
+        while not prime and d * d <= limit:
+            if n % d == 0:
+                e = 0
+                while n % d == 0:
+                    n, e = n // d, e + 1
+                out[d] = e
+                prime = ideals._certified_prime(n)
+                limit = n if n < stop * stop else stop * stop
+            d += step
+            step = 6 - step
+        if prime or d * d > n:
+            break
+        if n < ideals.PRIMALITY_LIMIT:
+            try:
+                parts = ideals._split_cofactor(n)
+            except FactorCapError:
+                if stop == cap:
+                    raise
+            else:
+                for p in parts:
+                    out[p] = out.get(p, 0) + 1
+                return out
+        elif stop == cap:
+            shown = str(n) if n < 10**40 else f"<{n.bit_length()}-bit integer>"
+            raise FactorCapError(f"no prime divisor of {shown} below {cap}")
+        stop = cap
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _factor_outcome(factorer, n):
+    try:
+        return factorer(n)
+    except FactorCapError as e:
+        return FactorCapError, str(e)
+
+
+def test_factor_int_cap_stage_matches_trial_division():
+    # seeded n: a 10**6-smooth part times a cofactor with no prime divisor
+    # up to 10**6, below or at least PRIMALITY_LIMIT
+    rng = random.Random(24)
+    limit = ideals.PRIMALITY_LIMIT
+    small = [sympy.prevprime(rng.randint(3, 10**6)) for _ in range(12)]
+    small += [7, 1021, 999983]
+
+    def big_prime(lo, hi):
+        return sympy.nextprime(rng.randint(lo, hi))
+
+    cofactors = [
+        1,
+        big_prime(10**6, 10**12),
+        big_prime(10**6, 10**9) * big_prime(10**6, 10**9),
+        big_prime(10**20, limit // 2),
+        big_prime(limit, 2 * limit),  # a prime past the limit
+        big_prime(10**9, 10**10) ** 2,
+        big_prime(10**8, 10**9) ** 3,
+        big_prime(10**6, 10**7) * big_prime(10**30, 10**31),
+    ]
+    cases = []
+    for cofactor in cofactors:
+        smooth = 1
+        for p in rng.sample(small, rng.randint(1, 5)):
+            smooth *= p ** rng.randint(1, 4)
+        cases.append(smooth * cofactor)
+    cases.append(2**90 * 999983**3)  # smooth and past the limit
+    cases.append(1000003 * 1000033 * 999983 * 1021)  # rest below the limit
+    assert sum(n >= limit for n in cases) > len(cases) // 2
+    for n in cases:
+        want = _factor_outcome(_factor_int_by_trial_division, n)
+        assert _factor_outcome(ideals._factor_int, n) == want, n
+
+
+def test_factor_int_below_the_limit_never_builds_the_prime_product(monkeypatch):
+    def unbuilt(bound):
+        raise AssertionError("the prime product was built")
+
+    monkeypatch.setattr(ideals, "_prime_product", unbuilt)
+    limit = ideals.PRIMALITY_LIMIT
+    p = sympy.prevprime(limit)
+    for n in (p, 1000003 * 1000033, 2**81, 12 * sympy.prevprime(limit // 12)):
+        assert ideals._factor_int(n) == sympy.factorint(n), n
+    monkeypatch.setattr(ideals, "RHO_STEP_BUDGET", 4)  # into the cap stage
+    assert ideals._factor_int(4099 * 1000003) == {4099: 1, 1000003: 1}
+    with pytest.raises(AssertionError, match="built"):
+        ideals._factor_int(limit * 1000003)
+
+
+def test_factor_of_a_4299_digit_literal_names_its_rough_part_quickly(capsys):
+    rng = random.Random(4299)
+    literal = str(rng.randint(1, 9)) + "".join(
+        rng.choice("0123456789") for _ in range(4298)
+    )
+    ideals._prime_product.cache_clear()
+    start = time.perf_counter()
+    assert main(["factor", literal]) == 1
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "",
+        "error[FactorCap]: no prime divisor of <28559-bit integer> below 1000000\n",
+    )
+    assert elapsed < 1.0, elapsed
 
 
 @given(st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from hecke5.reduction import (
     t_power,
 )
 from hecke5.normalizer import quotient_table
-from hecke5.ring import LAMBDA, ONE, ZERO, RingElt, gcd, lambda_pow
+from hecke5.ring import LAMBDA, ONE, ZERO, RingElt, exact_divide, gcd, lambda_pow
 from hecke5 import subgroups
 from hecke5.subgroups import (
     CosetTable,
@@ -248,6 +249,68 @@ def test_coset_tables_match_the_golden():
     assert digest.hexdigest() == COSET_TABLE_GOLDEN
 
 
+#: sha256 of the same cells for both split primes of norm 1009, their -L
+#: associates and 30 (norm 900, g = 30), all above the norm-600 pin.
+LARGE_COSET_TABLE_GOLDEN = (
+    "11708fa5ac4fe5c0c3aef35742dd930d4d5f5fcba95ca9ffedd3ed6580461563"
+)
+
+
+def test_large_coset_tables_match_the_golden():
+    moduli = [r for p in primes_above(1009) for r in (p, -p * LAMBDA)]
+    moduli.append(elem(30))
+    digest = hashlib.sha256()
+    for r in moduli:
+        table = CosetTable(r)
+        cells = (r.coeffs, table.points, table.rep_words, table.action)
+        digest.update(repr(cells).encode() + b"\n")
+    assert digest.hexdigest() == LARGE_COSET_TABLE_GOLDEN
+
+
+# --- the residue line against ResidueCtx ----------------------------------------------
+
+
+def reference_key(r: RingElt, units, c: tuple[int, int], d: tuple[int, int]) -> int:
+    """Class key c0 * N(r) + (w*d mod mu) of the point (c, d), built by
+    brute force with every reduction done by ``ResidueCtx.red``: c0 is the
+    least residue w*c over the ``units`` w, and mu = r / gcd(c0, r).  Any w
+    with w*c = c0 gives the same key, since the units fixing c0 are those
+    congruent to 1 modulo mu."""
+    ctx = ResidueCtx(r)
+    (ca, cb), (da, db) = c, d
+    c0, (wa, wb) = min(
+        (ctx.red(wa * ca + wb * cb, wa * cb + wb * (ca + cb)), (wa, wb))
+        for wa, wb in units
+    )
+    mu = ResidueCtx(exact_divide(r, gcd(elem(*c0), r)))
+    ea, eb = mu.red(wa * da + wb * db, wa * db + wb * (da + db))
+    return (c0[0] * ctx.g + c0[1]) * ctx.size + ea * mu.g + eb
+
+
+def test_residue_line_matches_residue_ctx():
+    # bit i of _held against ResidueCtx.divides for the i-th prime, and key
+    # against a key built through ResidueCtx.red, on seeded points with d
+    # unreduced and coefficients up to 2**70 of either sign
+    rng = random.Random(24)
+    spans = (3, 1000, 1 << 70)
+    moduli = [r for tau in ideals_up_to_norm(600) for r in (tau, -tau * LAMBDA)]
+    for r in moduli:
+        primes = [ResidueCtx(p) for p in factor(r).distinct_primes()]
+        line = subgroups._ProjectiveLine(r, [p.modulus for p in primes])
+        residues = [x.coeffs for x in ResidueCtx(r).residues()]
+        held = [
+            sum(1 << i for i, p in enumerate(primes) if p.divides(elem(*x)))
+            for x in residues
+        ]
+        assert line._held == held, r
+        units = [x for x, h in zip(residues, held) if not h]
+        for _ in range(6):
+            c = rng.choice(residues)
+            span = rng.choice(spans)
+            d = (rng.randint(-span, span), rng.randint(-span, span))
+            assert line.key(*c, *d) == reference_key(r, units, c, d), (r, c, d)
+
+
 # --- coset tables against a brute-force oracle --------------------------------------
 
 
@@ -457,6 +520,32 @@ def test_upper_left_image_bound():
     with pytest.raises(BoundExceededError):
         subgroups._upper_left_image(elem(30), 1499)  # index 1500
     assert len(subgroups._upper_left_image(elem(30), 1500)) == 80
+
+
+#: sha256 of the entries of every Schreier generator in yield order, for
+#: every ideal of norm at most 150: this pins the walk order.
+SCHREIER_GOLDEN = "6eb5b21e982402a8ead2f212a10aea1ec3abf373a3c1fd8fc1dc82f56addbbdc"
+
+#: sha256 of the sorted upper-left image of every ideal of norm at most 600.
+UPPER_LEFT_IMAGE_GOLDEN = (
+    "b6df0943371b98349b8d6b6ff6380d183ab5ac93051a8f80a83ecc7b2f61852c"
+)
+
+
+def test_schreier_generators_match_the_golden():
+    digest = hashlib.sha256()
+    for tau in ideals_up_to_norm(150):
+        entries = [tuple(e.coeffs for e in s.entries) for s in schreier_generators(tau)]
+        digest.update(repr((tau.coeffs, entries)).encode() + b"\n")
+    assert digest.hexdigest() == SCHREIER_GOLDEN
+
+
+def test_upper_left_images_match_the_golden():
+    digest = hashlib.sha256()
+    for tau in ideals_up_to_norm(600):
+        image = sorted(subgroups._upper_left_image(tau, 10_000))
+        digest.update(repr((tau.coeffs, image)).encode() + b"\n")
+    assert digest.hexdigest() == UPPER_LEFT_IMAGE_GOLDEN
 
 
 # --- shear families ----------------------------------------------------------------
