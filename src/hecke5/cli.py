@@ -534,6 +534,40 @@ def _cmd_selftest(ns: argparse.Namespace) -> _Outcome:
 # --- parser and dispatch -------------------------------------------------------------
 
 
+_MODULUS = (("modulus", {}),)
+
+#: Each verb of the command line, in the order ``--help`` lists them: name,
+#: help line, handler, and the arguments it adds to the common options, each
+#: as (name or flag, keyword options of ``add_argument``).
+_VERBS: tuple[tuple[str, str, Callable[[argparse.Namespace], _Outcome], tuple], ...] = (
+    ("factor", "factor a ring element", _cmd_factor, (
+        ("element", dict(help="ring element, e.g. 5 or 12*L+7")),
+    )),
+    ("reduce", "reduced form of NUM/DEN", _cmd_reduce, (("num", {}), ("den", {}))),
+    ("index", "subgroup index in G5", _cmd_index, _MODULUS),
+    ("cosets", "coset table of G0(TAU)", _cmd_cosets, _MODULUS),
+    ("member", "membership of [[A,B],[C,D]] in G5 or G0(TAU)", _cmd_member, (
+        ("entry", dict(nargs=4, metavar="E", help="matrix entries, row-major")),
+        ("modulus", dict(nargs="?")),
+    )),
+    ("normalizer", "normalizer of G0(TAU) as G0(TAU/h)", _cmd_normalizer, _MODULUS),
+    ("explain", "derivation of the normalizer bound", _cmd_explain, _MODULUS),
+    ("elementary", "search for reduced x/(R*y) with x**2 != 1 mod R", _cmd_elementary, (
+        ("r", dict(help="the modulus R")),
+        ("--strong", dict(
+            action="store_true", help="require every divisor of R to pass"
+        )),
+    )),
+    ("quotient", "normalizer/subgroup quotient table", _cmd_quotient, _MODULUS),
+    ("selftest", "run the built-in reproduction suite", _cmd_selftest, (
+        ("--only", dict(
+            metavar="TEXT",
+            help="run only items whose name contains TEXT (e.g. 'table', 'quotient')",
+        )),
+    )),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -570,75 +604,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one command per line of FILE (verb first); one result per command",
     )
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
-
-    p = sub.add_parser("factor", parents=[common], help="factor a ring element")
-    p.add_argument("element", help="ring element, e.g. 5 or 12*L+7")
-    p.set_defaults(handler=_cmd_factor)
-
-    p = sub.add_parser("reduce", parents=[common], help="reduced form of NUM/DEN")
-    p.add_argument("num")
-    p.add_argument("den")
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser("index", parents=[common], help="subgroup index in G5")
-    p.add_argument("modulus")
-    p.set_defaults(handler=_cmd_index)
-
-    p = sub.add_parser("cosets", parents=[common], help="coset table of G0(TAU)")
-    p.add_argument("modulus")
-    p.set_defaults(handler=_cmd_cosets)
-
-    p = sub.add_parser(
-        "member",
-        parents=[common],
-        help="membership of [[A,B],[C,D]] in G5 or G0(TAU)",
-    )
-    p.add_argument("entry", nargs=4, metavar="E", help="matrix entries, row-major")
-    p.add_argument("modulus", nargs="?", default=None)
-    p.set_defaults(handler=_cmd_member)
-
-    p = sub.add_parser(
-        "normalizer", parents=[common], help="normalizer of G0(TAU) as G0(TAU/h)"
-    )
-    p.add_argument("modulus")
-    p.set_defaults(handler=_cmd_normalizer)
-
-    p = sub.add_parser(
-        "explain", parents=[common], help="derivation of the normalizer bound"
-    )
-    p.add_argument("modulus")
-    p.set_defaults(handler=_cmd_explain)
-
-    p = sub.add_parser(
-        "elementary",
-        parents=[common],
-        help="search for reduced x/(R*y) with x**2 != 1 mod R",
-    )
-    p.add_argument("r", help="the modulus R")
-    p.add_argument(
-        "--strong",
-        action="store_true",
-        default=False,
-        help="require every divisor of R to pass",
-    )
-    p.set_defaults(handler=_cmd_elementary)
-
-    p = sub.add_parser(
-        "quotient", parents=[common], help="normalizer/subgroup quotient table"
-    )
-    p.add_argument("modulus")
-    p.set_defaults(handler=_cmd_quotient)
-
-    p = sub.add_parser(
-        "selftest", parents=[common], help="run the built-in reproduction suite"
-    )
-    p.add_argument(
-        "--only",
-        default=None,
-        metavar="TEXT",
-        help="run only items whose name contains TEXT (e.g. 'table', 'quotient')",
-    )
-    p.set_defaults(handler=_cmd_selftest)
+    for name, help_line, handler, arguments in _VERBS:
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
 
     return parser
 

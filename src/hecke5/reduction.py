@@ -402,18 +402,14 @@ def _chain(
 def reduced_factor(num: RingElt, den: RingElt) -> ReducedFormResult:
     """Reduce the fraction num/den by the continued-fraction chain.
 
-    Requires gcd(num, den) to be a unit (NotCoprimeError otherwise).  Each
-    chain quotient q adds T**q S to the word; the leftover unit fixes the
-    scaling exponent.
+    Requires gcd(num, den) to be a unit (NotCoprimeError otherwise, and
+    BothZeroError for 0/0).  Each chain quotient q adds T**q S to the word;
+    the leftover unit fixes the scaling exponent.
     """
-    if not num and not den:
-        raise BothZeroError("cannot reduce 0/0")
     quotients: list[int] = []
     rep = _unit_log(*_chain(num, den, quotients))
     if rep is None:
-        raise NotCoprimeError(
-            f"gcd of {format_element(num)} and {format_element(den)} is not a unit"
-        )
+        raise _irreducible(num, den)
     sign, k = rep
     word: list[Token] = []
     for q in quotients:
@@ -427,26 +423,38 @@ def reduced_factor(num: RingElt, den: RingElt) -> ReducedFormResult:
         reduced_num=num * scale,
         reduced_den=den * scale,
         unit_sign=sign,
-        word=full_word[:-1] if full_word else full_word,
+        word=full_word[:-1] if full_word else (("S", 1),),
         full_word=full_word,
+    )
+
+
+def _irreducible(num: RingElt, den: RingElt) -> Exception:
+    """The error for a pair whose chain ends on no unit: 0/0, or a pair
+    whose gcd is not a unit."""
+    if not num and not den:
+        return BothZeroError("cannot reduce 0/0")
+    return NotCoprimeError(
+        f"gcd of {format_element(num)} and {format_element(den)} is not a unit"
     )
 
 
 def is_reduced_form(num: RingElt, den: RingElt) -> bool:
     """True when the fraction num/den already has scaling exponent zero."""
-    return reduced_factor(num, den).e == 0
+    return scaling_exponent(num, den) == 0
 
 
 def scaling_exponent(num: RingElt, den: RingElt) -> int:
-    """The exponent e with (num*L**e, den*L**e) reduced."""
-    return reduced_factor(num, den).e
+    """The exponent e with (num*L**e, den*L**e) reduced, from one chain that
+    builds no word; raises as reduced_factor does."""
+    e = _exponent_or_none(num, den)
+    if e is None:
+        raise _irreducible(num, den)
+    return e
 
 
 def _exponent_or_none(num: RingElt, den: RingElt) -> Optional[int]:
-    """Scaling exponent of num/den, or None when the pair is not coprime.
-
-    For bulk searches: the chain without the witness word.
-    """
+    """Scaling exponent of num/den, or None when the pair is not coprime
+    (or is 0/0): the chain without the witness word."""
     rep = _unit_log(*_chain(num, den))
     return None if rep is None else -rep[1]
 

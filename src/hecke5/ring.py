@@ -343,18 +343,14 @@ def gcd(x: RingElt, y: RingElt) -> RingElt:
 
 
 def exact_divide(x: RingElt, d: RingElt) -> Optional[RingElt]:
-    """x / d when d divides x exactly, else None."""
+    """x / d when d divides x exactly, else None: the quotient of
+    _divmod_step, whose remainder is zero exactly when d divides x."""
     d = _coerce(d)
     x = _coerce(x)
     if not d:
         raise ZeroDivisionError("division by zero in Z[L]")
-    if not x:
-        return ZERO
-    w = x * d.conj()
-    n = d.norm()
-    if w.a % n or w.b % n:
-        return None
-    return RingElt(w.a // n, w.b // n)
+    qa, qb, ra, rb = _divmod_step(x.a, x.b, d.a, d.b)
+    return None if ra or rb else RingElt(qa, qb)
 
 
 def canonical_associate(x: RingElt) -> RingElt:

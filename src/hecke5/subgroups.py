@@ -24,6 +24,7 @@ from .reduction import (
     IDENTITY,
     GMatrix,
     Word,
+    eval_word,
     g5_decompose,
     t_power,
 )
@@ -145,15 +146,16 @@ class _ProjectiveLine:
         for c0 in range(size):
             if canon[c0] is not None:
                 continue
-            least = divmod(c0, g)
-            divisor = gcd(RingElt(*least), modulus)
-            mu = ResidueCtx(exact_divide(modulus, divisor))
-            base, mn, mg, mm = c0 * size, mu.n, mu.g, mu.m
+            base = c0 * size
             if not held[c0]:
-                # the orbit of the units, met at c0 = e: x * u = e
+                # the orbit of the units, met at c0 = e: x * u = e, and mu is
+                # the modulus itself
                 for (ua, ub), (wa, wb) in zip(units, scaled):
-                    canon[ua * g + ub] = (base, wa, wb, mn, mg, mm)
+                    canon[ua * g + ub] = (base, wa, wb, n, g, m)
                 continue
+            least = divmod(c0, g)
+            mu = ResidueCtx(exact_divide(modulus, gcd(RingElt(*least), modulus)))
+            mn, mg, mm = mu.n, mu.g, mu.m
             # u * c = c0 for c = x * e**-1 * c0, which is u**-1 * c0
             shifted = mul(e_inverse, least)
             missing = _unit_count(mu.modulus, primes)
@@ -220,8 +222,6 @@ class _ProjectiveLine:
                 )
         return ranks
 
-
-_GENERATORS = {"S": GEN_S, "T": GEN_T}
 
 #: Default bound on the index of a coset table, and the bound of every walk
 #: of Schreier generators.
@@ -324,18 +324,9 @@ class CosetTable:
     @property
     def reps(self) -> list[GMatrix]:
         """The matrix of each class's word in ``rep_words``, built on first
-        read by replaying the walk on ``action``: the first edge i -> j by g
-        gave j its word, and gives rep_j = rep_i * g."""
+        read by ``eval_word``."""
         if self._reps is None:
-            reps: list = [IDENTITY] + [None] * (self.size - 1)
-            reached = [0]
-            for i in reached:
-                for name in "ST":
-                    j = self.action[name][i]
-                    if reps[j] is None:
-                        reps[j] = reps[i] * _GENERATORS[name]
-                        reached.append(j)
-            self._reps = reps
+            self._reps = [eval_word(word) for word in self.rep_words]
         return self._reps
 
     @property

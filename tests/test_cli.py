@@ -1,5 +1,6 @@
 """CLI behavior: golden outputs, exit codes, batch determinism, selftest."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -639,6 +640,113 @@ def test_bound_exceeded_error(capsys):
 def test_help_and_version_exit_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "--version")[0] == 0
+
+
+# --- parser shape --------------------------------------------------------------------
+
+
+def action_shape(action):
+    """The fields of an argparse action that decide what it parses and shows."""
+    kind = action.type.__name__ if action.type is not None else None
+    return (
+        tuple(action.option_strings), action.dest, action.nargs, action.default,
+        action.const, kind, action.metavar, action.help,
+    )
+
+
+def parser_shape(parser):
+    """(top-level actions, (verb dest, verb metavar), per verb: name, help
+    line, handler name and actions), in the order the parser holds them."""
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {choice.dest: choice.help for choice in verbs._choices_actions}
+    return (
+        tuple(action_shape(a) for a in parser._actions if a is not verbs),
+        (verbs.dest, verbs.metavar),
+        tuple(
+            (
+                name,
+                helps[name],
+                sub.get_default("handler").__name__,
+                tuple(action_shape(a) for a in sub._actions),
+            )
+            for name, sub in verbs.choices.items()
+        ),
+    )
+
+
+SUPPRESS = "==SUPPRESS=="
+HELP_ACTION = (("-h", "--help"), "help", 0, SUPPRESS, None, None, None,
+               "show this help message and exit")
+COMMON_ACTIONS = (
+    HELP_ACTION,
+    (("--json",), "json", 0, SUPPRESS, True, None, None,
+     "emit one JSON object (with a 'schema' field) instead of text"),
+    (("--bound",), "bound", None, SUPPRESS, None, "int", "INT",
+     "search/enumeration bound (elementary box half-width, coset cap)"),
+)
+MODULUS_ACTION = ((), "modulus", None, None, None, None, None, None)
+
+#: Every action of the parser as a literal.  Unlike argparse's ``--help``
+#: layout, these fields do not vary with the Python version.
+PARSER_SHAPE = (
+    (
+        *COMMON_ACTIONS,
+        (("--version",), "version", 0, SUPPRESS, None, None, None,
+         "show program's version number and exit"),
+        (("--batch",), "batch", None, None, None, None, "FILE",
+         "run one command per line of FILE (verb first); one result per command"),
+    ),
+    ("verb", "VERB"),
+    (
+        ("factor", "factor a ring element", "_cmd_factor", (
+            *COMMON_ACTIONS,
+            ((), "element", None, None, None, None, None, "ring element, e.g. 5 or 12*L+7"),
+        )),
+        ("reduce", "reduced form of NUM/DEN", "_cmd_reduce", (
+            *COMMON_ACTIONS,
+            ((), "num", None, None, None, None, None, None),
+            ((), "den", None, None, None, None, None, None),
+        )),
+        ("index", "subgroup index in G5", "_cmd_index", (*COMMON_ACTIONS, MODULUS_ACTION)),
+        ("cosets", "coset table of G0(TAU)", "_cmd_cosets", (*COMMON_ACTIONS, MODULUS_ACTION)),
+        ("member", "membership of [[A,B],[C,D]] in G5 or G0(TAU)", "_cmd_member", (
+            *COMMON_ACTIONS,
+            ((), "entry", 4, None, None, None, "E", "matrix entries, row-major"),
+            ((), "modulus", "?", None, None, None, None, None),
+        )),
+        ("normalizer", "normalizer of G0(TAU) as G0(TAU/h)", "_cmd_normalizer",
+         (*COMMON_ACTIONS, MODULUS_ACTION)),
+        ("explain", "derivation of the normalizer bound", "_cmd_explain",
+         (*COMMON_ACTIONS, MODULUS_ACTION)),
+        ("elementary", "search for reduced x/(R*y) with x**2 != 1 mod R", "_cmd_elementary", (
+            *COMMON_ACTIONS,
+            ((), "r", None, None, None, None, None, "the modulus R"),
+            (("--strong",), "strong", 0, False, True, None, None,
+             "require every divisor of R to pass"),
+        )),
+        ("quotient", "normalizer/subgroup quotient table", "_cmd_quotient",
+         (*COMMON_ACTIONS, MODULUS_ACTION)),
+        ("selftest", "run the built-in reproduction suite", "_cmd_selftest", (
+            *COMMON_ACTIONS,
+            (("--only",), "only", None, None, None, None, "TEXT",
+             "run only items whose name contains TEXT (e.g. 'table', 'quotient')"),
+        )),
+    ),
+)
+
+
+def test_parser_shape_is_pinned():
+    assert parser_shape(cli.build_parser()) == PARSER_SHAPE
+
+
+def test_docstring_and_readme_list_the_verbs_of_the_table():
+    verbs = [name for name, *_ in cli._VERBS]
+    assert verbs == [name for name, *_ in PARSER_SHAPE[2]]
+    listing = cli.__doc__.split("Verbs\n-----\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split()[0] for line in listing.splitlines()] == verbs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    table = readme.split("| Verb | Does |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    assert [row.split("`")[1].split()[0] for row in table.splitlines()] == verbs
 
 
 # --- batch mode ----------------------------------------------------------------------

@@ -238,6 +238,60 @@ def test_reduce_degenerate_inputs():
         reduced_factor(elem(2, 0), elem(0, 2))
 
 
+ERROR_PAIRS = (
+    (ZERO, ZERO),
+    (elem(2, 0), elem(0, 2)),
+    (elem(6, 3), elem(9, 0)),
+    (elem(-1, 2) * elem(7, 12), elem(5, 0) * lambda_pow(40)),
+    (elem(3 * 2**200, 0), elem(0, 3**130)),
+)
+
+
+@pytest.mark.parametrize("num, den", ERROR_PAIRS, ids=str)
+def test_exponent_queries_raise_as_reduced_factor_does(num, den):
+    with pytest.raises((BothZeroError, NotCoprimeError)) as want:
+        reduced_factor(num, den)
+    for query in (scaling_exponent, is_reduced_form):
+        with pytest.raises(want.type) as got:
+            query(num, den)
+        assert type(got.value) is want.type
+        assert str(got.value) == str(want.value)
+
+
+def test_exponent_queries_run_one_chain_and_build_no_word(monkeypatch):
+    chains = []
+    run_chain = reduction._chain
+
+    def counted(*args):
+        chains.append(args)
+        return run_chain(*args)
+
+    def unused(num, den):
+        raise AssertionError("reduced_factor was called")
+
+    monkeypatch.setattr(reduction, "_chain", counted)
+    monkeypatch.setattr(reduction, "reduced_factor", unused)
+    num, den = elem(-1, 2), elem(192, 0)
+    assert not is_reduced_form(num, den)
+    assert is_reduced_form(elem(3571, 5778), elem(306624, 496128))
+    assert scaling_exponent(num, den) == 18
+    # two arguments each: no quotient list, so no word is built
+    assert [len(args) for args in chains] == [2, 2, 2]
+    with pytest.raises(NotCoprimeError):
+        is_reduced_form(elem(2, 0), elem(0, 2))
+    assert len(chains) == 4
+
+
+@pytest.mark.parametrize("num", (ONE, -L, lambda_pow(-7), -lambda_pow(40)), ids=str)
+def test_witness_of_a_unit_over_zero_carries_the_reduced_pair(num):
+    # the chain takes no step, so completed() is +-1 and the witness S
+    res = reduced_factor(num, ZERO)
+    assert res.full_word == () and word_string(res.word) == "S"
+    assert res.witness().second_column in (
+        (res.reduced_num, ZERO), (-res.reduced_num, ZERO)
+    )
+
+
 def test_conjugation_seed_column():
     res = reduced_factor(elem(4, 0), elem(0, 9))
     assert res.e == 2

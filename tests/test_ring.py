@@ -491,3 +491,54 @@ def test_copy_and_pickle_give_equal_objects():
             assert type(clone) is type(obj)
             assert clone == obj and hash(clone) == hash(obj)
     assert pickle.loads(pickle.dumps(m)).entries == m.entries
+
+
+def exact_divide_oracle(x, d):
+    """exact_divide by its definition, x*conj(d)/N(d) on RingElts with no
+    rounding: the reference for the kernel that reads _divmod_step."""
+    d = RingElt(d) if isinstance(d, int) else d
+    x = RingElt(x) if isinstance(x, int) else x
+    if not d:
+        raise ZeroDivisionError("division by zero in Z[L]")
+    if not x:
+        return ZERO
+    w = x * d.conj()
+    n = d.norm()
+    if w.a % n or w.b % n:
+        return None
+    return RingElt(w.a // n, w.b // n)
+
+
+huge_ints = huge_coeffs.filter(bool)
+# a numerator and a nonzero divisor up to 300-bit coefficients: unrelated
+# (almost never divisible), a multiple of the divisor, a multiple plus one,
+# a zero numerator, and ints on either side
+divide_pairs = st.one_of(
+    st.tuples(huge_nonzero_elements, huge_nonzero_elements),
+    st.builds(lambda q, d: (q * d, d), huge_nonzero_elements, huge_nonzero_elements),
+    st.builds(
+        lambda q, d: (q * d + 1, d), huge_nonzero_elements, huge_nonzero_elements
+    ),
+    st.tuples(st.just(ZERO), huge_nonzero_elements),
+    st.tuples(huge_ints, huge_nonzero_elements),
+    st.tuples(huge_nonzero_elements, huge_ints),
+    st.builds(lambda q, d: (q * d, d), huge_ints, huge_ints),
+    st.tuples(st.just(0), huge_ints),
+)
+
+
+@given(divide_pairs)
+@example((elem(2**300 * 5, 0), ROOT5))
+@example((elem(2**299 + 1, -(2**300)), elem(2**150, -(2**150))))
+@example((7, elem(2, 3)))
+@example((elem(0, 2**300), -(2**40)))
+def test_exact_divide_matches_the_conjugate_definition(pair):
+    x, d = pair
+    assert exact_divide(x, d) == exact_divide_oracle(x, d)
+
+
+@pytest.mark.parametrize("x", (ZERO, ONE, elem(2**300, -(3**150)), 0, 5))
+@pytest.mark.parametrize("d", (ZERO, 0))
+def test_exact_divide_by_zero_raises(x, d):
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero in Z\[L\]$"):
+        exact_divide(x, d)

@@ -148,22 +148,28 @@ def test_coset_table_at_the_default_bound():
     assert all(table.locate(table.reps[i]) == i for i in range(0, table.size, 97))
 
 
-def test_coset_table_multiplies_only_when_reps_are_read(monkeypatch):
-    products = []
-    multiply = GMatrix.__mul__
+def test_coset_table_evaluates_words_only_when_reps_are_read(monkeypatch):
+    evaluated, products = [], []
+    evaluate, multiply = subgroups.eval_word, GMatrix.__mul__
 
-    def counted(a, b):
+    def counted_eval(word):
+        evaluated.append(word)
+        return evaluate(word)
+
+    def counted_mul(a, b):
         products.append(None)
         return multiply(a, b)
 
-    monkeypatch.setattr(GMatrix, "__mul__", counted)
+    monkeypatch.setattr(subgroups, "eval_word", counted_eval)
+    monkeypatch.setattr(GMatrix, "__mul__", counted_mul)
     table = coset_table(primes_above(1009)[0])
     assert table.size == 1010
-    assert not products
+    assert not evaluated
     reps = table.reps
-    assert len(products) == table.size - 1
+    assert evaluated == table.rep_words
     assert table.reps is reps
-    assert len(products) == table.size - 1
+    assert len(evaluated) == table.size
+    assert not products
 
 
 def test_quotient_table_never_reads_coset_reps(monkeypatch):
