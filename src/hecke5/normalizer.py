@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import isqrt
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     BadRangeError,
@@ -47,6 +47,7 @@ from .reduction import GMatrix, _exponent_or_none, is_reduced_form
 from .ring import (
     ONE,
     RingElt,
+    _euclid,
     canonical_associate,
     exact_divide,
     gcd,
@@ -176,9 +177,14 @@ def _element_orders(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 _FOUR = RingElt(4, 0)
 
 
+def _is_involution(ctx: ResidueCtx, a: int, b: int) -> bool:
+    """True when (a + b*L)**2 = 1 modulo ctx, on raw coefficients."""
+    return ctx.red(a * a + b * b - 1, (2 * a + b) * b) == (0, 0)
+
+
 def _squares_to_one(ctx: ResidueCtx, image: frozenset[tuple[int, int]]) -> bool:
     """True when every residue pair in ``image`` squares to 1 modulo ctx."""
-    return all(ctx.divides(RingElt(*a) * RingElt(*a) - ONE) for a in image)
+    return all(_is_involution(ctx, a, b) for a, b in image)
 
 
 @cache
@@ -393,15 +399,16 @@ DEFAULT_ELEMENTARY_BOUND = 12
 #: The walk that builds A runs only when the index of G0(r) is at most
 #: min(_MAX_POINTS, max(20, (2*bound + 1)**4 // _WALK_PAIRS_PER_CLASS)); 20
 #: admits the divisors of 4 (index 5 and 20) at every bound.  Measured with
-#: CPython 3.11 on a 2-vCPU VM, on the moduli up to norm 8000 that no
-#: targeted witness settles (2, 4 and multiples of 6(2L-1)), the walk costs
-#: 7 to 12 us per class from index 300 up, residue line included (17 and
-#: 32 us at the index 20 and 5 of 4 and 2, mostly fixed costs), and a full
-#: unpruned sweep 3 to 10 us per (2*bound + 1)**4, so at the limit the walk
-#: costs at most about one full sweep.  The pruned sweep then costs 2 to 25%
-#: of the full one (2% at the box modulus 18L+6, where A has 16 of 96
-#: units).  The norm, a lower bound of the index, is checked first, so an r
-#: past the limit is never factored.
+#: CPython 3.11 on a shared 2-vCPU host, on the moduli up to norm 8000 that
+#: no targeted witness settles (2, 4 and multiples of 6(2L-1)), the walk
+#: costs 4 to 6 us per class from index 300 up, residue line included (6
+#: and 18 us at the index 20 and 5 of 4 and 2, mostly fixed costs), and a
+#: full unpruned sweep 1.1 to 2.7 us per (2*bound + 1)**4 at bounds 4 and
+#: 6, so at the limit the walk costs at most about one full sweep.  The
+#: pruned sweep then costs 0.3 to 21% of the full one, and 1 to 2% at the box
+#: modulus 18L+6, where A has 16 of 96 units and the first witness lies in
+#: the fourth shell.  The norm, a lower bound of the index, is checked
+#: first, so an r past the limit is never factored.
 _WALK_PAIRS_PER_CLASS = 4
 
 @dataclass(frozen=True)
@@ -427,21 +434,6 @@ class ElementaryVerdict:
         return self.verdict == COUNTEREXAMPLE_FOUND
 
 
-def _box_coefficients(bound: int) -> list[RingElt]:
-    """All ring elements with coefficients in [-bound, bound], sorted.
-
-    The order (by max coefficient magnitude, then lexicographic) fixes the
-    total order in which box counterexamples are reported.
-    """
-    elements = [
-        RingElt(a, b)
-        for a in range(-bound, bound + 1)
-        for b in range(-bound, bound + 1)
-    ]
-    elements.sort(key=lambda e: (max(abs(e.a), abs(e.b)), e.a, e.b))
-    return elements
-
-
 def is_g5_elementary(
     r: RingElt, bound: int = DEFAULT_ELEMENTARY_BOUND
 ) -> ElementaryVerdict:
@@ -455,7 +447,9 @@ def is_g5_elementary(
     NO_COUNTEREXAMPLE is exact.  Otherwise it sweeps all coefficient pairs
     (x, y) in the box [-bound, bound]^2 in a fixed deterministic order,
     skipping every x outside A when A is known, so the reported witness
-    depends on the box alone.
+    depends on the box alone.  At the box modulus 18L+6 (index 300) a
+    search at bounds 4 to 8 takes about 1.1 ms, of which the walk takes
+    0.95 ms and the sweep 0.04 ms (CPython 3.11, shared 2-vCPU host).
     Because x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over
     one sign class only.  A unit r divides everything, so the verdict is
     immediate.
@@ -471,7 +465,7 @@ def is_g5_elementary(
     for numerator, k in (_W2, _W3, _W9_SHORT, _W9_LONG, _W5):
         denominator = ctx.n * lambda_pow(k)
         y = exact_divide(denominator, r)
-        if y is None or ctx.divides(numerator * numerator - ONE):
+        if y is None or _is_involution(ctx, *numerator.coeffs):
             continue
         if _exponent_or_none(numerator, denominator) == 0:
             return ElementaryVerdict(
@@ -496,6 +490,23 @@ def is_g5_elementary(
     return _box_sweep(r, ctx, bound, image)
 
 
+def _box_pairs(bound: int) -> Iterator[tuple[int, int]]:
+    """All coefficient pairs (a, b) in [-bound, bound]**2, shell by shell,
+    in the order of (max(|a|, |b|), a, b).
+
+    That order fixes the total order in which box counterexamples are
+    reported.  Shell s holds the whole columns a = -s and a = s and, for
+    each a between them, the two pairs (a, -s) and (a, s).
+    """
+    yield 0, 0
+    for s in range(1, bound + 1):
+        yield from ((-s, b) for b in range(-s, s + 1))
+        for a in range(1 - s, s):
+            yield a, -s
+            yield a, s
+        yield from ((s, b) for b in range(-s, s + 1))
+
+
 def _box_sweep(
     r: RingElt,
     ctx: ResidueCtx,
@@ -503,24 +514,47 @@ def _box_sweep(
     image: Optional[frozenset[tuple[int, int]]] = None,
 ) -> ElementaryVerdict:
     """The first counterexample x/(r*y) with x and y in the coefficient box,
-    in the order of ``_box_coefficients``, or NO_COUNTEREXAMPLE; ``ctx`` is
-    the residue context of r.
+    in the order of ``_box_pairs``, or NO_COUNTEREXAMPLE; ``ctx`` is the
+    residue context of r.
 
     When ``image`` is the group A of upper-left entries of G0(r) modulo r,
     as reduced pairs, every x whose residue lies outside A is skipped
     unread: a reduced x/(r*y) is the first column of an element of G0(r),
     so its x lies in A, and the first witness in box order is the same.
+    A holds units only, so x is then coprime to r with no gcd; without A
+    the raw Euclid kernel tests that.  The x with x**2 = 1 (mod r) are
+    skipped on raw coefficients.  Each denominator r*y is built the first
+    time the y-loop reaches it and kept for later x, so a witness found in
+    the first shells costs no more than those shells: at the box modulus
+    18L+6, with A, the sweep finds (1 + 4L, -L) in shell 4 after 4
+    chains and 4 denominators at every bound from 4 to 8, in about
+    0.04 ms (CPython 3.11, shared 2-vCPU host).
     """
-    box = _box_coefficients(bound)
-    denominators = [(r * y, y) for y in box if y]
-    for x in box:
-        if (x.a, x.b) <= (0, 0):
+    ra, rb = r.coeffs
+    made: list[tuple[RingElt, RingElt]] = []
+    ys = _box_pairs(bound)
+    next(ys)  # y = 0
+
+    def denominators() -> Iterator[tuple[RingElt, RingElt]]:
+        """(r*y, y) in box order: those built so far, then the rest,
+        each kept as it is built."""
+        yield from made
+        for y in ys:
+            y = RingElt(*y)
+            made.append((r * y, y))
+            yield made[-1]
+
+    for a, b in _box_pairs(bound):
+        if (a, b) <= (0, 0):
             continue
-        if image is not None and ctx.red(*x.coeffs) not in image:
+        if image is not None and ctx.red(a, b) not in image:
             continue
-        if ctx.divides(x * x - ONE) or not gcd(x, r).is_unit():
+        if _is_involution(ctx, a, b):
             continue
-        for denominator, y in denominators:
+        if image is None and not RingElt(*_euclid(a, b, ra, rb)).is_unit():
+            continue
+        x = RingElt(a, b)
+        for denominator, y in denominators():
             if _exponent_or_none(x, denominator) == 0:
                 return ElementaryVerdict(r, COUNTEREXAMPLE_FOUND, (x, y), bound)
     return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)

@@ -330,16 +330,21 @@ def divmod_nearest(x: RingElt, d: RingElt) -> DivResult:
     return DivResult(RingElt(qa, qb), RingElt(ra, rb))
 
 
+def _euclid(xa: int, xb: int, ya: int, yb: int) -> tuple[int, int]:
+    """Coefficients of a gcd of xa + xb*L and ya + yb*L, up to a unit, by
+    divmod_nearest's step; (0, 0) when both are zero."""
+    while ya or yb:
+        ra, rb = _divmod_step(xa, xb, ya, yb)[2:]
+        xa, xb, ya, yb = ya, yb, ra, rb
+    return xa, xb
+
+
 def gcd(x: RingElt, y: RingElt) -> RingElt:
     """Euclidean gcd by divmod_nearest's step, returned as the canonical
     associate."""
     if not x and not y:
         raise BothZeroError("gcd(0, 0) is undefined")
-    xa, xb, ya, yb = x.a, x.b, y.a, y.b
-    while ya or yb:
-        ra, rb = _divmod_step(xa, xb, ya, yb)[2:]
-        xa, xb, ya, yb = ya, yb, ra, rb
-    return canonical_associate(RingElt(xa, xb))
+    return canonical_associate(RingElt(*_euclid(x.a, x.b, y.a, y.b)))
 
 
 def exact_divide(x: RingElt, d: RingElt) -> Optional[RingElt]:

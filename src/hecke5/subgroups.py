@@ -28,7 +28,7 @@ from .reduction import (
     g5_decompose,
     t_power,
 )
-from .ring import ONE, ZERO, RingElt, exact_divide, gcd, int_text
+from .ring import ONE, ZERO, RingElt, _euclid, exact_divide, gcd, int_text
 
 
 def g0_contains(m: GMatrix, modulus: RingElt) -> bool:
@@ -154,7 +154,10 @@ class _ProjectiveLine:
                     canon[ua * g + ub] = (base, wa, wb, n, g, m)
                 continue
             least = divmod(c0, g)
-            mu = ResidueCtx(exact_divide(modulus, gcd(RingElt(*least), modulus)))
+            # ResidueCtx depends on the ideal alone, so any associate of the
+            # gcd serves
+            divisor = RingElt(*_euclid(*least, *modulus.coeffs))
+            mu = ResidueCtx(exact_divide(modulus, divisor))
             mn, mg, mm = mu.n, mu.g, mu.m
             # u * c = c0 for c = x * e**-1 * c0, which is u**-1 * c0
             shifted = mul(e_inverse, least)
@@ -392,27 +395,38 @@ def _upper_left_image(
     each representative, and the generator rep_i * g * rep_j**-1 of an edge
     that closes a cycle has upper-left entry a' d_j - b' c_j, where (a', b')
     is the top row of rep_i * g and (c_j, d_j) the bottom row of rep_j.
-    Raises BoundExceededError when the index exceeds ``max_points``.
+    That entry is formed on raw coefficients and reduced once.  Raises
+    BoundExceededError when the index exceeds ``max_points``.
     """
     orbit = _Orbit(modulus, max_points)
     line, points, successors = orbit.line, orbit.points, orbit.successors
     red, mul, moves = line.ctx.red, line.mul, line.moves
+    n, g, m = line.ctx.n, line.ctx.g, line.ctx.m
     tops = [(*red(1, 0), *red(0, 0))]
     values = {red(-1, 0)}
+    add_value = values.add
     for i in orbit.walk():
         for e, top in enumerate(moves(*tops[i]), 2 * i):
             j = successors[e]
             if j == len(tops):  # the edge that reaches j first
                 tops.append(top)
             else:
+                ta, tb, ua, ub = top
                 ca, cb, da, db = points[j]
-                (pa, pb), (qa, qb) = mul(top[:2], (da, db)), mul(top[2:], (ca, cb))
-                values.add(red(pa - qa, pb - qb))
+                b = ta * db + tb * (da + db) - ua * cb - ub * (ca + cb)
+                k = b // g
+                add_value((
+                    (ta * da + tb * db - ua * ca - ub * cb - k * m) % n,
+                    b - k * g,
+                ))
 
     # in a finite abelian group, <A, v> is the union of the cosets v**k A
-    # for k below the order of v modulo A
+    # for k below the order of v modulo A; a v already in A adds nothing,
+    # and any other v at least doubles A, so the copies cost O(|A|) in all
     image = {red(1, 0)}
     for v in values:
+        if v in image:
+            continue
         coset, power = list(image), v
         while power not in image:
             image.update(mul(power, a) for a in coset)

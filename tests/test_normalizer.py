@@ -28,6 +28,8 @@ from hecke5.normalizer import (
     QUOTIENT_KLEIN4,
     QUOTIENT_TRIVIAL,
     QUOTIENT_Z4XZ4,
+    ElementaryVerdict,
+    _box_pairs,
     _box_sweep,
     is_g5_elementary,
     normalizer_of,
@@ -45,6 +47,7 @@ from hecke5.reduction import (
 )
 from hecke5.ring import LAMBDA, ONE, RingElt, gcd, lambda_pow, parse_element
 from hecke5.subgroups import (
+    _MAX_POINTS,
     CosetTable,
     _upper_left_image,
     conjugate,
@@ -492,6 +495,75 @@ def test_pruned_box_sweep_matches_the_full_sweep():
         ctx = ResidueCtx(r)
         image = _upper_left_image(r, 10_000)
         assert _box_sweep(r, ctx, bound, image) == _box_sweep(r, ctx, bound), r
+
+
+def _box_coefficients(bound):
+    """The eager sweep's box: every element with coefficients in
+    [-bound, bound], sorted by (max(|a|, |b|), a, b)."""
+    elements = [
+        RingElt(a, b)
+        for a in range(-bound, bound + 1)
+        for b in range(-bound, bound + 1)
+    ]
+    elements.sort(key=lambda e: (max(abs(e.a), abs(e.b)), e.a, e.b))
+    return elements
+
+
+def _eager_box_sweep(r, ctx, bound, image=None):
+    """Reference for ``_box_sweep``: the whole box sorted up front, every
+    r*y built before the first x, every test on ``RingElt``s and a gcd for
+    every x; chains run through the module's ``_exponent_or_none``."""
+    box = _box_coefficients(bound)
+    denominators = [(r * y, y) for y in box if y]
+    for x in box:
+        if (x.a, x.b) <= (0, 0):
+            continue
+        if image is not None and ctx.red(*x.coeffs) not in image:
+            continue
+        if ctx.divides(x * x - ONE) or not gcd(x, r).is_unit():
+            continue
+        for denominator, y in denominators:
+            if normalizer_module._exponent_or_none(x, denominator) == 0:
+                return ElementaryVerdict(r, COUNTEREXAMPLE_FOUND, (x, y), bound)
+    return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
+
+
+def test_box_pairs_run_in_sorted_order():
+    for bound in range(13):
+        assert list(_box_pairs(bound)) == [
+            e.coeffs for e in _box_coefficients(bound)
+        ]
+
+
+def test_lazy_box_sweep_matches_the_eager_sweep(monkeypatch):
+    # same verdict, same witness and the same chains in the same order,
+    # with the image A given and without it; the chains' answers are kept
+    # per modulus, since the box of a bound leads the box of the next in
+    # sweep order and the pruned sweep runs a subset of the full one
+    chains, answers = [], {}
+
+    def recorded(num, den):
+        args = (*num.coeffs, *den.coeffs)
+        chains.append(args)
+        if args not in answers:
+            answers[args] = _exponent_or_none(num, den)
+        return answers[args]
+
+    monkeypatch.setattr(normalizer_module, "_exponent_or_none", recorded)
+    moduli = [(r, range(1, 7)) for tau in ideals_up_to_norm(400)
+              for r in (tau, -tau * LAMBDA)]
+    moduli.append((elt("12*L-6") * lambda_pow(2), range(4, 9)))
+    for r, bounds in moduli:
+        ctx = ResidueCtx(r)
+        answers.clear()
+        for image in (_upper_left_image(r, _MAX_POINTS), None):
+            for bound in bounds:
+                expected = _eager_box_sweep(r, ctx, bound, image)
+                expected_chains = chains[:]
+                chains.clear()
+                assert _box_sweep(r, ctx, bound, image) == expected, (r, bound)
+                assert chains == expected_chains, (r, bound)
+                chains.clear()
 
 
 #: sha256 of the (verdict, witness) of ``is_g5_elementary`` on every ideal of
