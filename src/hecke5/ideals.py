@@ -342,13 +342,19 @@ def index_in_g5(x: RingElt) -> int:
 def _index_and_primes(x: RingElt) -> tuple[int, tuple[RingElt, ...]]:
     """``index_in_g5(x)`` and the distinct primes of x, from one factoring."""
     primes = factor(x).distinct_primes()
-    num, den = x.abs_norm(), 1
+    return _level_index(x.abs_norm(), primes), primes
+
+
+def _level_index(norm: int, primes: Iterable[RingElt]) -> int:
+    """The index formula for a level of absolute norm ``norm`` whose
+    distinct primes are ``primes``."""
+    num, den = norm, 1
     for prime in primes:
         np = prime.abs_norm()
         num, den = num * (np + 1), den * np
     if num % den:
         raise IntegrityError("index formula did not produce an integer")
-    return num // den, primes
+    return num // den
 
 
 def relative_index(x: RingElt, divisor: RingElt) -> int:
@@ -376,6 +382,15 @@ def _ext_gcd(u: int, v: int) -> tuple[int, int, int]:
     return u, s0, t0
 
 
+def _hnf(a: int, b: int) -> tuple[int, int, int]:
+    """(n, g, m) for the column Hermite normal form [[n, m], [0, g]] of the
+    coefficient lattice of the nonzero ideal (a + b*L), spanned by the
+    columns (a, b) and (b, a+b)."""
+    g, s, t = _ext_gcd(b, a + b)
+    n = abs(a * a + a * b - b * b) // g
+    return n, g, (s * a + t * b) % n
+
+
 class ResidueCtx:
     """Canonical representatives modulo a nonzero element.
 
@@ -390,13 +405,8 @@ class ResidueCtx:
     def __init__(self, modulus: RingElt) -> None:
         if not modulus:
             raise ZeroInputError("modulus must be nonzero")
-        a, b = modulus.coeffs
-        g, s, t = _ext_gcd(b, a + b)
-        n = modulus.abs_norm() // g
         self.modulus = modulus
-        self.n = n
-        self.g = g
-        self.m = (s * a + t * b) % n
+        self.n, self.g, self.m = _hnf(*modulus.coeffs)
 
     @property
     def size(self) -> int:

@@ -10,12 +10,13 @@ Klein four, or Z4 x Z4) in closed form, as the additive group of O/h.
 The module also decides whether a ring element r is "G5-elementary": every
 reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  When the index of
 G0(r) is small next to the box it searches, ``is_g5_elementary`` walks the
-coset graph once for the image A of a -> a mod r on G0(r): if every element
-of A squares to 1, its NoCounterexampleUpTo verdict is a proof (for 2 and 4
-among the ideals of norm up to 400), and otherwise the box sweep skips every
-x outside A.  A witness disproves the property, but NoCounterexampleUpTo
-from the sweep clears only the box: r = 60 gets it at the default bound,
-though its A holds residues whose square is not 1.
+coset graph of G0(q) for each prime power q of r and joins the images by
+CRT into a group B that holds the image A of a -> a mod r on G0(r): if
+every element of B squares to 1, its NoCounterexampleUpTo verdict is a
+proof (for 2 and 4 among the ideals of norm up to 400), and otherwise the
+box sweep skips every x outside B.  A witness disproves the property, but
+NoCounterexampleUpTo from the sweep clears only the box: r = 60 gets it at
+the default bound, though its A holds residues whose square is not 1.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     BadRangeError,
-    BoundExceededError,
     IntegrityError,
     NotADivisorError,
     NotAGroupError,
@@ -38,6 +38,7 @@ from .errors import (
 )
 from .ideals import (
     ResidueCtx,
+    _level_index,
     _product,
     factor,
     h_of,
@@ -47,7 +48,9 @@ from .reduction import GMatrix, _exponent_or_none, is_reduced_form
 from .ring import (
     ONE,
     RingElt,
+    _divmod_step,
     _euclid,
+    _inverse_mod,
     canonical_associate,
     exact_divide,
     gcd,
@@ -396,19 +399,21 @@ NO_COUNTEREXAMPLE = "NoCounterexampleUpTo"
 #: Default half-width of the coefficient box searched for counterexamples.
 DEFAULT_ELEMENTARY_BOUND = 12
 
-#: The walk that builds A runs only when the index of G0(r) is at most
+#: The walks that build A run only when the index of G0(r) is at most
 #: min(_MAX_POINTS, max(20, (2*bound + 1)**4 // _WALK_PAIRS_PER_CLASS)); 20
 #: admits the divisors of 4 (index 5 and 20) at every bound.  Measured with
 #: CPython 3.11 on a shared 2-vCPU host, on the moduli up to norm 8000 that
-#: no targeted witness settles (2, 4 and multiples of 6(2L-1)), the walk
-#: costs 4 to 6 us per class from index 300 up, residue line included (6
-#: and 18 us at the index 20 and 5 of 4 and 2, mostly fixed costs), and a
+#: no targeted witness settles (2, 4 and multiples of 6(2L-1)), one walk of
+#: G0(r) costs 4 to 6 us per class from index 300 up, residue line included
+#: (6 and 18 us at the index 20 and 5 of 4 and 2, mostly fixed costs), and a
 #: full unpruned sweep 1.1 to 2.7 us per (2*bound + 1)**4 at bounds 4 and
 #: 6, so at the limit the walk costs at most about one full sweep.  The
-#: pruned sweep then costs 0.3 to 21% of the full one, and 1 to 2% at the box
-#: modulus 18L+6, where A has 16 of 96 units and the first witness lies in
-#: the fourth shell.  The norm, a lower bound of the index, is checked
-#: first, so an r past the limit is never factored.
+#: guard still reads index(r), but the walks now cost the sum of index(q)
+#: classes over the prime powers q of r, not their product: 21 in place of
+#: 300 at the box modulus 18L+6.  The pruned sweep then costs 0.3 to 21% of
+#: the full one, and 1 to 2% at 18L+6, where A has 16 of 96 units and the
+#: first witness lies in the fourth shell.  The norm, a lower bound of the
+#: index, is checked first, so an r past the limit is never factored.
 _WALK_PAIRS_PER_CLASS = 4
 
 @dataclass(frozen=True)
@@ -442,14 +447,17 @@ def is_g5_elementary(
     Tries the targeted witness numerators (2L^2, 3L^3, 9L^3, 9L^9, 5L^6 over
     denominators n(r)*L^k) first.  Then, when the index of G0(r) is within
     the guard of ``_WALK_PAIRS_PER_CLASS`` (always for divisors of 4), one
-    coset walk builds the image A of a -> a mod r on G0(r): if every
-    a in A has a**2 = 1 (mod r), no counterexample exists anywhere and
+    coset walk per prime power q of r builds a group B that holds the image
+    A of a -> a mod r on G0(r) (see ``_image_walk``): if every b in B has
+    b**2 = 1 (mod r), no counterexample exists anywhere and
     NO_COUNTEREXAMPLE is exact.  Otherwise it sweeps all coefficient pairs
     (x, y) in the box [-bound, bound]^2 in a fixed deterministic order,
-    skipping every x outside A when A is known, so the reported witness
-    depends on the box alone.  At the box modulus 18L+6 (index 300) a
-    search at bounds 4 to 8 takes about 1.1 ms, of which the walk takes
-    0.95 ms and the sweep 0.04 ms (CPython 3.11, shared 2-vCPU host).
+    skipping every x outside B when B is known, so the reported witness
+    depends on the box alone.  At the box modulus 18L+6 (index 300, prime
+    powers of index 5, 10 and 6) a search at bounds 4 to 8 takes about
+    0.30 ms, of which the walks and their CRT product take 0.19 ms and the
+    sweep 0.045 ms, against 1.1 ms for one walk of G0(r) (CPython 3.11,
+    shared 2-vCPU host).
     Because x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over
     one sign class only.  A unit r divides everything, so the verdict is
     immediate.
@@ -475,19 +483,56 @@ def is_g5_elementary(
     # c = 0 (mod r) on G0(r), so a -> a mod r is a homomorphism into
     # (O/r)^x/+-1 and its image A holds the x of every reduced x/(r*y); the
     # elements with a**2 = 1 form a subgroup, which holds G0(r) exactly
-    # when it holds A
+    # when it holds A, as it does when it holds a group B that holds A
     box_limit = (2 * bound + 1) ** 4 // _WALK_PAIRS_PER_CLASS
     limit = min(_MAX_POINTS, max(20, box_limit))
     image = None
     if r.abs_norm() <= limit:
-        try:
-            image = _upper_left_image(r, limit)
-        except BoundExceededError:
-            pass
-        else:
-            if _squares_to_one(ctx, image):
-                return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
+        image = _image_walk(r, ctx, limit)
+        if image is not None and _squares_to_one(ctx, image):
+            return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
     return _box_sweep(r, ctx, bound, image)
+
+
+def _image_walk(
+    r: RingElt, ctx: ResidueCtx, limit: int
+) -> Optional[frozenset[tuple[int, int]]]:
+    """A group B of invertible residues modulo r, as reduced pairs, that
+    holds the image A of a -> a mod r on G0(r), or None when the index of
+    G0(r) exceeds ``limit``; ``ctx`` is the residue context of r, and r is
+    factored once.
+
+    A prime power r is walked itself, and B = A.  Otherwise B is the CRT
+    product of the images A(q) of G0(q) over the prime powers q of r: the
+    residues x with x mod q in A(q) for every q, each a sum of a(q) * e(q)
+    with e(q) = 1 modulo q and 0 modulo r/q.  G0(r) lies in every G0(q), so
+    B holds A, and the box sweep skips no x that A holds.  x**2 = 1 modulo
+    r exactly when it holds modulo every q, so B squares to 1 exactly when
+    every A(q) does, and then so does A.  The walks cost index(q) classes
+    each, against index(r), their product, for the walk of G0(r).
+    """
+    factors = factor(r).factors
+    primes = tuple(p for p, _ in factors)
+    index = _level_index(r.abs_norm(), primes)
+    if index > limit:
+        return None
+    if len(factors) == 1:
+        return _upper_left_image(r, limit, (index, primes))
+    ra, rb = r.coeffs
+    image = {(0, 0)}
+    for p, k in factors:
+        q = p**k
+        index = _level_index(q.abs_norm(), (p,))
+        part = _upper_left_image(q, limit, (index, (p,)))
+        # e(q) = m * (m**-1 mod q) for m = r/q, an exact division
+        ma, mb = _divmod_step(ra, rb, *q.coeffs)[:2]
+        ia, ib = _inverse_mod(ma, mb, *q.coeffs)
+        ea, eb = ctx.red(ma * ia + mb * ib, ma * ib + mb * (ia + ib))
+        terms = [(a * ea + b * eb, a * eb + b * (ea + eb)) for a, b in part]
+        image = {
+            ctx.red(xa + ta, xb + tb) for xa, xb in image for ta, tb in terms
+        }
+    return frozenset(image)
 
 
 def _box_pairs(bound: int) -> Iterator[tuple[int, int]]:
@@ -517,16 +562,17 @@ def _box_sweep(
     in the order of ``_box_pairs``, or NO_COUNTEREXAMPLE; ``ctx`` is the
     residue context of r.
 
-    When ``image`` is the group A of upper-left entries of G0(r) modulo r,
-    as reduced pairs, every x whose residue lies outside A is skipped
-    unread: a reduced x/(r*y) is the first column of an element of G0(r),
-    so its x lies in A, and the first witness in box order is the same.
-    A holds units only, so x is then coprime to r with no gcd; without A
-    the raw Euclid kernel tests that.  The x with x**2 = 1 (mod r) are
-    skipped on raw coefficients.  Each denominator r*y is built the first
-    time the y-loop reaches it and kept for later x, so a witness found in
-    the first shells costs no more than those shells: at the box modulus
-    18L+6, with A, the sweep finds (1 + 4L, -L) in shell 4 after 4
+    When ``image`` is a group of units modulo r, as reduced pairs, that
+    holds the group A of upper-left entries of G0(r) modulo r (A itself, or
+    the B of ``_image_walk``), every x whose residue lies outside it is
+    skipped unread: a reduced x/(r*y) is the first column of an element of
+    G0(r), so its x lies in A, and the first witness in box order is the
+    same.  The group holds units only, so x is then coprime to r with no
+    gcd; without it the raw Euclid kernel tests that.  The x with x**2 = 1
+    (mod r) are skipped on raw coefficients.  Each denominator r*y is built
+    the first time the y-loop reaches it and kept for later x, so a witness
+    found in the first shells costs no more than those shells: at the box
+    modulus 18L+6, with B, the sweep finds (1 + 4L, -L) in shell 4 after 4
     chains and 4 denominators at every bound from 4 to 8, in about
     0.04 ms (CPython 3.11, shared 2-vCPU host).
     """

@@ -17,7 +17,12 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import BadRangeError, BoundExceededError, IntegrityError
-from .ideals import ResidueCtx, _index_and_primes, smallest_rational_integer
+from .ideals import (
+    ResidueCtx,
+    _hnf,
+    _index_and_primes,
+    smallest_rational_integer,
+)
 from .reduction import (
     GEN_S,
     GEN_T,
@@ -28,7 +33,7 @@ from .reduction import (
     g5_decompose,
     t_power,
 )
-from .ring import ONE, ZERO, RingElt, _euclid, exact_divide, gcd, int_text
+from .ring import ONE, ZERO, RingElt, _divmod_step, _euclid, gcd, int_text
 
 
 def g0_contains(m: GMatrix, modulus: RingElt) -> bool:
@@ -46,13 +51,14 @@ def conjugate(a: GMatrix, b: GMatrix) -> GMatrix:
 # --- coset enumeration ----------------------------------------------------------
 
 
-def _unit_count(mu: RingElt, primes: Sequence[ResidueCtx]) -> int:
+def _unit_count(mu: tuple[int, int], primes: Sequence[ResidueCtx]) -> int:
     """phi(mu) = N(mu) * prod(1 - 1/N(P)), the number of invertible residues
-    modulo ``mu``, the product over those of ``primes`` that divide mu (they
-    must include every prime of mu)."""
-    count = mu.abs_norm()
+    modulo the element whose coefficients are ``mu``, the product over those
+    of ``primes`` that divide it (they must include every prime of mu)."""
+    a, b = mu
+    count = abs(a * a + a * b - b * b)
     for p in primes:
-        if p.divides(mu):
+        if p.red(a, b) == (0, 0):
             count = count // p.size * (p.size - 1)
     return count
 
@@ -143,6 +149,7 @@ class _ProjectiveLine:
         # divisor of the level, until the orbit is full; row-major order
         # meets each orbit at its least residue c0 first
         canon: list = [None] * size
+        ra, rb = modulus.coeffs
         for c0 in range(size):
             if canon[c0] is not None:
                 continue
@@ -154,14 +161,13 @@ class _ProjectiveLine:
                     canon[ua * g + ub] = (base, wa, wb, n, g, m)
                 continue
             least = divmod(c0, g)
-            # ResidueCtx depends on the ideal alone, so any associate of the
-            # gcd serves
-            divisor = RingElt(*_euclid(*least, *modulus.coeffs))
-            mu = ResidueCtx(exact_divide(modulus, divisor))
-            mn, mg, mm = mu.n, mu.g, mu.m
+            # mu = modulus / gcd(c0, modulus), an exact division; the HNF
+            # depends on the ideal alone, so any associate of the gcd serves
+            mu = _divmod_step(ra, rb, *_euclid(*least, ra, rb))[:2]
+            mn, mg, mm = _hnf(*mu)
             # u * c = c0 for c = x * e**-1 * c0, which is u**-1 * c0
             shifted = mul(e_inverse, least)
-            missing = _unit_count(mu.modulus, primes)
+            missing = _unit_count(mu, primes)
             for (wa, wb), x in zip(units, scaled):
                 ca, cb = mul(x, shifted)
                 c = ca * g + cb
@@ -241,11 +247,18 @@ class _Orbit:
     its position.  Edge 2i goes from class i by S and edge 2i + 1 by T, to
     the class ``successors`` lists under that number, and ``reaching[j - 1]``
     is the number of the edge that first reaches class j.  Raises
-    BoundExceededError when the index exceeds ``max_points``.
+    BoundExceededError when the index exceeds ``max_points``.  A caller that
+    has factored the level passes ``index_and_primes`` as
+    ``_index_and_primes`` gives them, and the level is not factored again.
     """
 
-    def __init__(self, modulus: RingElt, max_points: int) -> None:
-        self.expected, primes = _index_and_primes(modulus)
+    def __init__(
+        self,
+        modulus: RingElt,
+        max_points: int,
+        index_and_primes: tuple[int, Sequence[RingElt]] | None = None,
+    ) -> None:
+        self.expected, primes = index_and_primes or _index_and_primes(modulus)
         if self.expected > max_points:
             raise BoundExceededError(
                 f"index {int_text(self.expected)} exceeds the configured bound "
@@ -383,7 +396,9 @@ def schreier_generators(modulus: RingElt) -> Iterator[GMatrix]:
 
 
 def _upper_left_image(
-    modulus: RingElt, max_points: int
+    modulus: RingElt,
+    max_points: int,
+    index_and_primes: tuple[int, Sequence[RingElt]] | None = None,
 ) -> frozenset[tuple[int, int]]:
     """The upper-left entries of the level-``modulus`` subgroup modulo the
     level: a group A of invertible residues holding -1, as reduced pairs.
@@ -396,9 +411,10 @@ def _upper_left_image(
     that closes a cycle has upper-left entry a' d_j - b' c_j, where (a', b')
     is the top row of rep_i * g and (c_j, d_j) the bottom row of rep_j.
     That entry is formed on raw coefficients and reduced once.  Raises
-    BoundExceededError when the index exceeds ``max_points``.
+    BoundExceededError when the index exceeds ``max_points``;
+    ``index_and_primes`` is passed on to ``_Orbit``.
     """
-    orbit = _Orbit(modulus, max_points)
+    orbit = _Orbit(modulus, max_points, index_and_primes)
     line, points, successors = orbit.line, orbit.points, orbit.successors
     red, mul, moves = line.ctx.red, line.mul, line.moves
     n, g, m = line.ctx.n, line.ctx.g, line.ctx.m

@@ -17,6 +17,7 @@ from hecke5.errors import (
 )
 from hecke5.ideals import (
     ResidueCtx,
+    factor,
     h_of,
     half_power_part,
     ideals_up_to_norm,
@@ -56,6 +57,7 @@ from hecke5.subgroups import (
     sample_words,
     schreier_generators,
 )
+from test_subgroups import UPPER_LEFT_IMAGE_GOLDEN
 
 
 def elt(text: str) -> RingElt:
@@ -437,15 +439,18 @@ def test_image_walk_runs_within_its_guard_only(monkeypatch):
     # The walk runs when the index is at most max(20, (2b+1)**4 / 4), which
     # always admits 2 and 4 (index 5 and 20).  No targeted witness settles
     # 30 or 36L-18 (index 1500 and 2700), so the box gives their verdict.
+    # walked records each entry to _image_walk, the one place that factors
+    # r and compares its index with the limit.
     from hecke5 import ideals, normalizer
 
     walked = []
+    image_walk = normalizer._image_walk
 
-    def recorded(r, max_points):
-        walked.append((r, max_points))
-        return _upper_left_image(r, max_points)
+    def recorded(r, ctx, limit):
+        walked.append((r, limit))
+        return image_walk(r, ctx, limit)
 
-    monkeypatch.setattr(normalizer, "_upper_left_image", recorded)
+    monkeypatch.setattr(normalizer, "_image_walk", recorded)
     for r, bound, walks, verdict in (
         (ints(4), 1, True, NO_COUNTEREXAMPLE),
         (LAMBDA * ints(2), 1, True, NO_COUNTEREXAMPLE),
@@ -477,6 +482,42 @@ def test_image_walk_runs_within_its_guard_only(monkeypatch):
         assert verdict.verdict == NO_COUNTEREXAMPLE
         assert verdict.witness is None
     assert walked == []
+
+
+def test_image_walk_matches_the_walk_of_g0_r():
+    # the CRT product B of the prime-power images hashes as the single walk
+    # of G0(r) does in test_subgroups: B = A on every ideal of norm <= 600
+    digest = hashlib.sha256()
+    for tau in ideals_up_to_norm(600):
+        image = normalizer_module._image_walk(tau, ResidueCtx(tau), _MAX_POINTS)
+        digest.update(repr((tau.coeffs, sorted(image))).encode() + b"\n")
+    assert digest.hexdigest() == UPPER_LEFT_IMAGE_GOLDEN
+
+
+def test_image_walk_uses_every_prime_power():
+    # at the box modulus 18L+6 = 2 * 3 * (2L-1) * unit, B is the set of
+    # residues x with x mod q in A(q) for every prime power q, found here by
+    # brute force, and dropping any one q leaves a strictly larger set
+    r = elt("18*L+6")
+    ctx = ResidueCtx(r)
+    parts = [
+        (ResidueCtx(p**e), _upper_left_image(p**e, _MAX_POINTS))
+        for p, e in factor(r).factors
+    ]
+    assert len(parts) == 3
+    residues = [x.coeffs for x in ctx.residues()]
+
+    def product(kept):
+        return {
+            x for x in residues
+            if all(q.red(*x) in image for q, image in kept)
+        }
+
+    image = normalizer_module._image_walk(r, ctx, _MAX_POINTS)
+    assert image == product(parts)
+    assert len(image) == 16
+    for i in range(len(parts)):
+        assert product(parts[:i] + parts[i + 1:]) > image, i
 
 
 def test_box_sweep_finds_nothing_for_associates_of_2_and_4():

@@ -210,7 +210,7 @@ def test_unit_orbit_sizes_sum_to_the_norm():
             mu = ONE
             for (p, _), k in zip(factors, exponents):
                 mu = mu * p**k
-            total += subgroups._unit_count(mu, primes)
+            total += subgroups._unit_count(mu.coeffs, primes)
         assert total == tau.abs_norm(), tau
 
 
