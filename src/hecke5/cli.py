@@ -40,8 +40,7 @@ import os
 import re
 import shlex
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from . import errors as _errors
@@ -98,8 +97,7 @@ def parse_command(line: str) -> list[str]:
     return words
 
 
-@dataclass(frozen=True)
-class _Outcome:
+class _Outcome(NamedTuple):
     """One command's result: JSON payload, text lines, and exit semantics."""
 
     schema: str

@@ -9,10 +9,9 @@ norm p, and primes congruent to +-2 mod 5 stay inert with norm p**2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as _gcd_int, prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     FactorCapError,
@@ -254,8 +253,7 @@ def primes_above(p: int) -> tuple[RingElt, ...]:
     return (RingElt(p, 0),)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Unit times a sorted product of canonical prime powers."""
 
     unit: UnitRep

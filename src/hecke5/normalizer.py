@@ -22,10 +22,9 @@ the default bound, though its A holds residues whose square is not 1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, reduce
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     BadRangeError,
@@ -94,8 +93,7 @@ def _lcm(x: RingElt, y: RingElt) -> RingElt:
 # --- the normalizer level --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizerResult:
+class NormalizerResult(NamedTuple):
     """The normalizer of G0(tau): it equals G0(modulus) with modulus = tau/h."""
 
     modulus: RingElt
@@ -131,8 +129,7 @@ def normalizes(m: GMatrix, tau: RingElt) -> bool:
 # --- quotient group table ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientTable:
+class QuotientTable(NamedTuple):
     """Group table of N(G0(tau))/G0(tau) = G0(tau/h)/G0(tau), read as (O/h, +).
 
     ``modulus`` is the level tau of the subgroup being quotiented by;
@@ -283,8 +280,7 @@ def reduced_witness_bound(tau: RingElt, u: RingElt, w: RingElt) -> RingElt:
     return canonical_associate(bound)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One stripping step of the supergroup derivation.
 
     ``removed`` is the prime power stripped from the modulus, ``remaining``
@@ -301,8 +297,7 @@ class ChainStep:
     bound: RingElt
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Derivation of N(G0(tau)) <= G0(tau/h) from witness fractions."""
 
     input: RingElt
@@ -416,8 +411,7 @@ DEFAULT_ELEMENTARY_BOUND = 12
 #: index, is checked first, so an r past the limit is never factored.
 _WALK_PAIRS_PER_CLASS = 4
 
-@dataclass(frozen=True)
-class ElementaryVerdict:
+class ElementaryVerdict(NamedTuple):
     """Outcome of searching for a reduced form x/(r*y) with x**2 != 1 mod r.
 
     ``verdict`` is COUNTEREXAMPLE_FOUND with ``witness = (x, y)`` — so the
@@ -606,8 +600,7 @@ def _box_sweep(
     return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
 
 
-@dataclass(frozen=True)
-class StrongVerdict:
+class StrongVerdict(NamedTuple):
     """Whether every divisor of r (up to associates) is G5-elementary."""
 
     r: RingElt

@@ -14,9 +14,8 @@ test with a generator-word certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, inf
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadDeterminantError,
@@ -216,8 +215,7 @@ def parse_word(text: str) -> Word:
 # --- pseudo-division ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PseudoStep:
+class PseudoStep(NamedTuple):
     """One division step: x = quotient * (y*L) + remainder."""
 
     quotient: int
@@ -254,8 +252,7 @@ def pseudo_divide(x: RingElt, y: RingElt) -> PseudoStep:
 # --- the reduction chain ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedFormResult:
+class ReducedFormResult(NamedTuple):
     """Outcome of reducing the fraction num/den.
 
     ``e`` is the canonical scaling exponent: (num*L**e, den*L**e) is the

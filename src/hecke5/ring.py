@@ -12,7 +12,6 @@ it the exact one (see ``hecke5.reduction._chain``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional
 
@@ -216,8 +215,7 @@ def _floor_quad(p: int, q: int, r: int) -> int:
 # --- units ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitRep:
+class UnitRep(NamedTuple):
     """A unit written as sign * L**exponent."""
 
     sign: int

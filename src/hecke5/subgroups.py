@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BadRangeError, BoundExceededError, IntegrityError
 from .ideals import (
@@ -453,8 +452,7 @@ def _upper_left_image(
 # --- shear families ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShearPair:
+class ShearPair(NamedTuple):
     """The element T**x * Low**y with Low = [[1, 0], [n*L, 1]].
 
     ``n`` is the smallest positive rational integer divisible by the level.

@@ -544,7 +544,7 @@ def test_residue_reduce_is_mod_map(a, b, xa, xb, ya, yb):
     assert ctx.divides(mod * y)
 
 
-def test_factorization_is_dataclass_value():
+def test_factorization_is_a_record_value():
     fac = factor(elem(44, 72))  # 4 * (18L + 11), and 18L+11 = (2L-1) L**6
     assert isinstance(fac, Factorization)
     assert fac.unit == UnitRep(1, 6)

@@ -7,10 +7,17 @@ re-exports.  The definition rule looks for references in ``src``,
 ``tests``, ``bench`` and ``demos``; a re-export or an ``__all__`` entry is
 not a reference, a name in any other string constant is, so names that
 ``bench/tracer.py`` looks up by string count as used.
+
+A start-up guard imports the package in a fresh interpreter and checks that
+no heavy standard module comes with it, since every one-shot CLI call pays
+for what the import loads.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Sequence
@@ -178,3 +185,25 @@ def test_no_dead_definitions():
         for p in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert dead_definitions(package, others) == []
+
+
+#: Standard modules that importing the package must not load: ``dataclasses``
+#: pulls in ``inspect``, and ``inspect`` pulls in ``ast``, ``dis`` and
+#: ``tokenize``: about a third of a fresh import with no bytecode cache.
+UNLOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+STARTUP_PROBE = (
+    "import sys; before = set(sys.modules); import hecke5, hecke5.cli; "
+    "print(*sorted(set(sys.modules) - before))"
+)
+
+
+def test_import_loads_none_of_the_heavy_standard_modules():
+    # -S keeps site-packages' .pth hooks from loading modules before the probe
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "hecke5.cli" in loaded
+    assert [name for name in UNLOADED if name in loaded] == []

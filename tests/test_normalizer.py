@@ -1,6 +1,7 @@
 """Tests for the normalizer module: normalizer levels, chain, quotients, searches."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -43,6 +44,7 @@ from hecke5.normalizer import (
 from hecke5.reduction import (
     GMatrix,
     _exponent_or_none,
+    eval_word,
     is_reduced_form,
     reduced_factor,
 )
@@ -259,6 +261,83 @@ def test_quotient_table_matches_the_matrix_filter(tau):
             product = left * right
             assert q.locate(product) == q.table[i][j]
             assert q.locate(base.reps[base.locate(product)]) == q.table[i][j]
+
+
+def centralizer(table: CosetTable) -> dict[int, list[int]]:
+    """Each class j for which 0 -> j extends to a permutation of the classes
+    commuting with S and T, mapped to that permutation.
+
+    The action is transitive, so the image of 0 fixes the permutation: it is
+    grown along S and T edges and rejected on the first clash.  A commuting
+    permutation fixes what T fixes and keeps T-cycle lengths, so j must be
+    T-fixed like 0, and the T-cycle through j*S must be as long as the one
+    through 0*S.
+    """
+    s, t = table.action["S"], table.action["T"]
+
+    def t_cycle(i: int) -> int:
+        length, j = 1, t[i]
+        while j != i:
+            length, j = length + 1, t[j]
+        return length
+
+    width = t_cycle(s[0])
+    found = {}
+    for j in range(len(s)):
+        if t[j] != j or t_cycle(s[j]) != width:
+            continue
+        perm = [-1] * len(s)
+        perm[0], stack, clash = j, [0], False
+        while stack and not clash:
+            i = stack.pop()
+            for act in (s, t):
+                a, b = act[i], act[perm[i]]
+                if perm[a] < 0:
+                    perm[a] = b
+                    stack.append(a)
+                elif perm[a] != b:
+                    clash = True
+        if not clash:
+            found[j] = perm
+    return found
+
+
+#: Element orders of 1, Z2 x Z2 and Z4 x Z4, by h: among abelian groups of
+#: order h**2 they fix the type.
+CENTRALIZER_ORDERS = {1: {1: 1}, 2: {1: 1, 2: 3}, 4: {1: 1, 2: 3, 4: 12}}
+
+
+def test_centralizer_of_the_coset_action_is_the_quotient_up_to_norm_400():
+    # [N(G0(tau)) : G0(tau)] counts the classes j for which 0 -> j commutes
+    # with the action (Dixon and Mortimer, Thm 4.2A): the centralizer reads
+    # only the coset table's S and T permutations, no matrix
+    moduli = ideals_up_to_norm(400)
+    assert len(moduli) == 171
+    for tau in moduli:
+        table, q = coset_table(tau), quotient_table(tau)
+        h, sub = h_of(tau), ResidueCtx(q.normalizer_modulus)
+        found = centralizer(table)
+        assert len(found) == h * h
+        assert sorted(found) == [
+            i for i, (ca, cb, _, _) in enumerate(table.points)
+            if sub.divides(RingElt(ca, cb))
+        ]
+        # the kernel cosets of phi: one class per quotient element, and
+        # composing the permutations adds their elements
+        image = {j: q.locate(eval_word(table.rep_words[j])) for j in found}
+        assert sorted(image.values()) == list(range(h * h))
+        # a permutation is fixed by its image of 0, and perm_a o perm_b sends
+        # 0 to perm_a[b]: the group is abelian when perm_a[b] == perm_b[a]
+        orders = Counter()
+        for a, perm in found.items():
+            for b in found:
+                assert perm[b] == found[b][a]
+                assert image[perm[b]] == q.table[image[a]][image[b]]
+            order, j = 1, a
+            while j != 0:
+                order, j = order + 1, perm[j]
+            orders[order] += 1
+        assert orders == CENTRALIZER_ORDERS[h]
 
 
 # --- reduced_witness_bound ----------------------------------------------------------

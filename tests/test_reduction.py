@@ -434,7 +434,7 @@ def test_g5_decompose_matches_its_definition():
     assert found[True] > 10 and found[False] > 10
 
 
-def test_result_is_dataclass():
+def test_result_is_a_record():
     res = reduced_factor(ONE, ONE)
     assert isinstance(res, ReducedFormResult)
     assert res.unit_sign in (1, -1)

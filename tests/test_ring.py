@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import hecke5
 from hecke5.errors import BothZeroError, NotAUnitError, ParseError, ZeroInputError
 from hecke5.reduction import GMatrix
 from hecke5.ring import (
@@ -474,7 +475,41 @@ def test_parse_format_round_trip(x):
     assert parse_element(format_element(x)) == x
 
 
+def one_record_of_each_type() -> tuple:
+    """One value of every public record type, each from the call that returns it."""
+    report = hecke5.supergroup_chain(elem(48))
+    return (
+        divmod_nearest(elem(7, 3), elem(2, 1)),
+        unit_decompose(lambda_pow(6)),
+        hecke5.factor(elem(44, 72)),
+        hecke5.pseudo_divide(elem(7, 3), elem(2, 1)),
+        hecke5.reduced_factor(elem(3, 1), elem(2)),
+        hecke5.ShearPair.from_level(1, 2, elem(2)),
+        report,
+        report.steps[0],
+        hecke5.is_g5_elementary(elem(3)),
+        hecke5.normalizer_of(elem(16)),
+        hecke5.quotient_table(elem(4)),
+        hecke5.strongly_elementary(elem(8)),
+    )
+
+
 def test_immutability_and_hash():
+    records = one_record_of_each_type()
+    public = {
+        obj
+        for name in hecke5.__all__
+        if isinstance(obj := getattr(hecke5, name), type) and issubclass(obj, tuple)
+    }
+    assert {type(rec) for rec in records} == public
+    for rec in records:
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
+        with pytest.raises(AttributeError):
+            rec.extra = 5  # type: ignore[attr-defined]
+        # a record hashes as the tuple of its fields
+        assert hash(rec) == hash(tuple(rec))
+    assert repr(records[1]) == "UnitRep(sign=1, exponent=6)"
     x = elem(1, 2)
     with pytest.raises(AttributeError):
         x.a = 5  # type: ignore[misc]
@@ -496,7 +531,7 @@ def test_immutability_and_hash():
 def test_copy_and_pickle_give_equal_objects():
     x = elem(-12345678901234567890, 7)
     m = GMatrix(elem(1, 1), L, 1, 1)  # det (L+1) - L = 1
-    for obj in (x, m):
+    for obj in (x, m, *one_record_of_each_type()):
         for clone in (
             copy.copy(obj),
             copy.deepcopy(obj),

@@ -10,7 +10,6 @@ CLI from their JSON text alone.  The module is loaded from its file and
 never edited.
 """
 
-import dataclasses
 import importlib.util
 import json
 import random
@@ -125,8 +124,7 @@ def test_chain_check_rejects_a_witness_times_lambda():
     # a witness u*L that is reduced for some other k and has a unit gcd is a
     # valid witness too, so the mutation is made where the gcd is not a unit
     mutants = [
-        dataclasses.replace(
-            step,
+        step._replace(
             witnesses=tuple(
                 u * LAMBDA if i == at else u for i, u in enumerate(step.witnesses)
             ),
