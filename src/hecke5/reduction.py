@@ -14,7 +14,7 @@ test with a generator-word certificate.
 
 from __future__ import annotations
 
-from math import ceil, inf
+from math import ceil
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -298,6 +298,11 @@ _MAX_ERROR = 0.25
 #: below 2**-48, so below this gap the next one, e/(L**2 * gap**2), would
 #: exceed _MAX_ERROR anyway; the cut also keeps gap**2 from underflowing.
 _MIN_GAP = 2.0**-24
+#: A refresh where one of wa, wb and n reaches _TOP = 2**_KEEP_BITS shifts
+#: all three right by one s that leaves the largest this many bits, so
+#: their images, and |wa| + 2|wb| in the bound, are finite.
+_KEEP_BITS = 960
+_TOP = 2**_KEEP_BITS
 
 
 def _chain(
@@ -319,12 +324,23 @@ def _chain(
     roundoff:
 
     * Refresh.  With w = x*conj(y*L) and n = N(y*L) exact, t = (wa + wb*L)/n.
-      Its image t^ in doubles carries seven roundings (three conversions,
-      L itself and three operations), so
-      |t^ - t| <= 6.01u (|wa| + L|wb|)/|n|.  The bound is
-      e = 2**-48 ((|wa| + 2|wb|)/|n| + 1), which keeps the invariant
-      |t^ - t| + 2**-50 (|t^| + 1) <= e; the second term pays for the
-      rounding of the test.
+      Once one of wa, wb and n reaches 2**960, all three are shifted right
+      by one s that leaves the largest 960 bits, and t_s = (wa_s + wb_s*L)/n_s
+      on the shifted integers stands in for t (unshifted, t_s = t).  Each
+      floor shift is below its exact quotient by less than 1, so
+      n_s (t_s - t) = (wa_s - wa/2**s) + (wb_s - wb/2**s) L + t (n/2**s - n_s)
+      gives |t_s - t| < (|t| + 3)/|n_s|.  The image t^ of t_s in doubles
+      carries seven roundings (three conversions, L itself and three
+      operations), so |t^ - t_s| <= 6.01u (|wa_s| + L|wb_s|)/|n_s|.  The
+      bound is e = 2**-48 ((|wa_s| + 2|wb_s|)/|n_s| + 1), which keeps the
+      invariant |t^ - t| + 2**-50 (|t^| + 1) <= e; the second term pays for
+      the rounding of the test.  The shift adds no term to e.  With
+      A = (|wa_s| + L|wb_s|)/|n_s| >= |t_s| and |n_s| >= 2**60, the shift's
+      share is at most 2**-59 (A + 3), the whole left side stays below
+      2**-48 (0.44 A + 0.26), and the computed e is above
+      2**-48 (0.99 A + 0.99).  A shifted refresh with |n_s| < 2**60 has
+      wa_s or wb_s of at least 2**959, so e > 2**851 and it proves nothing;
+      n_s = 0 skips the floats.
     * Test.  q = ceil(t^ - 1/2 - e) is t's quotient when t^ - 1/2 + e <= q,
       since t - 1/2 then lies in (q - 1, q].  A tie t = k + 1/2 puts k
       inside the interval and never passes.  e <= 1/4 gives |t^| < 2**48,
@@ -336,12 +352,11 @@ def _chain(
       second term also covers the three roundings of t'^.
 
     A float run ends when the test fails (every tie ends one), when
-    gap < _MIN_GAP, when e > _MAX_ERROR (so also when t^ is not finite), or
-    when y = 0.  Since gap <= 1/2, e grows by at least 4/L**2 per step, so
-    a run makes at most 76 steps and the cap is checked after it.  A
-    refresh that proves no quotient is followed by one exact step through
-    _pseudo_quotient, as is a step whose operands are past the double
-    range and every step of a chain on fewer than _FLOAT_BITS input bits.
+    gap < _MIN_GAP, when e > _MAX_ERROR, or when y = 0.  Since gap <= 1/2,
+    e grows by at least 4/L**2 per step, so a run makes at most 76 steps
+    and the cap is checked after it.  A refresh that proves no quotient is
+    followed by one exact step through _pseudo_quotient, as is every step
+    of a chain on fewer than _FLOAT_BITS input bits.
     The argument rests on IEEE doubles and on CPython's correctly rounded
     int -> float conversion.
     """
@@ -359,33 +374,37 @@ def _chain(
         if floats:
             start = steps
             ma, mb = yb, ya + yb  # y*L
-            try:
-                wa = float(xa * (ma + mb) - xb * mb)
-                wb = float(xb * ma - xa * mb)
-                n = float(ma * ma + ma * mb - mb * mb)
+            mc = ma + mb
+            wa = xa * mc - xb * mb
+            wb = xb * ma - xa * mb
+            n = ma * mc - mb * mb
+            if not (-_TOP < wa < _TOP and -_TOP < wb < _TOP and -_TOP < n < _TOP):
+                # near the double range: keep the leading _KEEP_BITS bits
+                s = max(wa.bit_length(), wb.bit_length(), n.bit_length()) - _KEEP_BITS
+                wa, wb, n = wa >> s, wb >> s, n >> s
+            if n:  # a shifted n may be 0; such a refresh proves nothing
+                wa, wb, n = float(wa), float(wb), float(n)
                 t = (wa + wb * _PHI) / n
                 e = 2.0**-48 * ((abs(wa) + 2 * abs(wb)) / abs(n) + 1)
-            except OverflowError:  # an operand past the double range
-                e = inf
-            while e <= _MAX_ERROR:
-                h = t - 0.5
-                q = ceil(h - e)
-                if h + e > q:
-                    break
-                if quotients is not None:
-                    quotients.append(q)
-                xa, xb, ya, yb = -ya, -yb, xa - yb * q, xb - (ya + yb) * q
-                steps += 1
-                if not (ya or yb):
-                    break
-                d = t - q
-                gap = abs(d) - e
-                if gap < _MIN_GAP:
-                    break
-                t = -1.0 / (_PHI2 * d)
-                e = e / (_PHI2 * gap * gap) + 2.0**-48 * (abs(t) + 1)
-            if steps > start:
-                continue
+                while e <= _MAX_ERROR:
+                    h = t - 0.5
+                    q = ceil(h - e)
+                    if h + e > q:
+                        break
+                    if quotients is not None:
+                        quotients.append(q)
+                    xa, xb, ya, yb = -ya, -yb, xa - yb * q, xb - (ya + yb) * q
+                    steps += 1
+                    if not (ya or yb):
+                        break
+                    d = t - q
+                    gap = abs(d) - e
+                    if gap < _MIN_GAP:
+                        break
+                    t = -1.0 / (_PHI2 * d)
+                    e = e / (_PHI2 * gap * gap) + 2.0**-48 * (abs(t) + 1)
+                if steps > start:
+                    continue
         q = _pseudo_quotient(xa, xb, ya, yb)
         if quotients is not None:
             quotients.append(q)

@@ -992,8 +992,9 @@ def _fuzz_element(rng):
 
 
 def _fuzz_reduce_pair(rng):
-    """A pair of up to 40 digits, or of 300 to 400 (past the double range
-    that the chain's float steps need), whose chain quotients are small."""
+    """A pair of up to 40 digits, or of 300 to 400 (past the double range,
+    where the chain's refreshes shift their products), whose chain
+    quotients are small."""
     while True:
         size = 10 ** rng.choice((rng.randint(1, 40), rng.randint(300, 400)))
         num, den = (

@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -45,10 +46,20 @@ from hecke5.reduction import (
     GMatrix,
     _exponent_or_none,
     eval_word,
+    g5_decompose,
     is_reduced_form,
     reduced_factor,
 )
-from hecke5.ring import LAMBDA, ONE, RingElt, gcd, lambda_pow, parse_element
+from hecke5.ring import (
+    LAMBDA,
+    ONE,
+    RingElt,
+    _inverse_mod,
+    exact_divide,
+    gcd,
+    lambda_pow,
+    parse_element,
+)
 from hecke5.subgroups import (
     _MAX_POINTS,
     CosetTable,
@@ -338,6 +349,71 @@ def test_centralizer_of_the_coset_action_is_the_quotient_up_to_norm_400():
                 order, j = order + 1, perm[j]
             orders[order] += 1
         assert orders == CENTRALIZER_ORDERS[h]
+
+
+def exact_divisors(tau: RingElt):
+    """The exact divisors e != 1 of tau (e | tau, gcd(e, tau/e) = 1): the
+    products of a nonempty set of tau's prime powers."""
+    powers = [p**k for p, k in factor(tau).factors]
+    for mask in range(1, 2 ** len(powers)):
+        e = ONE
+        for i, power in enumerate(powers):
+            if mask >> i & 1:
+                e = e * power
+        yield e
+
+
+def atkin_lehner(tau: RingElt, e: RingElt) -> tuple[RingElt, ...]:
+    """The entries of W_e = [[e, y], [tau, e*w]], det W_e = e, with
+    w = e**-1 mod tau/e and y = (e*w - 1)/(tau/e)."""
+    m = exact_divide(tau, e)
+    w = RingElt(*_inverse_mod(e.a, e.b, m.a, m.b))
+    return e, exact_divide(e * w - ONE, m), tau, e * w
+
+
+def conjugate_in_sl2(entries: tuple[RingElt, ...], g: GMatrix):
+    """W*g*adj(W)/det W for W with the given entries, or None when some
+    entry is not divisible by det W (the conjugate is not over Z[L])."""
+    a, b, c, d = entries
+    pa, pb = a * g.a + b * g.c, a * g.b + b * g.d
+    pc, pd = c * g.a + d * g.c, c * g.b + d * g.d
+    det = a * d - b * c
+    out = [
+        exact_divide(x, det)
+        for x in (pa * d - pb * c, pb * a - pa * b, pc * d - pd * c, pd * a - pc * b)
+    ]
+    return None if None in out else GMatrix(*out)
+
+
+def test_atkin_lehner_elements_leave_g5_up_to_norm_400():
+    # For Gamma0(N) the Atkin-Lehner involutions W_e normalize it; here each
+    # W_e conjugates some generator of G0(tau) to a matrix of SL2(Z[L])
+    # outside G5, a finite certificate that W_e does not normalize G0(tau)
+    pairs = 0
+    for tau in ideals_up_to_norm(400):
+        for e in exact_divisors(tau):
+            w_e = atkin_lehner(tau, e)
+            assert w_e[0] * w_e[3] - w_e[1] * w_e[2] == e
+            assert any(
+                (conj := conjugate_in_sl2(w_e, g)) is not None
+                and g5_decompose(conj) is None
+                for g in schreier_generators(tau)
+            )
+            pairs += 1
+    assert pairs == 373
+
+
+@pytest.mark.parametrize("n", [4, 12, 16, 48])
+def test_normalizer_generators_keep_g0_conjugates_inside(n):
+    # the control: G0(tau/h) normalizes G0(tau), so conjugating by its
+    # generators that lie outside G0(tau) keeps every conjugate in G0(tau)
+    tau = ints(n)
+    level = exact_divide(tau, ints(h_of(tau)))
+    outside = [m for m in schreier_generators(level) if not g0_contains(m, tau)]
+    assert outside
+    for m in outside[:3]:
+        for g in islice(schreier_generators(tau), 100):
+            assert g0_contains(conjugate(m, g), tau)
 
 
 # --- reduced_witness_bound ----------------------------------------------------------

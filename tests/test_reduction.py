@@ -47,6 +47,7 @@ from hecke5.ring import (
     ZERO,
     RingElt,
     _floor_quad,
+    _unit_log,
     gcd,
     lambda_pow,
     unit_decompose,
@@ -481,14 +482,33 @@ def _divisible_pairs():
         yield y * c, y
 
 
-#: Pairs where the float path ends or must not decide.  Float steps need
-#: products w = x*conj(y*L) inside the double range, about 1.8e308, which
-#: coefficients near 10**154 leave: chains of the first band leave the float
-#: path part way, as their coefficients grow, and the second band starts
-#: past it.
+def _huge_quotient_pairs():
+    """x = y*L*k + r over y = L, 2 + L and small denominators of both norm
+    signs, with k a 1000-digit integer and r small, once coprime to y and
+    once a multiple of it.  The first quotient, k, is past any float step,
+    and the chain then runs on small elements.  The refresh's n = N(y*L) is
+    small: over L it is N(L**2) = 1, which the shift takes to 0."""
+    rng = random.Random(20261021)
+    for den in (L, L + 2, elem(3), elem(1, 3), elem(2, -3), elem(4, 1), elem(-7, 2)):
+        k = rng.randint(-(10**1000), 10**1000)
+        r = elem(rng.randint(-9, 9), rng.randint(-9, 9))
+        yield den * L * k + r, den
+        yield den * (L * k + r), den
+
+
+#: Pairs where the float path ends, must not decide, or decides on scaled
+#: operands.  The refresh's products w = x*conj(y*L) and n = N(y*L) reach
+#: 2**960, where the refresh shifts them, once coefficients pass about
+#: 10**144: chains of the first band cross that size part way, as their
+#: coefficients grow, and the bands from 1e300 on start past it.  The
+#: 1e4000 band is checked on a seeded sample of its steps (see
+#: check_against_oracle).
 FLOAT_EDGE_FAMILIES = {
     "1e140-1e170": lambda: _large_pairs(count=12, low=140, high=170, seed=140),
     "1e300-1e400": lambda: _large_pairs(count=8, low=300, high=400, seed=300),
+    "1e1000": lambda: _large_pairs(count=1, low=1000, high=1000, seed=1000),
+    "1e4000": lambda: _large_pairs(count=1, low=4000, high=4000, seed=4000),
+    "huge-quotients": _huge_quotient_pairs,
     "ties": _tie_pairs,
     "y-divides-x": _divisible_pairs,
 }
@@ -556,13 +576,40 @@ def chain_run(num: RingElt, den: RingElt):
     return quotients, elem(*final)
 
 
+#: Coefficient size past which check_against_oracle replays a pair's chain
+#: and checks a sample of its steps: the RingElt oracle takes about 3 s on a
+#: 1000-digit pair and would take minutes on a 4000-digit one.
+_ORACLE_BITS = 7000
+
+
+def check_sampled_steps(num: RingElt, den: RingElt):
+    """Replay (x, y) on raw integers from _chain's quotients and check the
+    first, the last and a seeded sample of 40 steps against
+    _pseudo_quotient; the replay ends on y = 0 at the chain's final x."""
+    quotients, final = chain_run(num, den)
+    last = len(quotients) - 1
+    rng = random.Random(last)
+    picked = {0, last, *rng.sample(range(last + 1), min(40, last + 1))}
+    xa, xb, ya, yb = num.a, num.b, den.a, den.b
+    for i, q in enumerate(quotients):
+        assert ya or yb
+        if i in picked:
+            assert reduction._pseudo_quotient(xa, xb, ya, yb) == q
+        xa, xb, ya, yb = -ya, -yb, xa - yb * q, xb - (ya + yb) * q
+    assert not (ya or yb) and elem(xa, xb) == final
+
+
 def check_against_oracle(pairs):
     """Every quotient of the chain, float-decided or exact, is the one
     pseudo_divide (that is, _pseudo_quotient) gives at that step, and the
-    results agree with the oracle's.  Returns how many pairs were coprime
-    (True) and not (False)."""
+    results agree with the oracle's.  Pairs with a coefficient past
+    _ORACLE_BITS go to check_sampled_steps instead.  Returns how many pairs
+    were coprime (True) and not (False); sampled pairs are not counted."""
     seen = {True: 0, False: 0}
     for num, den in pairs:
+        if max(abs(c).bit_length() for c in (*num.coeffs, *den.coeffs)) > _ORACLE_BITS:
+            check_sampled_steps(num, den)
+            continue
         divisions, final, want = oracle_chain(num, den)
         for (x, y), step in divisions:
             assert pseudo_divide(x, y) == step
@@ -622,3 +669,23 @@ def test_step_cap_counts_float_steps(monkeypatch):
         _chain(num, den, quotients)
     assert len(quotients) > cap
     assert len(exact) < cap
+
+
+def test_chain_far_past_the_double_range_stays_on_floats(monkeypatch):
+    # a 1000-digit coprime pair: with an exact step wherever the refresh's
+    # products passed the double range, 4 256 of its 5 043 steps ran exact
+    exact = []
+
+    def counted(*args):
+        exact.append(args)
+        return real(*args)
+
+    real = reduction._pseudo_quotient
+    monkeypatch.setattr(reduction, "_pseudo_quotient", counted)
+    rng = random.Random(20261023)
+    big = 10**1000
+    num, den = (elem(rng.randint(-big, big), rng.randint(-big, big)) for _ in range(2))
+    quotients = []
+    assert _unit_log(*_chain(num, den, quotients)) is not None
+    assert len(quotients) > 4000
+    assert len(exact) <= 4
