@@ -8,15 +8,16 @@ and gcd bounds), and ``quotient_table`` gives the quotient group (trivial,
 Klein four, or Z4 x Z4) in closed form, as the additive group of O/h.
 
 The module also decides whether a ring element r is "G5-elementary": every
-reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  When the index of
-G0(r) is small next to the box it searches, ``is_g5_elementary`` walks the
-coset graph of G0(q) for each prime power q of r and joins the images by
-CRT into a group B that holds the image A of a -> a mod r on G0(r): if
-every element of B squares to 1, its NoCounterexampleUpTo verdict is a
-proof (for 2 and 4 among the ideals of norm up to 400), and otherwise the
-box sweep skips every x outside B.  A witness disproves the property, but
+reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  When the walks
+are small next to the box it searches, ``is_g5_elementary`` walks the coset
+graph of G0(q) for each prime power q of r, for the image A(q) of
+a -> a mod q on G0(q): if every A(q) squares to 1 modulo q, its
+NoCounterexampleUpTo verdict is a proof (for 2 and 4 among the ideals of
+norm up to 400), and otherwise the box sweep skips every x with x mod q
+outside some A(q).  A witness disproves the property, but
 NoCounterexampleUpTo from the sweep clears only the box: r = 60 gets it at
-the default bound, though its A holds residues whose square is not 1.
+the default bound, though the image of G0(60) holds residues whose square
+is not 1.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ from .reduction import GMatrix, _exponent_or_none, is_reduced_form
 from .ring import (
     ONE,
     RingElt,
-    _divmod_step,
     _euclid,
-    _inverse_mod,
     canonical_associate,
     exact_divide,
     gcd,
@@ -394,21 +393,21 @@ NO_COUNTEREXAMPLE = "NoCounterexampleUpTo"
 #: Default half-width of the coefficient box searched for counterexamples.
 DEFAULT_ELEMENTARY_BOUND = 12
 
-#: The walks that build A run only when the index of G0(r) is at most
+#: The walks of the G0(q), q the prime powers of r, run only when the norm
+#: of r and the sum of the indices of the G0(q) are both at most the limit
 #: min(_MAX_POINTS, max(20, (2*bound + 1)**4 // _WALK_PAIRS_PER_CLASS)); 20
 #: admits the divisors of 4 (index 5 and 20) at every bound.  Measured with
 #: CPython 3.11 on a shared 2-vCPU host, on the moduli up to norm 8000 that
-#: no targeted witness settles (2, 4 and multiples of 6(2L-1)), one walk of
-#: G0(r) costs 4 to 6 us per class from index 300 up, residue line included
-#: (6 and 18 us at the index 20 and 5 of 4 and 2, mostly fixed costs), and a
+#: no targeted witness settles (2, 4 and multiples of 6(2L-1)), a walk
+#: costs 4 to 6 us per class from index 300 up, residue line included (6
+#: and 18 us at the index 20 and 5 of 4 and 2, mostly fixed costs), and a
 #: full unpruned sweep 1.1 to 2.7 us per (2*bound + 1)**4 at bounds 4 and
-#: 6, so at the limit the walk costs at most about one full sweep.  The
-#: guard still reads index(r), but the walks now cost the sum of index(q)
-#: classes over the prime powers q of r, not their product: 21 in place of
-#: 300 at the box modulus 18L+6.  The pruned sweep then costs 0.3 to 21% of
-#: the full one, and 1 to 2% at 18L+6, where A has 16 of 96 units and the
-#: first witness lies in the fourth shell.  The norm, a lower bound of the
-#: index, is checked first, so an r past the limit is never factored.
+#: 6, so at the limit the walks cost at most about one full sweep.  The
+#: pruned sweep then costs 0.25 to 18% of the full one at 18L+6, 30 and
+#: 36L-18 and bounds 4 to 8: 0.25 to 1% at the box modulus 18L+6, whose
+#: walks cover 5 + 10 + 6 = 21 classes, where 16 of its 96 units pass and
+#: the first witness lies in the fourth shell.  The norm is checked first,
+#: so an r of norm past the limit is never factored.
 _WALK_PAIRS_PER_CLASS = 4
 
 class ElementaryVerdict(NamedTuple):
@@ -439,19 +438,18 @@ def is_g5_elementary(
     """Search for a reduced form x/(r*y) violating x**2 = 1 (mod r).
 
     Tries the targeted witness numerators (2L^2, 3L^3, 9L^3, 9L^9, 5L^6 over
-    denominators n(r)*L^k) first.  Then, when the index of G0(r) is within
-    the guard of ``_WALK_PAIRS_PER_CLASS`` (always for divisors of 4), one
-    coset walk per prime power q of r builds a group B that holds the image
-    A of a -> a mod r on G0(r) (see ``_image_walk``): if every b in B has
-    b**2 = 1 (mod r), no counterexample exists anywhere and
-    NO_COUNTEREXAMPLE is exact.  Otherwise it sweeps all coefficient pairs
-    (x, y) in the box [-bound, bound]^2 in a fixed deterministic order,
-    skipping every x outside B when B is known, so the reported witness
-    depends on the box alone.  At the box modulus 18L+6 (index 300, prime
-    powers of index 5, 10 and 6) a search at bounds 4 to 8 takes about
-    0.30 ms, of which the walks and their CRT product take 0.19 ms and the
-    sweep 0.045 ms, against 1.1 ms for one walk of G0(r) (CPython 3.11,
-    shared 2-vCPU host).
+    denominators n(r)*L^k) first.  Then, when the walks are within the
+    guard of ``_WALK_PAIRS_PER_CLASS`` (always for divisors of 4), one coset
+    walk per prime power q of r gives the image A(q) of a -> a mod q on
+    G0(q) (see ``_image_walk``): if every a in every A(q) has a**2 = 1
+    (mod q), no counterexample exists anywhere and NO_COUNTEREXAMPLE is
+    exact.  Otherwise it sweeps all coefficient pairs (x, y) in the box
+    [-bound, bound]^2 in a fixed deterministic order, skipping every x with
+    x mod q outside some A(q) when the A(q) are known, so the reported
+    witness depends on the box alone.  At the box modulus 18L+6 (index 300,
+    prime powers of index 5, 10 and 6) a search at bounds 4 to 8 takes
+    about 0.31 ms, of which the walks take 0.18 ms and the sweep 0.07 ms,
+    against 1.1 ms for one walk of G0(r) (CPython 3.11, shared 2-vCPU host).
     Because x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over
     one sign class only.  A unit r divides everything, so the verdict is
     immediate.
@@ -477,56 +475,38 @@ def is_g5_elementary(
     # c = 0 (mod r) on G0(r), so a -> a mod r is a homomorphism into
     # (O/r)^x/+-1 and its image A holds the x of every reduced x/(r*y); the
     # elements with a**2 = 1 form a subgroup, which holds G0(r) exactly
-    # when it holds A, as it does when it holds a group B that holds A
+    # when it holds A, as it does when every A(q) squares to 1 modulo q
     box_limit = (2 * bound + 1) ** 4 // _WALK_PAIRS_PER_CLASS
     limit = min(_MAX_POINTS, max(20, box_limit))
-    image = None
+    parts = None
     if r.abs_norm() <= limit:
-        image = _image_walk(r, ctx, limit)
-        if image is not None and _squares_to_one(ctx, image):
+        parts = _image_walk(r, limit)
+        if parts is not None and all(
+            _squares_to_one(q, image) for q, image in parts
+        ):
             return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
-    return _box_sweep(r, ctx, bound, image)
+    return _box_sweep(r, ctx, bound, parts)
 
 
 def _image_walk(
-    r: RingElt, ctx: ResidueCtx, limit: int
-) -> Optional[frozenset[tuple[int, int]]]:
-    """A group B of invertible residues modulo r, as reduced pairs, that
-    holds the image A of a -> a mod r on G0(r), or None when the index of
-    G0(r) exceeds ``limit``; ``ctx`` is the residue context of r, and r is
-    factored once.
+    r: RingElt, limit: int
+) -> Optional[list[tuple[ResidueCtx, frozenset[tuple[int, int]]]]]:
+    """(ResidueCtx(q), A(q)) for each prime power q of r, where A(q) is the
+    image of a -> a mod q on G0(q), as reduced pairs; or None when the sum
+    of the indices of the G0(q) exceeds ``limit``.  r is factored once.
 
-    A prime power r is walked itself, and B = A.  Otherwise B is the CRT
-    product of the images A(q) of G0(q) over the prime powers q of r: the
-    residues x with x mod q in A(q) for every q, each a sum of a(q) * e(q)
-    with e(q) = 1 modulo q and 0 modulo r/q.  G0(r) lies in every G0(q), so
-    B holds A, and the box sweep skips no x that A holds.  x**2 = 1 modulo
-    r exactly when it holds modulo every q, so B squares to 1 exactly when
-    every A(q) does, and then so does A.  The walks cost index(q) classes
-    each, against index(r), their product, for the walk of G0(r).
+    G0(r) lies in every G0(q), so the x of a reduced x/(r*y) has x mod q in
+    A(q) for every q, and x**2 = 1 modulo r exactly when it holds modulo
+    every q.  The walks cost index(q) classes each.
     """
-    factors = factor(r).factors
-    primes = tuple(p for p, _ in factors)
-    index = _level_index(r.abs_norm(), primes)
-    if index > limit:
+    powers = [(p**k, p) for p, k in factor(r).factors]
+    indices = [_level_index(q.abs_norm(), (p,)) for q, p in powers]
+    if sum(indices) > limit:
         return None
-    if len(factors) == 1:
-        return _upper_left_image(r, limit, (index, primes))
-    ra, rb = r.coeffs
-    image = {(0, 0)}
-    for p, k in factors:
-        q = p**k
-        index = _level_index(q.abs_norm(), (p,))
-        part = _upper_left_image(q, limit, (index, (p,)))
-        # e(q) = m * (m**-1 mod q) for m = r/q, an exact division
-        ma, mb = _divmod_step(ra, rb, *q.coeffs)[:2]
-        ia, ib = _inverse_mod(ma, mb, *q.coeffs)
-        ea, eb = ctx.red(ma * ia + mb * ib, ma * ib + mb * (ia + ib))
-        terms = [(a * ea + b * eb, a * eb + b * (ea + eb)) for a, b in part]
-        image = {
-            ctx.red(xa + ta, xb + tb) for xa, xb in image for ta, tb in terms
-        }
-    return frozenset(image)
+    return [
+        (ResidueCtx(q), _upper_left_image(q, limit, (index, (p,))))
+        for (q, p), index in zip(powers, indices)
+    ]
 
 
 def _box_pairs(bound: int) -> Iterator[tuple[int, int]]:
@@ -550,25 +530,26 @@ def _box_sweep(
     r: RingElt,
     ctx: ResidueCtx,
     bound: int,
-    image: Optional[frozenset[tuple[int, int]]] = None,
+    parts: Optional[list[tuple[ResidueCtx, frozenset[tuple[int, int]]]]] = None,
 ) -> ElementaryVerdict:
     """The first counterexample x/(r*y) with x and y in the coefficient box,
     in the order of ``_box_pairs``, or NO_COUNTEREXAMPLE; ``ctx`` is the
     residue context of r.
 
-    When ``image`` is a group of units modulo r, as reduced pairs, that
-    holds the group A of upper-left entries of G0(r) modulo r (A itself, or
-    the B of ``_image_walk``), every x whose residue lies outside it is
+    ``parts`` holds pairs (ResidueCtx(q), A(q)) of a modulus q and a group
+    of units modulo q, as reduced pairs, such that the upper-left entry of
+    every element of G0(r) lies in A(q) modulo q, as the parts of
+    ``_image_walk`` do.  Every x with x mod q outside some A(q) is then
     skipped unread: a reduced x/(r*y) is the first column of an element of
-    G0(r), so its x lies in A, and the first witness in box order is the
-    same.  The group holds units only, so x is then coprime to r with no
-    gcd; without it the raw Euclid kernel tests that.  The x with x**2 = 1
+    G0(r), so the first witness in box order is the same.  Each A(q) holds
+    units only, so an x that passes is coprime to r with no gcd; with
+    ``parts`` None the raw Euclid kernel tests that.  The x with x**2 = 1
     (mod r) are skipped on raw coefficients.  Each denominator r*y is built
     the first time the y-loop reaches it and kept for later x, so a witness
     found in the first shells costs no more than those shells: at the box
-    modulus 18L+6, with B, the sweep finds (1 + 4L, -L) in shell 4 after 4
-    chains and 4 denominators at every bound from 4 to 8, in about
-    0.04 ms (CPython 3.11, shared 2-vCPU host).
+    modulus 18L+6, with its parts, the sweep finds (1 + 4L, -L) in shell 4
+    after 4 chains and 4 denominators at every bound from 4 to 8, in about
+    0.07 ms (CPython 3.11, shared 2-vCPU host).
     """
     ra, rb = r.coeffs
     made: list[tuple[RingElt, RingElt]] = []
@@ -587,11 +568,13 @@ def _box_sweep(
     for a, b in _box_pairs(bound):
         if (a, b) <= (0, 0):
             continue
-        if image is not None and ctx.red(a, b) not in image:
+        if parts is not None and not all(
+            q.red(a, b) in image for q, image in parts
+        ):
             continue
         if _is_involution(ctx, a, b):
             continue
-        if image is None and not RingElt(*_euclid(a, b, ra, rb)).is_unit():
+        if parts is None and not RingElt(*_euclid(a, b, ra, rb)).is_unit():
             continue
         x = RingElt(a, b)
         for denominator, y in denominators():

@@ -337,26 +337,6 @@ def _euclid(xa: int, xb: int, ya: int, yb: int) -> tuple[int, int]:
     return xa, xb
 
 
-def _inverse_mod(xa: int, xb: int, ya: int, yb: int) -> tuple[int, int]:
-    """Coefficients of an inverse of xa + xb*L modulo ya + yb*L, unreduced,
-    by ``_euclid``'s steps with a cofactor s kept so that s*x is congruent
-    to the current remainder.  Raises NotAUnitError unless x and y are
-    coprime."""
-    sa, sb, ta, tb = 1, 0, 0, 0
-    while ya or yb:
-        qa, qb, ra, rb = _divmod_step(xa, xb, ya, yb)
-        xa, xb, ya, yb = ya, yb, ra, rb
-        sa, sb, ta, tb = (
-            ta, tb, sa - qa * ta - qb * tb, sb - qa * tb - qb * (ta + tb)
-        )
-    # s*x = u for the gcd u, and u**-1 = norm(u) * conj(u) for a unit u
-    n = xa * xa + xa * xb - xb * xb
-    if n not in (1, -1):
-        raise NotAUnitError(f"gcd {xa} + {xb}*L is not a unit")
-    ua, ub = n * (xa + xb), -n * xb
-    return sa * ua + sb * ub, sa * ub + sb * (ua + ub)
-
-
 def gcd(x: RingElt, y: RingElt) -> RingElt:
     """Euclidean gcd by divmod_nearest's step, returned as the canonical
     associate."""

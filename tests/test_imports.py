@@ -3,10 +3,12 @@ every import sits at module level, and every function, method and class the
 package defines is referenced somewhere outside its own definition.
 
 The import rules leave ``__init__`` out, since its imports are the public
-re-exports.  The definition rule looks for references in ``src``,
-``tests``, ``bench`` and ``demos``; a re-export or an ``__all__`` entry is
-not a reference, a name in any other string constant is, so names that
-``bench/tracer.py`` looks up by string count as used.
+re-exports.  The definition rule looks for references to a public name in
+``src``, ``tests``, ``bench`` and ``demos``, and to a private (``_``-prefixed)
+one in ``src`` and ``bench`` only: a private helper that only tests call is
+dead code.  A re-export or an ``__all__`` entry is not a reference, a name in
+any other string constant is, so names that ``bench/tracer.py`` looks up by
+string count as used.
 
 A start-up guard imports the package in a fresh interpreter and checks that
 no heavy standard module comes with it, since every one-shot CLI call pays
@@ -136,14 +138,20 @@ def references(tree: ast.AST) -> Counter:
     return found
 
 
-def dead_definitions(package: dict[str, str], others: Sequence[str]) -> list[str]:
+def dead_definitions(
+    package: dict[str, str], callers: Sequence[str], tests: Sequence[str]
+) -> list[str]:
     """Non-dunder functions, methods and classes defined in ``package`` (module
-    name to source) that neither ``package`` nor ``others`` references outside
-    the definition itself."""
+    name to source) that nothing references outside the definition itself.
+    References in ``package`` and ``callers`` count for every name, those in
+    ``tests`` for public names only."""
     trees = {module: ast.parse(source) for module, source in package.items()}
-    total = Counter()
-    for tree in [*trees.values(), *(ast.parse(source) for source in others)]:
-        total.update(references(tree))
+    internal = Counter()
+    for tree in [*trees.values(), *(ast.parse(source) for source in callers)]:
+        internal.update(references(tree))
+    total = internal.copy()
+    for source in tests:
+        total.update(references(ast.parse(source)))
     dead = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -152,7 +160,8 @@ def dead_definitions(package: dict[str, str], others: Sequence[str]) -> list[str
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if total[name] == references(node)[name]:
+            found = internal if name.startswith("_") else total
+            if found[name] == references(node)[name]:
                 dead.append(f"{module}:{node.lineno}: {name}")
     return sorted(dead)
 
@@ -171,20 +180,28 @@ def test_dead_definitions_are_detected():
             "    def used(self): return self.hidden\n"
             "    def hidden(self): pass\n"
             "class Spare: pass\n"
+            "def _tested(): pass\n"
+            "def _traced(): pass\n"
         )
     }
-    others = ["from m import public\npublic()\nTRACED = ('Box.used', 'by_name')\n"]
-    assert dead_definitions(package, others) == ["m:11: Spare", "m:3: unused"]
+    callers = ["TRACED = ('Box.used', 'by_name', '_traced')\n"]
+    tests = ["from m import public, _tested\npublic()\n_tested()\n"]
+    assert dead_definitions(package, callers, tests) == [
+        "m:11: Spare", "m:12: _tested", "m:3: unused",
+    ]
 
 
 def test_no_dead_definitions():
     package = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    others = [
-        p.read_text()
-        for folder in ("tests", "bench", "demos")
-        for p in sorted((ROOT / folder).rglob("*.py"))
-    ]
-    assert dead_definitions(package, others) == []
+
+    def sources(*folders):
+        return [
+            p.read_text()
+            for folder in folders
+            for p in sorted((ROOT / folder).rglob("*.py"))
+        ]
+
+    assert dead_definitions(package, sources("bench"), sources("tests", "demos")) == []
 
 
 #: Standard modules that importing the package must not load: ``dataclasses``

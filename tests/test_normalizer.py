@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import islice
 
 import pytest
+from hypothesis import example, given
 
 import hecke5.normalizer as normalizer_module
 from hecke5.errors import (
@@ -12,6 +13,7 @@ from hecke5.errors import (
     BoundExceededError,
     IntegrityError,
     NotADivisorError,
+    NotAUnitError,
     NotCoprimeError,
     NotReducedError,
     UnitModulusError,
@@ -54,7 +56,7 @@ from hecke5.ring import (
     LAMBDA,
     ONE,
     RingElt,
-    _inverse_mod,
+    _divmod_step,
     exact_divide,
     gcd,
     lambda_pow,
@@ -70,6 +72,7 @@ from hecke5.subgroups import (
     sample_words,
     schreier_generators,
 )
+from test_ring import wide_nonzero_elements
 from test_subgroups import UPPER_LEFT_IMAGE_GOLDEN
 
 
@@ -363,6 +366,39 @@ def exact_divisors(tau: RingElt):
         yield e
 
 
+def _inverse_mod(xa: int, xb: int, ya: int, yb: int) -> tuple[int, int]:
+    """Coefficients of an inverse of xa + xb*L modulo ya + yb*L, unreduced,
+    by ``_euclid``'s steps with a cofactor s kept so that s*x is congruent
+    to the current remainder.  Raises NotAUnitError unless x and y are
+    coprime."""
+    sa, sb, ta, tb = 1, 0, 0, 0
+    while ya or yb:
+        qa, qb, ra, rb = _divmod_step(xa, xb, ya, yb)
+        xa, xb, ya, yb = ya, yb, ra, rb
+        sa, sb, ta, tb = (
+            ta, tb, sa - qa * ta - qb * tb, sb - qa * tb - qb * (ta + tb)
+        )
+    # s*x = u for the gcd u, and u**-1 = norm(u) * conj(u) for a unit u
+    n = xa * xa + xa * xb - xb * xb
+    if n not in (1, -1):
+        raise NotAUnitError(f"gcd {xa} + {xb}*L is not a unit")
+    ua, ub = n * (xa + xb), -n * xb
+    return sa * ua + sb * ub, sa * ub + sb * (ua + ub)
+
+
+@given(wide_nonzero_elements, wide_nonzero_elements)
+@example(RingElt(3, 0), RingElt(-1, 2))
+@example(RingElt(6, 18), ONE)
+@example(RingElt(6, 0), RingElt(4, 0))
+def test_inverse_mod_inverts_exactly_the_coprime_elements(x, y):
+    if gcd(x, y) != ONE:
+        with pytest.raises(NotAUnitError):
+            _inverse_mod(*x.coeffs, *y.coeffs)
+        return
+    inverse = RingElt(*_inverse_mod(*x.coeffs, *y.coeffs))
+    assert exact_divide(x * inverse - ONE, y) is not None
+
+
 def atkin_lehner(tau: RingElt, e: RingElt) -> tuple[RingElt, ...]:
     """The entries of W_e = [[e, y], [tau, e*w]], det W_e = e, with
     w = e**-1 mod tau/e and y = (e*w - 1)/(tau/e)."""
@@ -577,9 +613,9 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
 
     calls = []
 
-    def counted(r, ctx, bound, image=None):
+    def counted(r, ctx, bound, parts=None):
         calls.append(r)
-        return _box_sweep(r, ctx, bound, image)
+        return _box_sweep(r, ctx, bound, parts)
 
     monkeypatch.setattr(normalizer, "_box_sweep", counted)
     for bound in (1, 12):
@@ -591,35 +627,50 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
 
 
 def test_image_walk_runs_within_its_guard_only(monkeypatch):
-    # The walk runs when the index is at most max(20, (2b+1)**4 / 4), which
-    # always admits 2 and 4 (index 5 and 20).  No targeted witness settles
-    # 30 or 36L-18 (index 1500 and 2700), so the box gives their verdict.
-    # walked records each entry to _image_walk, the one place that factors
-    # r and compares its index with the limit.
+    # The walks run when the norm and the sum of the indices of the prime
+    # powers are at most max(20, (2b+1)**4 / 4), which always admits 2 and 4
+    # (index 5 and 20).  No targeted witness settles 30 or 36L-18, so the
+    # box gives their verdict.  walked records each entry to _image_walk,
+    # the one place that factors r and compares the indices with the limit,
+    # and whether it returned the parts; swept records whether the sweep
+    # was given them.
     from hecke5 import ideals, normalizer
 
-    walked = []
-    image_walk = normalizer._image_walk
+    walked, swept = [], []
+    image_walk, box_sweep = normalizer._image_walk, normalizer._box_sweep
 
-    def recorded(r, ctx, limit):
-        walked.append((r, limit))
-        return image_walk(r, ctx, limit)
+    def recorded(r, limit):
+        parts = image_walk(r, limit)
+        walked.append((r, limit, parts is not None))
+        return parts
+
+    def recorded_sweep(r, ctx, bound, parts=None):
+        swept.append(parts is not None)
+        return box_sweep(r, ctx, bound, parts)
 
     monkeypatch.setattr(normalizer, "_image_walk", recorded)
-    for r, bound, walks, verdict in (
-        (ints(4), 1, True, NO_COUNTEREXAMPLE),
-        (LAMBDA * ints(2), 1, True, NO_COUNTEREXAMPLE),
-        (ints(30), 1, False, NO_COUNTEREXAMPLE),
-        (ints(30), 4, True, NO_COUNTEREXAMPLE),
-        (elt("36*L-18"), 1, False, NO_COUNTEREXAMPLE),
-        # norm 1620 is within the limit 1640 and its index is not
-        (elt("36*L-18"), 4, True, NO_COUNTEREXAMPLE),
-        (elt("36*L-18"), 6, True, COUNTEREXAMPLE_FOUND),
+    monkeypatch.setattr(normalizer, "_box_sweep", recorded_sweep)
+    # walks and pruned: None when _image_walk or the sweep is not entered,
+    # else whether the walk returned parts or the sweep was given them
+    for r, bound, walks, pruned, verdict in (
+        (ints(4), 1, True, None, NO_COUNTEREXAMPLE),
+        (LAMBDA * ints(2), 1, True, None, NO_COUNTEREXAMPLE),
+        (ints(30), 1, None, False, NO_COUNTEREXAMPLE),
+        (ints(30), 4, True, True, NO_COUNTEREXAMPLE),
+        (elt("36*L-18"), 1, None, False, NO_COUNTEREXAMPLE),
+        # norm 1620 and the sum 5 + 90 + 6 = 101 of the indices of 2, 9
+        # and 2L-1 are within the limit 1640; the index 2700 is not
+        (elt("36*L-18"), 4, True, True, NO_COUNTEREXAMPLE),
+        (elt("36*L-18"), 6, True, True, COUNTEREXAMPLE_FOUND),
     ):
         assert is_g5_elementary(r, bound).verdict == verdict
         limit = max(20, (2 * bound + 1) ** 4 // 4)
-        assert walked == ([(r, limit)] if walks else [])
+        assert walked == ([] if walks is None else [(r, limit, walks)])
+        assert swept == ([] if pruned is None else [pruned])
         walked.clear()
+        swept.clear()
+    assert image_walk(elt("36*L-18"), 100) is None
+    assert len(image_walk(elt("36*L-18"), 101)) == 3
 
     # r is never factored when its norm is past the limit: norm 13680 at
     # bound 3, and at bound 1 a norm of 9.0e28, whose factoring would raise
@@ -639,40 +690,42 @@ def test_image_walk_runs_within_its_guard_only(monkeypatch):
     assert walked == []
 
 
+def _admitted(r, parts):
+    """The residues x modulo r, as reduced pairs, with x mod q in A(q) for
+    every part (q, A(q)), found by brute force."""
+    return {
+        x.coeffs for x in ResidueCtx(r).residues()
+        if all(q.red(*x.coeffs) in image for q, image in parts)
+    }
+
+
 def test_image_walk_matches_the_walk_of_g0_r():
-    # the CRT product B of the prime-power images hashes as the single walk
-    # of G0(r) does in test_subgroups: B = A on every ideal of norm <= 600
+    # the residues that the prime-power images admit hash as the single walk
+    # of G0(r) does in test_subgroups: they are A on every ideal of norm
+    # <= 600
     digest = hashlib.sha256()
     for tau in ideals_up_to_norm(600):
-        image = normalizer_module._image_walk(tau, ResidueCtx(tau), _MAX_POINTS)
+        image = _admitted(tau, normalizer_module._image_walk(tau, _MAX_POINTS))
         digest.update(repr((tau.coeffs, sorted(image))).encode() + b"\n")
     assert digest.hexdigest() == UPPER_LEFT_IMAGE_GOLDEN
 
 
 def test_image_walk_uses_every_prime_power():
-    # at the box modulus 18L+6 = 2 * 3 * (2L-1) * unit, B is the set of
-    # residues x with x mod q in A(q) for every prime power q, found here by
-    # brute force, and dropping any one q leaves a strictly larger set
+    # at the box modulus 18L+6 = 2 * 3 * (2L-1) * unit there is one part per
+    # prime power q, its images admit exactly the image A of G0(r), and
+    # dropping any one part admits a strictly larger set
     r = elt("18*L+6")
-    ctx = ResidueCtx(r)
-    parts = [
-        (ResidueCtx(p**e), _upper_left_image(p**e, _MAX_POINTS))
-        for p, e in factor(r).factors
-    ]
-    assert len(parts) == 3
-    residues = [x.coeffs for x in ctx.residues()]
-
-    def product(kept):
-        return {
-            x for x in residues
-            if all(q.red(*x) in image for q, image in kept)
-        }
-
-    image = normalizer_module._image_walk(r, ctx, _MAX_POINTS)
-    assert image == product(parts)
-    assert len(image) == 16
+    parts = normalizer_module._image_walk(r, _MAX_POINTS)
+    powers = [p**e for p, e in factor(r).factors]
+    assert len(parts) == len(powers) == 3
+    for (q, image), power in zip(parts, powers):
+        assert q.modulus == power
+        assert image == _upper_left_image(power, _MAX_POINTS)
+    admitted = _admitted(r, parts)
+    assert admitted == _upper_left_image(r, _MAX_POINTS)
+    assert len(admitted) == 16
     for i in range(len(parts)):
-        assert product(parts[:i] + parts[i + 1:]) > image, i
+        assert _admitted(r, parts[:i] + parts[i + 1:]) > admitted, i
 
 
 def test_box_sweep_finds_nothing_for_associates_of_2_and_4():
@@ -689,8 +742,8 @@ def test_pruned_box_sweep_matches_the_full_sweep():
     cases += [(box_modulus, bound) for bound in range(4, 9)]
     for r, bound in cases:
         ctx = ResidueCtx(r)
-        image = _upper_left_image(r, 10_000)
-        assert _box_sweep(r, ctx, bound, image) == _box_sweep(r, ctx, bound), r
+        parts = [(ctx, _upper_left_image(r, 10_000))]
+        assert _box_sweep(r, ctx, bound, parts) == _box_sweep(r, ctx, bound), r
 
 
 def _box_coefficients(bound):
@@ -705,7 +758,7 @@ def _box_coefficients(bound):
     return elements
 
 
-def _eager_box_sweep(r, ctx, bound, image=None):
+def _eager_box_sweep(r, ctx, bound, parts=None):
     """Reference for ``_box_sweep``: the whole box sorted up front, every
     r*y built before the first x, every test on ``RingElt``s and a gcd for
     every x; chains run through the module's ``_exponent_or_none``."""
@@ -714,7 +767,9 @@ def _eager_box_sweep(r, ctx, bound, image=None):
     for x in box:
         if (x.a, x.b) <= (0, 0):
             continue
-        if image is not None and ctx.red(*x.coeffs) not in image:
+        if parts is not None and any(
+            q.red(*x.coeffs) not in image for q, image in parts
+        ):
             continue
         if ctx.divides(x * x - ONE) or not gcd(x, r).is_unit():
             continue
@@ -752,12 +807,12 @@ def test_lazy_box_sweep_matches_the_eager_sweep(monkeypatch):
     for r, bounds in moduli:
         ctx = ResidueCtx(r)
         answers.clear()
-        for image in (_upper_left_image(r, _MAX_POINTS), None):
+        for parts in ([(ctx, _upper_left_image(r, _MAX_POINTS))], None):
             for bound in bounds:
-                expected = _eager_box_sweep(r, ctx, bound, image)
+                expected = _eager_box_sweep(r, ctx, bound, parts)
                 expected_chains = chains[:]
                 chains.clear()
-                assert _box_sweep(r, ctx, bound, image) == expected, (r, bound)
+                assert _box_sweep(r, ctx, bound, parts) == expected, (r, bound)
                 assert chains == expected_chains, (r, bound)
                 chains.clear()
 

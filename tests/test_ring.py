@@ -29,7 +29,6 @@ from hecke5.ring import (
     UnitRep,
     _cmp_int_sqrt5,
     _floor_quad,
-    _inverse_mod,
     canonical_associate,
     divmod_nearest,
     exact_divide,
@@ -378,19 +377,6 @@ gcd_pairs = st.one_of(
 @example((ZERO, elem(-(2**300), 3**180)))
 def test_gcd_matches_euclid_on_divmod_nearest(pair):
     assert gcd(*pair) == euclid_oracle(*pair)
-
-
-@given(wide_nonzero_elements, wide_nonzero_elements)
-@example(elem(3), elem(-1, 2))
-@example(elem(6, 18), ONE)
-@example(elem(6), elem(4))
-def test_inverse_mod_inverts_exactly_the_coprime_elements(x, y):
-    if gcd(x, y) != ONE:
-        with pytest.raises(NotAUnitError):
-            _inverse_mod(*x.coeffs, *y.coeffs)
-        return
-    inverse = elem(*_inverse_mod(*x.coeffs, *y.coeffs))
-    assert exact_divide(x * inverse - ONE, y) is not None
 
 
 def test_exact_divide_examples():
