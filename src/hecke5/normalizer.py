@@ -8,23 +8,25 @@ and gcd bounds), and ``quotient_table`` gives the quotient group (trivial,
 Klein four, or Z4 x Z4) in closed form, as the additive group of O/h.
 
 The module also decides whether a ring element r is "G5-elementary": every
-reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  When the walks
-are small next to the box it searches, ``is_g5_elementary`` walks the coset
-graph of G0(q) for each prime power q of r, for the image A(q) of
-a -> a mod q on G0(q): if every A(q) squares to 1 modulo q, its
-NoCounterexampleUpTo verdict is a proof (for 2 and 4 among the ideals of
-norm up to 400), and otherwise the box sweep skips every x with x mod q
-outside some A(q).  A witness disproves the property, but
-NoCounterexampleUpTo from the sweep clears only the box: r = 60 gets it at
-the default bound, though the image of G0(60) holds residues whose square
-is not 1.
+reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  Such an x is the
+upper-left entry of an element of G0(r), which lies in G0(2) when 2 | r and
+in G0(3) when 3 | r; so x mod 2 lies in A(2) = {1} and x mod 3 in
+A(3) = {+-1, +-L**2}, the images of a -> a mod p on G0(p), read once per
+process from walks of index 5 and 10.  For r dividing 4 that makes
+x = 1 + 2z and x**2 = 1 (mod 4), so ``is_g5_elementary``'s
+NoCounterexampleUpTo verdict is a proof.  Every other r has a unit of order
+above 2 that passes both residue tests, so it is searched in a coefficient
+box whose sweep skips every x that fails them.  A witness disproves the
+property, but NoCounterexampleUpTo from the sweep clears only the box:
+r = 60 gets it at the default bound, though the image of G0(60) holds
+residues whose square is not 1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache, reduce
-from math import isqrt
+from math import gcd as _gcd_int, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -38,7 +40,6 @@ from .errors import (
 )
 from .ideals import (
     ResidueCtx,
-    _level_index,
     _product,
     factor,
     h_of,
@@ -54,7 +55,7 @@ from .ring import (
     gcd,
     lambda_pow,
 )
-from .subgroups import _MAX_POINTS, _upper_left_image, g0_contains
+from .subgroups import _upper_left_image, g0_contains
 
 #: Names of the three possible quotient groups N(G0(tau))/G0(tau), keyed by h.
 QUOTIENT_TRIVIAL = "Trivial"
@@ -173,28 +174,37 @@ def _element_orders(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(orders)
 
 
-_FOUR = RingElt(4, 0)
-
-
 def _is_involution(ctx: ResidueCtx, a: int, b: int) -> bool:
     """True when (a + b*L)**2 = 1 modulo ctx, on raw coefficients."""
     return ctx.red(a * a + b * b - 1, (2 * a + b) * b) == (0, 0)
 
 
-def _squares_to_one(ctx: ResidueCtx, image: frozenset[tuple[int, int]]) -> bool:
-    """True when every residue pair in ``image`` squares to 1 modulo ctx."""
-    return all(_is_involution(ctx, a, b) for a, b in image)
-
-
 @cache
-def _premise_holds_on_g0_4() -> bool:
-    """True when a**2 = 1 (mod 4) on the image walk of G0(4).
+def _residue_filters() -> dict[int, frozenset[tuple[int, int]]]:
+    """For each m dividing 6, the residue pairs (a, b) modulo m such that
+    a + b*L mod p lies in A(p) for each prime p | m.
 
-    A constant of the group, so the walk runs once per process.
+    A(p) is the image of a -> a mod p on G0(p), from the walks of
+    ``_upper_left_image`` on 2 and 3 (index 5 and 10).  Modulo the inert
+    rational prime p the reduced pair of a + b*L is (a mod p, b mod p), so
+    the filters test raw coefficients; the one for m = 2 is A(2) itself.
+    Constants of the group, so the two walks run once per process.
     """
-    return _squares_to_one(
-        ResidueCtx(_FOUR), _upper_left_image(_FOUR, _MAX_POINTS)
-    )
+    images = {p: _upper_left_image(RingElt(p, 0), 10) for p in (2, 3)}
+    return {
+        m: frozenset(
+            (a, b)
+            for a in range(m)
+            for b in range(m)
+            if all((a % p, b % p) in images[p] for p in images if m % p == 0)
+        )
+        for m in (1, 2, 3, 6)
+    }
+
+
+def _a_is_odd_on_g0_2() -> bool:
+    """True when A(2) = {1}: every element of G0(2) has a = 1 (mod 2)."""
+    return _residue_filters()[2] == {(1, 0)}
 
 
 def quotient_table(tau: RingElt) -> QuotientTable:
@@ -205,18 +215,17 @@ def quotient_table(tau: RingElt) -> QuotientTable:
     a*d = 1 (mod h) and phi(M1*M2) = y1*a1*a2**2 + y2*a2, so phi is additive
     once a**2 = 1 (mod h) on G0(tau/h); its kernel, tau | c, is G0(tau); and
     the index formula gives [G0(tau/h) : G0(tau)] = h**2, so phi is onto.
-    For h > 1 that premise is checked exactly on G0(4) by the image walk
-    that ``is_g5_elementary`` runs there, raising IntegrityError if it
-    fails; for h = 2 it follows, as a -> a mod 2 maps G0(2) into (O/2)^x,
-    cyclic of order 3, and is trivial on G0(4), of index 4.  No coset table
-    is built.  The element orders, their histogram and the classification
-    are read from the table.  This certifies the quotient inside G5; the
-    step to PSL2(R) rests on G5 being non-arithmetic (Takeuchi 1977;
-    Margulis).
+    For h > 1 that premise follows from A(2) = {1}, read from the walk of
+    G0(2) that the elementary search's filter caches: G0(tau/h) lies in
+    G0(2), so a = 1 + 2z and a**2 = 1 + 4z(1 + z) = 1 (mod 4).  It raises
+    IntegrityError if A(2) is not {1}.  No coset table is built.  The
+    element orders, their histogram and the classification are read from
+    the table.  This certifies the quotient inside G5; the step to PSL2(R)
+    rests on G5 being non-arithmetic (Takeuchi 1977; Margulis).
     """
     result = normalizer_of(tau)
     h = result.h
-    if h > 1 and not _premise_holds_on_g0_4():
+    if h > 1 and not _a_is_odd_on_g0_2():
         raise IntegrityError("a**2 = 1 (mod 4) fails on G0(4)")
     residues = [(a, b) for a in range(h) for b in range(h)]
     table = tuple(
@@ -393,22 +402,6 @@ NO_COUNTEREXAMPLE = "NoCounterexampleUpTo"
 #: Default half-width of the coefficient box searched for counterexamples.
 DEFAULT_ELEMENTARY_BOUND = 12
 
-#: The walks of the G0(q), q the prime powers of r, run only when the norm
-#: of r and the sum of the indices of the G0(q) are both at most the limit
-#: min(_MAX_POINTS, max(20, (2*bound + 1)**4 // _WALK_PAIRS_PER_CLASS)); 20
-#: admits the divisors of 4 (index 5 and 20) at every bound.  Measured with
-#: CPython 3.11 on a shared 2-vCPU host, on the moduli up to norm 8000 that
-#: no targeted witness settles (2, 4 and multiples of 6(2L-1)), a walk
-#: costs 4 to 6 us per class from index 300 up, residue line included (6
-#: and 18 us at the index 20 and 5 of 4 and 2, mostly fixed costs), and a
-#: full unpruned sweep 1.1 to 2.7 us per (2*bound + 1)**4 at bounds 4 and
-#: 6, so at the limit the walks cost at most about one full sweep.  The
-#: pruned sweep then costs 0.25 to 18% of the full one at 18L+6, 30 and
-#: 36L-18 and bounds 4 to 8: 0.25 to 1% at the box modulus 18L+6, whose
-#: walks cover 5 + 10 + 6 = 21 classes, where 16 of its 96 units pass and
-#: the first witness lies in the fourth shell.  The norm is checked first,
-#: so an r of norm past the limit is never factored.
-_WALK_PAIRS_PER_CLASS = 4
 
 class ElementaryVerdict(NamedTuple):
     """Outcome of searching for a reduced form x/(r*y) with x**2 != 1 mod r.
@@ -417,9 +410,9 @@ class ElementaryVerdict(NamedTuple):
     offending reduced fraction is x/(r*y) — or NO_COUNTEREXAMPLE.  The
     latter says that the coefficient box [-bound, bound] holds no
     counterexample; it rests either on a scan of the box, which skips only
-    x that no reduced fraction has, or on the exact proof that no
-    counterexample exists at all (every a in the image A of G0(r) modulo r
-    has a**2 = 1), which covers the box too.
+    x that no reduced fraction has, or, for the r dividing 4, on the exact
+    proof that no counterexample exists at all (every x of a reduced
+    x/(r*y) is 1 mod 2, so x**2 = 1 mod 4), which covers the box too.
     """
 
     r: RingElt
@@ -437,22 +430,20 @@ def is_g5_elementary(
 ) -> ElementaryVerdict:
     """Search for a reduced form x/(r*y) violating x**2 = 1 (mod r).
 
-    Tries the targeted witness numerators (2L^2, 3L^3, 9L^3, 9L^9, 5L^6 over
-    denominators n(r)*L^k) first.  Then, when the walks are within the
-    guard of ``_WALK_PAIRS_PER_CLASS`` (always for divisors of 4), one coset
-    walk per prime power q of r gives the image A(q) of a -> a mod q on
-    G0(q) (see ``_image_walk``): if every a in every A(q) has a**2 = 1
-    (mod q), no counterexample exists anywhere and NO_COUNTEREXAMPLE is
-    exact.  Otherwise it sweeps all coefficient pairs (x, y) in the box
-    [-bound, bound]^2 in a fixed deterministic order, skipping every x with
-    x mod q outside some A(q) when the A(q) are known, so the reported
-    witness depends on the box alone.  At the box modulus 18L+6 (index 300,
-    prime powers of index 5, 10 and 6) a search at bounds 4 to 8 takes
-    about 0.31 ms, of which the walks take 0.18 ms and the sweep 0.07 ms,
-    against 1.1 ms for one walk of G0(r) (CPython 3.11, shared 2-vCPU host).
-    Because x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over
-    one sign class only.  A unit r divides everything, so the verdict is
-    immediate.
+    A reduced x/(r*y) is the first column of an element of G0(r), so when
+    2 | r, x lies in the image A(2) = {1} of a -> a mod 2 on G0(2): then
+    x = 1 + 2z and x**2 = 1 + 4z(1 + z) = 1 (mod 4).  So for r dividing 4
+    no counterexample exists anywhere and NO_COUNTEREXAMPLE is exact, with
+    no search.  Every other r is searched: first the targeted witness
+    numerators (2L^2, 3L^3, 9L^3, 9L^9, 5L^6 over denominators n(r)*L^k),
+    then all coefficient pairs (x, y) in the box [-bound, bound]^2 in a
+    fixed deterministic order, skipping every x that no reduced fraction
+    has (see ``_box_sweep``), so the reported witness depends on the box
+    alone.  No r is factored and no coset walk of r runs.  At the box
+    modulus 18L+6 a search at bounds 4 to 8 takes about 0.15 ms, and one on
+    a divisor of 4 about 3 us (CPython 3.11, shared 2-vCPU host).  Because
+    x/(r*y) and (-x)/(r*(-y)) are the same fraction, x ranges over one sign
+    class only.  A unit r divides everything, so the verdict is immediate.
     """
     if not r:
         raise ZeroInputError("r must be nonzero")
@@ -462,6 +453,9 @@ def is_g5_elementary(
         return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
 
     ctx = ResidueCtx(r)
+    # r | 4 exactly when 4 lies in (r), whose least positive integer is n
+    if 4 % ctx.n == 0 and _a_is_odd_on_g0_2():
+        return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
     for numerator, k in (_W2, _W3, _W9_SHORT, _W9_LONG, _W5):
         denominator = ctx.n * lambda_pow(k)
         y = exact_divide(denominator, r)
@@ -471,42 +465,7 @@ def is_g5_elementary(
             return ElementaryVerdict(
                 r, COUNTEREXAMPLE_FOUND, (numerator, y), bound
             )
-
-    # c = 0 (mod r) on G0(r), so a -> a mod r is a homomorphism into
-    # (O/r)^x/+-1 and its image A holds the x of every reduced x/(r*y); the
-    # elements with a**2 = 1 form a subgroup, which holds G0(r) exactly
-    # when it holds A, as it does when every A(q) squares to 1 modulo q
-    box_limit = (2 * bound + 1) ** 4 // _WALK_PAIRS_PER_CLASS
-    limit = min(_MAX_POINTS, max(20, box_limit))
-    parts = None
-    if r.abs_norm() <= limit:
-        parts = _image_walk(r, limit)
-        if parts is not None and all(
-            _squares_to_one(q, image) for q, image in parts
-        ):
-            return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
-    return _box_sweep(r, ctx, bound, parts)
-
-
-def _image_walk(
-    r: RingElt, limit: int
-) -> Optional[list[tuple[ResidueCtx, frozenset[tuple[int, int]]]]]:
-    """(ResidueCtx(q), A(q)) for each prime power q of r, where A(q) is the
-    image of a -> a mod q on G0(q), as reduced pairs; or None when the sum
-    of the indices of the G0(q) exceeds ``limit``.  r is factored once.
-
-    G0(r) lies in every G0(q), so the x of a reduced x/(r*y) has x mod q in
-    A(q) for every q, and x**2 = 1 modulo r exactly when it holds modulo
-    every q.  The walks cost index(q) classes each.
-    """
-    powers = [(p**k, p) for p, k in factor(r).factors]
-    indices = [_level_index(q.abs_norm(), (p,)) for q, p in powers]
-    if sum(indices) > limit:
-        return None
-    return [
-        (ResidueCtx(q), _upper_left_image(q, limit, (index, (p,))))
-        for (q, p), index in zip(powers, indices)
-    ]
+    return _box_sweep(r, ctx, bound)
 
 
 def _box_pairs(bound: int) -> Iterator[tuple[int, int]]:
@@ -526,32 +485,26 @@ def _box_pairs(bound: int) -> Iterator[tuple[int, int]]:
         yield from ((s, b) for b in range(-s, s + 1))
 
 
-def _box_sweep(
-    r: RingElt,
-    ctx: ResidueCtx,
-    bound: int,
-    parts: Optional[list[tuple[ResidueCtx, frozenset[tuple[int, int]]]]] = None,
-) -> ElementaryVerdict:
+def _box_sweep(r: RingElt, ctx: ResidueCtx, bound: int) -> ElementaryVerdict:
     """The first counterexample x/(r*y) with x and y in the coefficient box,
     in the order of ``_box_pairs``, or NO_COUNTEREXAMPLE; ``ctx`` is the
     residue context of r.
 
-    ``parts`` holds pairs (ResidueCtx(q), A(q)) of a modulus q and a group
-    of units modulo q, as reduced pairs, such that the upper-left entry of
-    every element of G0(r) lies in A(q) modulo q, as the parts of
-    ``_image_walk`` do.  Every x with x mod q outside some A(q) is then
-    skipped unread: a reduced x/(r*y) is the first column of an element of
-    G0(r), so the first witness in box order is the same.  Each A(q) holds
-    units only, so an x that passes is coprime to r with no gcd; with
-    ``parts`` None the raw Euclid kernel tests that.  The x with x**2 = 1
-    (mod r) are skipped on raw coefficients.  Each denominator r*y is built
-    the first time the y-loop reaches it and kept for later x, so a witness
-    found in the first shells costs no more than those shells: at the box
-    modulus 18L+6, with its parts, the sweep finds (1 + 4L, -L) in shell 4
-    after 4 chains and 4 denominators at every bound from 4 to 8, in about
-    0.07 ms (CPython 3.11, shared 2-vCPU host).
+    A reduced x/(r*y) is the first column of an element of G0(r), which
+    lies in G0(2) when 2 | r and in G0(3) when 3 | r.  So x mod 2 lies in
+    A(2) when 2 | r, and x mod 3 in A(3) = {+-1, +-L**2} when 3 | r; with
+    m = gcd(a, b, 6) for r = a + b*L, one lookup of ``_residue_filters``
+    tests both on raw coefficients.  Every x that fails is skipped unread,
+    and so are the x with x**2 = 1 (mod r) and, by the raw Euclid kernel,
+    those not coprime to r; the first witness in box order is the same.
+    Each denominator r*y is built the first time the y-loop reaches it and
+    kept for later x, so a witness found in the first shells costs no more
+    than those shells: at the box modulus 18L+6 the sweep finds (1 + 4L, -L)
+    in shell 4 after 4 chains and 4 denominators at every bound from 4 to 8.
     """
     ra, rb = r.coeffs
+    m = _gcd_int(ra, rb, 6)
+    admitted = _residue_filters()[m]
     made: list[tuple[RingElt, RingElt]] = []
     ys = _box_pairs(bound)
     next(ys)  # y = 0
@@ -566,15 +519,11 @@ def _box_sweep(
             yield made[-1]
 
     for a, b in _box_pairs(bound):
-        if (a, b) <= (0, 0):
-            continue
-        if parts is not None and not all(
-            q.red(a, b) in image for q, image in parts
-        ):
+        if (a, b) <= (0, 0) or (a % m, b % m) not in admitted:
             continue
         if _is_involution(ctx, a, b):
             continue
-        if parts is None and not RingElt(*_euclid(a, b, ra, rb)).is_unit():
+        if not RingElt(*_euclid(a, b, ra, rb)).is_unit():
             continue
         x = RingElt(a, b)
         for denominator, y in denominators():

@@ -246,18 +246,11 @@ class _Orbit:
     its position.  Edge 2i goes from class i by S and edge 2i + 1 by T, to
     the class ``successors`` lists under that number, and ``reaching[j - 1]``
     is the number of the edge that first reaches class j.  Raises
-    BoundExceededError when the index exceeds ``max_points``.  A caller that
-    has factored the level passes ``index_and_primes`` as
-    ``_index_and_primes`` gives them, and the level is not factored again.
+    BoundExceededError when the index exceeds ``max_points``.
     """
 
-    def __init__(
-        self,
-        modulus: RingElt,
-        max_points: int,
-        index_and_primes: tuple[int, Sequence[RingElt]] | None = None,
-    ) -> None:
-        self.expected, primes = index_and_primes or _index_and_primes(modulus)
+    def __init__(self, modulus: RingElt, max_points: int) -> None:
+        self.expected, primes = _index_and_primes(modulus)
         if self.expected > max_points:
             raise BoundExceededError(
                 f"index {int_text(self.expected)} exceeds the configured bound "
@@ -395,9 +388,7 @@ def schreier_generators(modulus: RingElt) -> Iterator[GMatrix]:
 
 
 def _upper_left_image(
-    modulus: RingElt,
-    max_points: int,
-    index_and_primes: tuple[int, Sequence[RingElt]] | None = None,
+    modulus: RingElt, max_points: int
 ) -> frozenset[tuple[int, int]]:
     """The upper-left entries of the level-``modulus`` subgroup modulo the
     level: a group A of invertible residues holding -1, as reduced pairs.
@@ -410,10 +401,9 @@ def _upper_left_image(
     that closes a cycle has upper-left entry a' d_j - b' c_j, where (a', b')
     is the top row of rep_i * g and (c_j, d_j) the bottom row of rep_j.
     That entry is formed on raw coefficients and reduced once.  Raises
-    BoundExceededError when the index exceeds ``max_points``;
-    ``index_and_primes`` is passed on to ``_Orbit``.
+    BoundExceededError when the index exceeds ``max_points``.
     """
-    orbit = _Orbit(modulus, max_points, index_and_primes)
+    orbit = _Orbit(modulus, max_points)
     line, points, successors = orbit.line, orbit.points, orbit.successors
     red, mul, moves = line.ctx.red, line.mul, line.moves
     n, g, m = line.ctx.n, line.ctx.g, line.ctx.m

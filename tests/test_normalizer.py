@@ -1,6 +1,7 @@
 """Tests for the normalizer module: normalizer levels, chain, quotients, searches."""
 
 import hashlib
+import math
 from collections import Counter
 from itertools import islice
 
@@ -25,6 +26,7 @@ from hecke5.ideals import (
     h_of,
     half_power_part,
     ideals_up_to_norm,
+    index_in_g5,
     primes_above,
 )
 from hecke5.normalizer import (
@@ -225,19 +227,19 @@ def test_quarter_shear_has_order_4_in_16_quotient():
 
 
 def test_quotient_table_raises_when_the_premise_fails(monkeypatch):
-    # L**2 = L + 1 is not 1 modulo 4: were it an upper-left entry on G0(4),
-    # y*a mod h would not be additive
+    # L is not 1 modulo 2, and L**2 = L + 1 is not 1 modulo 4: were L an
+    # upper-left entry on G0(2), y*a mod h would not be additive
     monkeypatch.setattr(
         normalizer_module, "_upper_left_image", lambda r, limit: frozenset({(0, 1)})
     )
-    # the premise is cached per process: walk the patched image, then forget it
-    normalizer_module._premise_holds_on_g0_4.cache_clear()
+    # the image is cached per process: walk the patched image, then forget it
+    normalizer_module._residue_filters.cache_clear()
     try:
         with pytest.raises(IntegrityError):
             quotient_table(ints(4))
         assert quotient_table(ints(9)).order == 1
     finally:
-        normalizer_module._premise_holds_on_g0_4.cache_clear()
+        normalizer_module._residue_filters.cache_clear()
 
 
 def test_quotient_locate_rejects_matrices_outside_the_normalizer():
@@ -613,9 +615,9 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
 
     calls = []
 
-    def counted(r, ctx, bound, parts=None):
+    def counted(r, ctx, bound):
         calls.append(r)
-        return _box_sweep(r, ctx, bound, parts)
+        return _box_sweep(r, ctx, bound)
 
     monkeypatch.setattr(normalizer, "_box_sweep", counted)
     for bound in (1, 12):
@@ -626,106 +628,122 @@ def test_exact_check_settles_divisors_of_4_without_the_box(monkeypatch):
     assert calls == []
 
 
-def test_image_walk_runs_within_its_guard_only(monkeypatch):
-    # The walks run when the norm and the sum of the indices of the prime
-    # powers are at most max(20, (2b+1)**4 / 4), which always admits 2 and 4
-    # (index 5 and 20).  No targeted witness settles 30 or 36L-18, so the
-    # box gives their verdict.  walked records each entry to _image_walk,
-    # the one place that factors r and compares the indices with the limit,
-    # and whether it returned the parts; swept records whether the sweep
-    # was given them.
-    from hecke5 import ideals, normalizer
+def test_box_sweep_runs_unless_r_divides_4(monkeypatch):
+    # 4 and 2L are proved with no sweep; no targeted witness settles 30 or
+    # 36L-18, so the sweep gives their verdict at every bound, and 36L-18
+    # first meets a witness at bound 6
+    from hecke5 import normalizer
 
-    walked, swept = [], []
-    image_walk, box_sweep = normalizer._image_walk, normalizer._box_sweep
+    swept, box_sweep = [], normalizer._box_sweep
 
-    def recorded(r, limit):
-        parts = image_walk(r, limit)
-        walked.append((r, limit, parts is not None))
-        return parts
+    def recorded_sweep(r, ctx, bound):
+        swept.append((r, bound))
+        return box_sweep(r, ctx, bound)
 
-    def recorded_sweep(r, ctx, bound, parts=None):
-        swept.append(parts is not None)
-        return box_sweep(r, ctx, bound, parts)
-
-    monkeypatch.setattr(normalizer, "_image_walk", recorded)
     monkeypatch.setattr(normalizer, "_box_sweep", recorded_sweep)
-    # walks and pruned: None when _image_walk or the sweep is not entered,
-    # else whether the walk returned parts or the sweep was given them
-    for r, bound, walks, pruned, verdict in (
-        (ints(4), 1, True, None, NO_COUNTEREXAMPLE),
-        (LAMBDA * ints(2), 1, True, None, NO_COUNTEREXAMPLE),
-        (ints(30), 1, None, False, NO_COUNTEREXAMPLE),
-        (ints(30), 4, True, True, NO_COUNTEREXAMPLE),
-        (elt("36*L-18"), 1, None, False, NO_COUNTEREXAMPLE),
-        # norm 1620 and the sum 5 + 90 + 6 = 101 of the indices of 2, 9
-        # and 2L-1 are within the limit 1640; the index 2700 is not
-        (elt("36*L-18"), 4, True, True, NO_COUNTEREXAMPLE),
-        (elt("36*L-18"), 6, True, True, COUNTEREXAMPLE_FOUND),
+    for r, bound, sweeps, verdict in (
+        (ints(4), 1, False, NO_COUNTEREXAMPLE),
+        (LAMBDA * ints(2), 1, False, NO_COUNTEREXAMPLE),
+        (ints(30), 1, True, NO_COUNTEREXAMPLE),
+        (ints(30), 4, True, NO_COUNTEREXAMPLE),
+        (elt("36*L-18"), 1, True, NO_COUNTEREXAMPLE),
+        (elt("36*L-18"), 4, True, NO_COUNTEREXAMPLE),
+        (elt("36*L-18"), 6, True, COUNTEREXAMPLE_FOUND),
     ):
         assert is_g5_elementary(r, bound).verdict == verdict
-        limit = max(20, (2 * bound + 1) ** 4 // 4)
-        assert walked == ([] if walks is None else [(r, limit, walks)])
-        assert swept == ([] if pruned is None else [pruned])
-        walked.clear()
+        assert swept == ([(r, bound)] if sweeps else [])
         swept.clear()
-    assert image_walk(elt("36*L-18"), 100) is None
-    assert len(image_walk(elt("36*L-18"), 101)) == 3
 
-    # r is never factored when its norm is past the limit: norm 13680 at
-    # bound 3, and at bound 1 a norm of 9.0e28, whose factoring would raise
-    # FactorCapError
-    def refuse(x):
-        raise AssertionError(f"factored {x}")
 
-    for module in (ideals, normalizer):
-        monkeypatch.setattr(module, "factor", refuse)
+def test_elementary_search_walks_and_factors_nothing(monkeypatch):
+    # once A(2) and A(3) are cached, no search factors r or walks a coset
+    # graph: not the box misses 120 and 18L+126 at the default bound, nor
+    # the divisors of 4, nor r of norm 13680 or 9.0e28 (whose factoring
+    # would raise FactorCapError)
+    from hecke5 import ideals, normalizer, subgroups
+
+    normalizer._residue_filters()
+
+    def refuse(x, *args):
+        raise AssertionError(f"factored or walked {x}")
+
+    for module, name in (
+        (ideals, "factor"),
+        (normalizer, "factor"),
+        (subgroups, "_upper_left_image"),
+        (normalizer, "_upper_left_image"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     for r, bound in (
+        (ints(120), 12),
+        (elt("18*L+126"), 12),
+        (ints(2) * LAMBDA, 12),
+        (ints(4), 12),
         (elt("84*L-192"), 3),
         (ints(30) * RingElt(10**13, 1), 1),
     ):
         verdict = is_g5_elementary(r, bound)
-        assert verdict.verdict == NO_COUNTEREXAMPLE
+        assert verdict.verdict == NO_COUNTEREXAMPLE, r
         assert verdict.witness is None
-    assert walked == []
 
 
-def _admitted(r, parts):
-    """The residues x modulo r, as reduced pairs, with x mod q in A(q) for
-    every part (q, A(q)), found by brute force."""
+def _admitted(r):
+    """The residues x modulo r, as reduced pairs, that ``_box_sweep``
+    admits: the units, found by their primes, that pass the filter mod
+    m = gcd(a, b, 6), r = a + b*L."""
+    ctx = ResidueCtx(r)
+    primes = [ResidueCtx(p) for p in factor(r).distinct_primes()]
+    m = math.gcd(*r.coeffs, 6)
+    admitted = normalizer_module._residue_filters()[m]
     return {
-        x.coeffs for x in ResidueCtx(r).residues()
-        if all(q.red(*x.coeffs) in image for q, image in parts)
+        (a, b)
+        for a in range(ctx.n)
+        for b in range(ctx.g)
+        if (a % m, b % m) in admitted
+        and all(p.red(a, b) != (0, 0) for p in primes)
     }
 
 
-def test_image_walk_matches_the_walk_of_g0_r():
-    # the residues that the prime-power images admit hash as the single walk
-    # of G0(r) does in test_subgroups: they are A on every ideal of norm
-    # <= 600
+def test_residue_filter_matches_the_walk_of_g0_r():
+    # the residues that the filter admits hash as the single walk of G0(r)
+    # does in test_subgroups: they are A on every ideal of norm <= 600
     digest = hashlib.sha256()
     for tau in ideals_up_to_norm(600):
-        image = _admitted(tau, normalizer_module._image_walk(tau, _MAX_POINTS))
+        image = _admitted(tau)
         digest.update(repr((tau.coeffs, sorted(image))).encode() + b"\n")
     assert digest.hexdigest() == UPPER_LEFT_IMAGE_GOLDEN
 
 
-def test_image_walk_uses_every_prime_power():
-    # at the box modulus 18L+6 = 2 * 3 * (2L-1) * unit there is one part per
-    # prime power q, its images admit exactly the image A of G0(r), and
-    # dropping any one part admits a strictly larger set
+def test_residue_filter_admits_exactly_the_walk_of_g0_r():
+    # F(r) = A(r) on every composite and prime-power r of norm <= 1500 and
+    # index <= 10000, 402 moduli
+    moduli = [
+        r for r in ideals_up_to_norm(1500)
+        if [e for _, e in factor(r).factors] != [1] and index_in_g5(r) <= 10_000
+    ]
+    assert len(moduli) == 402
+    for r in moduli:
+        assert _admitted(r) == _upper_left_image(r, 10_000), r
+
+
+def test_residue_filter_uses_2_and_3():
+    # at the box modulus 18L+6 = 2 * 3 * (2L-1) * unit the filter admits
+    # exactly the image A of G0(r), 16 of its 96 units, and dropping the
+    # test mod 2 or mod 3 admits a strictly larger set
     r = elt("18*L+6")
-    parts = normalizer_module._image_walk(r, _MAX_POINTS)
-    powers = [p**e for p, e in factor(r).factors]
-    assert len(parts) == len(powers) == 3
-    for (q, image), power in zip(parts, powers):
-        assert q.modulus == power
-        assert image == _upper_left_image(power, _MAX_POINTS)
-    admitted = _admitted(r, parts)
+    filters = normalizer_module._residue_filters()
+    assert filters[2] == {(1, 0)}
+    assert filters[3] == {(1, 0), (2, 0), (1, 1), (2, 2)}
+    admitted = _admitted(r)
     assert admitted == _upper_left_image(r, _MAX_POINTS)
     assert len(admitted) == 16
-    for i in range(len(parts)):
-        assert _admitted(r, parts[:i] + parts[i + 1:]) > admitted, i
+    units = {
+        x.coeffs for x in ResidueCtx(r).residues() if gcd(x, r).is_unit()
+    }
+    assert len(units) == 96
+    for p in (2, 3):
+        larger = {(a, b) for a, b in units if (a % p, b % p) in filters[p]}
+        assert larger > admitted, p
 
 
 def test_box_sweep_finds_nothing_for_associates_of_2_and_4():
@@ -736,14 +754,13 @@ def test_box_sweep_finds_nothing_for_associates_of_2_and_4():
 
 
 def test_pruned_box_sweep_matches_the_full_sweep():
-    # skipping every x outside the image A of G0(r) keeps verdict and witness
+    # skipping every x that the filter rejects keeps verdict and witness
     cases = [(tau, 4) for tau in ideals_up_to_norm(400)]
     box_modulus = elt("12*L-6") * lambda_pow(2)
     cases += [(box_modulus, bound) for bound in range(4, 9)]
     for r, bound in cases:
         ctx = ResidueCtx(r)
-        parts = [(ctx, _upper_left_image(r, 10_000))]
-        assert _box_sweep(r, ctx, bound, parts) == _box_sweep(r, ctx, bound), r
+        assert _box_sweep(r, ctx, bound) == _eager_box_sweep(r, ctx, bound), r
 
 
 def _box_coefficients(bound):
@@ -787,10 +804,10 @@ def test_box_pairs_run_in_sorted_order():
 
 
 def test_lazy_box_sweep_matches_the_eager_sweep(monkeypatch):
-    # same verdict, same witness and the same chains in the same order,
-    # with the image A given and without it; the chains' answers are kept
-    # per modulus, since the box of a bound leads the box of the next in
-    # sweep order and the pruned sweep runs a subset of the full one
+    # same verdict, same witness and the same chains in the same order as
+    # the eager sweep given the image A of G0(r); the chains' answers are
+    # kept per modulus, since the box of a bound leads the box of the next
+    # in sweep order
     chains, answers = [], {}
 
     def recorded(num, den):
@@ -807,14 +824,14 @@ def test_lazy_box_sweep_matches_the_eager_sweep(monkeypatch):
     for r, bounds in moduli:
         ctx = ResidueCtx(r)
         answers.clear()
-        for parts in ([(ctx, _upper_left_image(r, _MAX_POINTS))], None):
-            for bound in bounds:
-                expected = _eager_box_sweep(r, ctx, bound, parts)
-                expected_chains = chains[:]
-                chains.clear()
-                assert _box_sweep(r, ctx, bound, parts) == expected, (r, bound)
-                assert chains == expected_chains, (r, bound)
-                chains.clear()
+        parts = [(ctx, _upper_left_image(r, _MAX_POINTS))]
+        for bound in bounds:
+            expected = _eager_box_sweep(r, ctx, bound, parts)
+            expected_chains = chains[:]
+            chains.clear()
+            assert _box_sweep(r, ctx, bound) == expected, (r, bound)
+            assert chains == expected_chains, (r, bound)
+            chains.clear()
 
 
 #: sha256 of the (verdict, witness) of ``is_g5_elementary`` on every ideal of
