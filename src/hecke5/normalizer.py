@@ -11,8 +11,9 @@ The module also decides whether a ring element r is "G5-elementary": every
 reduced fraction x/(r*y) must satisfy x**2 = 1 (mod r).  Such an x is the
 upper-left entry of an element of G0(r), which lies in G0(2) when 2 | r and
 in G0(3) when 3 | r; so x mod 2 lies in A(2) = {1} and x mod 3 in
-A(3) = {+-1, +-L**2}, the images of a -> a mod p on G0(p), read once per
-process from walks of index 5 and 10.  For r dividing 4 that makes
+A(3) = {+-1, +-L**2}, the images of a -> a mod p on G0(p).  These two
+images are constants of the group, written out in ``_UPPER_LEFT_MOD`` and
+checked against G0(2) and G0(3) by the tests.  For r dividing 4 that makes
 x = 1 + 2z and x**2 = 1 (mod 4), so ``is_g5_elementary``'s
 NoCounterexampleUpTo verdict is a proof.  Every other r has a unit of order
 above 2 that passes both residue tests, so it is searched in a coefficient
@@ -25,7 +26,7 @@ residues whose square is not 1.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, reduce
+from functools import reduce
 from math import gcd as _gcd_int, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -55,7 +56,7 @@ from .ring import (
     gcd,
     lambda_pow,
 )
-from .subgroups import _upper_left_image, g0_contains
+from .subgroups import g0_contains
 
 #: Names of the three possible quotient groups N(G0(tau))/G0(tau), keyed by h.
 QUOTIENT_TRIVIAL = "Trivial"
@@ -179,32 +180,32 @@ def _is_involution(ctx: ResidueCtx, a: int, b: int) -> bool:
     return ctx.red(a * a + b * b - 1, (2 * a + b) * b) == (0, 0)
 
 
-@cache
-def _residue_filters() -> dict[int, frozenset[tuple[int, int]]]:
-    """For each m dividing 6, the residue pairs (a, b) modulo m such that
-    a + b*L mod p lies in A(p) for each prime p | m.
+#: The image A(p) of a -> a mod p on G0(p), for p = 2 and 3, as the reduced
+#: pairs (a mod p, b mod p) of a + b*L (p is inert, so O/p is F4 or F9):
+#: A(2) = {1} and A(3) = {+-1, +-L**2}, the squares of F9^x.  Modulo 2 the
+#: group maps onto the dihedral group of order 10 (T of order 2, ST of
+#: order 5), modulo 3 onto A5, and the stabiliser of infinity in each has
+#: these upper-left entries.  Constants of the group: the tests close -1
+#: and the upper-left entries of the Schreier generators of G0(2) and G0(3)
+#: into a group, both with hecke5 and with ``bench/zl.py``, and compare.
+_UPPER_LEFT_MOD = {
+    2: frozenset({(1, 0)}),
+    3: frozenset({(1, 0), (2, 0), (1, 1), (2, 2)}),
+}
 
-    A(p) is the image of a -> a mod p on G0(p), from the walks of
-    ``_upper_left_image`` on 2 and 3 (index 5 and 10).  Modulo the inert
-    rational prime p the reduced pair of a + b*L is (a mod p, b mod p), so
-    the filters test raw coefficients; the one for m = 2 is A(2) itself.
-    Constants of the group, so the two walks run once per process.
-    """
-    images = {p: _upper_left_image(RingElt(p, 0), 10) for p in (2, 3)}
-    return {
-        m: frozenset(
-            (a, b)
-            for a in range(m)
-            for b in range(m)
-            if all((a % p, b % p) in images[p] for p in images if m % p == 0)
-        )
-        for m in (1, 2, 3, 6)
-    }
-
-
-def _a_is_odd_on_g0_2() -> bool:
-    """True when A(2) = {1}: every element of G0(2) has a = 1 (mod 2)."""
-    return _residue_filters()[2] == {(1, 0)}
+#: For each m dividing 6, the residue pairs (a, b) modulo m of the x = a + b*L
+#: with x mod p in A(p) for each prime p | m: modulo the inert rational
+#: prime p the reduced pair of a + b*L is (a mod p, b mod p), so the sweep
+#: tests raw coefficients.
+_ADMITTED = {
+    m: frozenset(
+        (a, b)
+        for a in range(m)
+        for b in range(m)
+        if all((a % p, b % p) in _UPPER_LEFT_MOD[p] for p in (2, 3) if m % p == 0)
+    )
+    for m in (1, 2, 3, 6)
+}
 
 
 def quotient_table(tau: RingElt) -> QuotientTable:
@@ -215,18 +216,16 @@ def quotient_table(tau: RingElt) -> QuotientTable:
     a*d = 1 (mod h) and phi(M1*M2) = y1*a1*a2**2 + y2*a2, so phi is additive
     once a**2 = 1 (mod h) on G0(tau/h); its kernel, tau | c, is G0(tau); and
     the index formula gives [G0(tau/h) : G0(tau)] = h**2, so phi is onto.
-    For h > 1 that premise follows from A(2) = {1}, read from the walk of
-    G0(2) that the elementary search's filter caches: G0(tau/h) lies in
-    G0(2), so a = 1 + 2z and a**2 = 1 + 4z(1 + z) = 1 (mod 4).  It raises
-    IntegrityError if A(2) is not {1}.  No coset table is built.  The
-    element orders, their histogram and the classification are read from
-    the table.  This certifies the quotient inside G5; the step to PSL2(R)
-    rests on G5 being non-arithmetic (Takeuchi 1977; Margulis).
+    For h > 1 that premise follows from A(2) = {1}, a constant of the group
+    (``_UPPER_LEFT_MOD``, checked by the tests): G0(tau/h) lies in G0(2),
+    so a = 1 + 2z and a**2 = 1 + 4z(1 + z) = 1 (mod 4).  No coset table is
+    built and no walk runs.  The element orders, their histogram and the
+    classification are read from the table.  This certifies the quotient
+    inside G5; the step to PSL2(R) rests on G5 being non-arithmetic
+    (Takeuchi 1977; Margulis).
     """
     result = normalizer_of(tau)
     h = result.h
-    if h > 1 and not _a_is_odd_on_g0_2():
-        raise IntegrityError("a**2 = 1 (mod 4) fails on G0(4)")
     residues = [(a, b) for a in range(h) for b in range(h)]
     table = tuple(
         tuple((a + c) % h * h + (b + d) % h for c, d in residues)
@@ -431,10 +430,11 @@ def is_g5_elementary(
     """Search for a reduced form x/(r*y) violating x**2 = 1 (mod r).
 
     A reduced x/(r*y) is the first column of an element of G0(r), so when
-    2 | r, x lies in the image A(2) = {1} of a -> a mod 2 on G0(2): then
-    x = 1 + 2z and x**2 = 1 + 4z(1 + z) = 1 (mod 4).  So for r dividing 4
-    no counterexample exists anywhere and NO_COUNTEREXAMPLE is exact, with
-    no search.  Every other r is searched: first the targeted witness
+    2 | r, x lies in the image A(2) = {1} of a -> a mod 2 on G0(2), a
+    constant of the group that the tests check: then x = 1 + 2z and
+    x**2 = 1 + 4z(1 + z) = 1 (mod 4).  So for r dividing 4 no
+    counterexample exists anywhere and NO_COUNTEREXAMPLE is exact, with no
+    search.  Every other r is searched: first the targeted witness
     numerators (2L^2, 3L^3, 9L^3, 9L^9, 5L^6 over denominators n(r)*L^k),
     then all coefficient pairs (x, y) in the box [-bound, bound]^2 in a
     fixed deterministic order, skipping every x that no reduced fraction
@@ -454,7 +454,7 @@ def is_g5_elementary(
 
     ctx = ResidueCtx(r)
     # r | 4 exactly when 4 lies in (r), whose least positive integer is n
-    if 4 % ctx.n == 0 and _a_is_odd_on_g0_2():
+    if 4 % ctx.n == 0:
         return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
     for numerator, k in (_W2, _W3, _W9_SHORT, _W9_LONG, _W5):
         denominator = ctx.n * lambda_pow(k)
@@ -493,10 +493,11 @@ def _box_sweep(r: RingElt, ctx: ResidueCtx, bound: int) -> ElementaryVerdict:
     A reduced x/(r*y) is the first column of an element of G0(r), which
     lies in G0(2) when 2 | r and in G0(3) when 3 | r.  So x mod 2 lies in
     A(2) when 2 | r, and x mod 3 in A(3) = {+-1, +-L**2} when 3 | r; with
-    m = gcd(a, b, 6) for r = a + b*L, one lookup of ``_residue_filters``
-    tests both on raw coefficients.  Every x that fails is skipped unread,
-    and so are the x with x**2 = 1 (mod r) and, by the raw Euclid kernel,
-    those not coprime to r; the first witness in box order is the same.
+    m = gcd(a, b, 6) for r = a + b*L, one lookup of ``_ADMITTED``, built
+    at import from the constants A(2) and A(3), tests both on raw
+    coefficients.  Every x that fails is skipped unread, and so are the x
+    with x**2 = 1 (mod r) and, by the raw Euclid kernel, those not coprime
+    to r; the first witness in box order is the same.
     Each denominator r*y is built the first time the y-loop reaches it and
     kept for later x, so a witness found in the first shells costs no more
     than those shells: at the box modulus 18L+6 the sweep finds (1 + 4L, -L)
@@ -504,7 +505,7 @@ def _box_sweep(r: RingElt, ctx: ResidueCtx, bound: int) -> ElementaryVerdict:
     """
     ra, rb = r.coeffs
     m = _gcd_int(ra, rb, 6)
-    admitted = _residue_filters()[m]
+    admitted = _ADMITTED[m]
     made: list[tuple[RingElt, RingElt]] = []
     ys = _box_pairs(bound)
     next(ys)  # y = 0

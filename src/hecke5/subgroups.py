@@ -23,7 +23,6 @@ from .ideals import (
     smallest_rational_integer,
 )
 from .reduction import (
-    GEN_S,
     GEN_T,
     IDENTITY,
     GMatrix,
@@ -32,7 +31,7 @@ from .reduction import (
     g5_decompose,
     t_power,
 )
-from .ring import ONE, ZERO, RingElt, _divmod_step, _euclid, gcd, int_text
+from .ring import LAMBDA, ONE, ZERO, RingElt, _divmod_step, _euclid, gcd, int_text
 
 
 def g0_contains(m: GMatrix, modulus: RingElt) -> bool:
@@ -114,7 +113,7 @@ class _ProjectiveLine:
                 (xa, xb, (ya + xb - j * m) % n, b - j * g),
             )
 
-        self.mul, self.moves = mul, moves
+        self.moves = moves
 
         # bit i of held[r] is set when the i-th prime over the level holds
         # residue r; the invertible residues are those that no prime holds.
@@ -377,66 +376,23 @@ def schreier_generators(modulus: RingElt) -> Iterator[GMatrix]:
     default bound of ``coset_table``.
     """
     orbit = _Orbit(modulus, _MAX_POINTS)
-    successors, reps = orbit.successors, [IDENTITY]
+    # each representative is kept as its entries (a, b, c, d); rep_i * S is
+    # (b, -a, d, -c), rep_i * T is (a, a*L + b, c, c*L + d), and the inverse
+    # of rep_j is (d_j, -b_j, -c_j, a_j)
+    successors, reps = orbit.successors, [IDENTITY.entries]
     for i in orbit.walk():
-        for e, gen in enumerate((GEN_S, GEN_T), 2 * i):
+        a, b, c, d = reps[i]
+        moved = ((b, -a, d, -c), (a, a * LAMBDA + b, c, c * LAMBDA + d))
+        for e, (ta, tb, tc, td) in enumerate(moved, 2 * i):
             j = successors[e]
             if j == len(reps):  # the edge that reaches j first
-                reps.append(reps[i] * gen)
+                reps.append((ta, tb, tc, td))
             else:
-                yield reps[i] * gen * reps[j].inverse()
-
-
-def _upper_left_image(
-    modulus: RingElt, max_points: int
-) -> frozenset[tuple[int, int]]:
-    """The upper-left entries of the level-``modulus`` subgroup modulo the
-    level: a group A of invertible residues holding -1, as reduced pairs.
-
-    On the subgroup c = 0 modulo the level, so a -> a mod level is a
-    homomorphism, and A is generated by -1 (the matrices are taken up to
-    sign) and the upper-left entries of the Schreier generators.  One walk
-    of ``_Orbit`` reads these on residues alone: it tracks the top row of
-    each representative, and the generator rep_i * g * rep_j**-1 of an edge
-    that closes a cycle has upper-left entry a' d_j - b' c_j, where (a', b')
-    is the top row of rep_i * g and (c_j, d_j) the bottom row of rep_j.
-    That entry is formed on raw coefficients and reduced once.  Raises
-    BoundExceededError when the index exceeds ``max_points``.
-    """
-    orbit = _Orbit(modulus, max_points)
-    line, points, successors = orbit.line, orbit.points, orbit.successors
-    red, mul, moves = line.ctx.red, line.mul, line.moves
-    n, g, m = line.ctx.n, line.ctx.g, line.ctx.m
-    tops = [(*red(1, 0), *red(0, 0))]
-    values = {red(-1, 0)}
-    add_value = values.add
-    for i in orbit.walk():
-        for e, top in enumerate(moves(*tops[i]), 2 * i):
-            j = successors[e]
-            if j == len(tops):  # the edge that reaches j first
-                tops.append(top)
-            else:
-                ta, tb, ua, ub = top
-                ca, cb, da, db = points[j]
-                b = ta * db + tb * (da + db) - ua * cb - ub * (ca + cb)
-                k = b // g
-                add_value((
-                    (ta * da + tb * db - ua * ca - ub * cb - k * m) % n,
-                    b - k * g,
-                ))
-
-    # in a finite abelian group, <A, v> is the union of the cosets v**k A
-    # for k below the order of v modulo A; a v already in A adds nothing,
-    # and any other v at least doubles A, so the copies cost O(|A|) in all
-    image = {red(1, 0)}
-    for v in values:
-        if v in image:
-            continue
-        coset, power = list(image), v
-        while power not in image:
-            image.update(mul(power, a) for a in coset)
-            power = mul(power, v)
-    return frozenset(image)
+                ja, jb, jc, jd = reps[j]
+                yield GMatrix(
+                    ta * jd - tb * jc, tb * ja - ta * jb,
+                    tc * jd - td * jc, td * ja - tc * jb,
+                )
 
 
 # --- shear families ----------------------------------------------------------------

@@ -109,6 +109,10 @@ def test_reduce_text(capsys):
     lines = out.splitlines()
     assert "e = 6" in lines
     assert "reduced = 18*L+11 / 96*L+60" in lines
+    # a pair that is already reduced has e = 0 and prints unscaled
+    code, out, _ = run(capsys, "reduce", "L", "1")
+    assert code == 0
+    assert out.splitlines()[:3] == ["e = 0", "reduced = L / 1", "factored = L / 1"]
 
 
 def test_normalizer_golden_json(capsys):

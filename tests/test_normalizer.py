@@ -12,7 +12,6 @@ import hecke5.normalizer as normalizer_module
 from hecke5.errors import (
     BadRangeError,
     BoundExceededError,
-    IntegrityError,
     NotADivisorError,
     NotAUnitError,
     NotCoprimeError,
@@ -65,9 +64,7 @@ from hecke5.ring import (
     parse_element,
 )
 from hecke5.subgroups import (
-    _MAX_POINTS,
     CosetTable,
-    _upper_left_image,
     conjugate,
     coset_table,
     g0_contains,
@@ -75,7 +72,7 @@ from hecke5.subgroups import (
     schreier_generators,
 )
 from test_ring import wide_nonzero_elements
-from test_subgroups import UPPER_LEFT_IMAGE_GOLDEN
+from test_subgroups import UPPER_LEFT_IMAGE_GOLDEN, upper_left_image
 
 
 def elt(text: str) -> RingElt:
@@ -224,22 +221,6 @@ def test_quarter_shear_has_order_4_in_16_quotient():
     q = quotient_table(ints(16))
     shear = GMatrix(1, 0, RingElt(0, 4), 1)  # [[1, 0], [(16/4)L, 1]]
     assert q.element_orders[q.locate(shear)] == 4
-
-
-def test_quotient_table_raises_when_the_premise_fails(monkeypatch):
-    # L is not 1 modulo 2, and L**2 = L + 1 is not 1 modulo 4: were L an
-    # upper-left entry on G0(2), y*a mod h would not be additive
-    monkeypatch.setattr(
-        normalizer_module, "_upper_left_image", lambda r, limit: frozenset({(0, 1)})
-    )
-    # the image is cached per process: walk the patched image, then forget it
-    normalizer_module._residue_filters.cache_clear()
-    try:
-        with pytest.raises(IntegrityError):
-            quotient_table(ints(4))
-        assert quotient_table(ints(9)).order == 1
-    finally:
-        normalizer_module._residue_filters.cache_clear()
 
 
 def test_quotient_locate_rejects_matrices_outside_the_normalizer():
@@ -597,6 +578,8 @@ def test_elementary_rejects_bad_inputs():
         is_g5_elementary(RingElt(0, 0))
     with pytest.raises(BadRangeError):
         is_g5_elementary(ints(3), bound=0)
+    with pytest.raises(ZeroInputError):
+        strongly_elementary(RingElt(0, 0))
 
 
 def test_strongly_elementary_4_holds_8_fails():
@@ -656,13 +639,11 @@ def test_box_sweep_runs_unless_r_divides_4(monkeypatch):
 
 
 def test_elementary_search_walks_and_factors_nothing(monkeypatch):
-    # once A(2) and A(3) are cached, no search factors r or walks a coset
-    # graph: not the box misses 120 and 18L+126 at the default bound, nor
-    # the divisors of 4, nor r of norm 13680 or 9.0e28 (whose factoring
-    # would raise FactorCapError)
+    # no search factors r or walks a coset graph, and none needs a walk
+    # cached first: not the box misses 120 and 18L+126 at the default
+    # bound, nor the divisors of 4, nor r of norm 13680 or 9.0e28 (whose
+    # factoring would raise FactorCapError)
     from hecke5 import ideals, normalizer, subgroups
-
-    normalizer._residue_filters()
 
     def refuse(x, *args):
         raise AssertionError(f"factored or walked {x}")
@@ -670,8 +651,7 @@ def test_elementary_search_walks_and_factors_nothing(monkeypatch):
     for module, name in (
         (ideals, "factor"),
         (normalizer, "factor"),
-        (subgroups, "_upper_left_image"),
-        (normalizer, "_upper_left_image"),
+        (subgroups, "_Orbit"),
     ):
         monkeypatch.setattr(module, name, refuse)
     for r, bound in (
@@ -694,7 +674,7 @@ def _admitted(r):
     ctx = ResidueCtx(r)
     primes = [ResidueCtx(p) for p in factor(r).distinct_primes()]
     m = math.gcd(*r.coeffs, 6)
-    admitted = normalizer_module._residue_filters()[m]
+    admitted = normalizer_module._ADMITTED[m]
     return {
         (a, b)
         for a in range(ctx.n)
@@ -723,7 +703,14 @@ def test_residue_filter_admits_exactly_the_walk_of_g0_r():
     ]
     assert len(moduli) == 402
     for r in moduli:
-        assert _admitted(r) == _upper_left_image(r, 10_000), r
+        assert _admitted(r) == upper_left_image(r), r
+
+
+def test_upper_left_constants_are_the_images_of_g0_2_and_g0_3():
+    # A(2) and A(3) are written out in the module; here they are closed
+    # from the Schreier generators of G0(2) and G0(3) (index 5 and 10)
+    for p in (2, 3):
+        assert normalizer_module._UPPER_LEFT_MOD[p] == upper_left_image(ints(p)), p
 
 
 def test_residue_filter_uses_2_and_3():
@@ -731,11 +718,11 @@ def test_residue_filter_uses_2_and_3():
     # exactly the image A of G0(r), 16 of its 96 units, and dropping the
     # test mod 2 or mod 3 admits a strictly larger set
     r = elt("18*L+6")
-    filters = normalizer_module._residue_filters()
+    filters = normalizer_module._ADMITTED
     assert filters[2] == {(1, 0)}
     assert filters[3] == {(1, 0), (2, 0), (1, 1), (2, 2)}
     admitted = _admitted(r)
-    assert admitted == _upper_left_image(r, _MAX_POINTS)
+    assert admitted == upper_left_image(r)
     assert len(admitted) == 16
     units = {
         x.coeffs for x in ResidueCtx(r).residues() if gcd(x, r).is_unit()
@@ -824,7 +811,7 @@ def test_lazy_box_sweep_matches_the_eager_sweep(monkeypatch):
     for r, bounds in moduli:
         ctx = ResidueCtx(r)
         answers.clear()
-        parts = [(ctx, _upper_left_image(r, _MAX_POINTS))]
+        parts = [(ctx, upper_left_image(r))]
         for bound in bounds:
             expected = _eager_box_sweep(r, ctx, bound, parts)
             expected_chains = chains[:]

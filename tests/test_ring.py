@@ -82,6 +82,7 @@ def test_mul_table():
     assert ROOT5 * ROOT5 == elem(5, 0)
     assert elem(2, 3) * elem(-1, 4) == elem(10, 17)  # by hand: (2+3L)(4L-1)
     assert ONE * elem(7, -5) == elem(7, -5)
+    assert 3 - elem(1, 2) == elem(2, -2)  # int - RingElt, by __rsub__
 
 
 def test_lambda_power_table():

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -496,16 +497,15 @@ def residue_closure(ctx: ResidueCtx, generators: set[RingElt]) -> frozenset:
     return frozenset(e.coeffs for e in group)
 
 
-def test_upper_left_image_matches_the_schreier_generators():
-    # the residue walk gives the group spanned by -1 and the upper-left
-    # entries of the matrix Schreier generators, on 170 moduli
-    moduli = [r for tau in ideals_up_to_norm(200) for r in (tau, -tau * LAMBDA)]
-    assert len(moduli) == 170
-    for r in moduli:
-        ctx = ResidueCtx(r)
-        generators = {ctx.reduce(s.a) for s in schreier_generators(r)}
-        expected = residue_closure(ctx, generators | {ctx.reduce(-ONE)})
-        assert subgroups._upper_left_image(r, 10_000) == expected, r
+@cache
+def upper_left_image(r: RingElt) -> frozenset:
+    """The upper-left entries of G0(r) modulo r, as reduced pairs: on G0(r)
+    c = 0 modulo r, so a -> a mod r is a homomorphism, and its image is the
+    group spanned by -1 (the matrices are taken up to sign) and the
+    upper-left entries of the Schreier generators.  Cached per modulus."""
+    ctx = ResidueCtx(r)
+    generators = {ctx.reduce(s.a) for s in schreier_generators(r)}
+    return residue_closure(ctx, generators | {ctx.reduce(-ONE)})
 
 
 def test_upper_left_image_squares_to_one_only_for_2_and_4():
@@ -514,18 +514,16 @@ def test_upper_left_image_squares_to_one_only_for_2_and_4():
         for tau in ideals_up_to_norm(400)
         if all(
             ResidueCtx(tau).divides(elem(*a) * elem(*a) - ONE)
-            for a in subgroups._upper_left_image(tau, 10_000)
+            for a in upper_left_image(tau)
         )
     ]
     assert elementary == [elem(2), elem(4)]
     # the bench's box modulus L**2 * (12L - 6) = 18L + 6: 16 of its 96 units
-    assert len(subgroups._upper_left_image(elem(6, 18), 10_000)) == 16
+    assert len(upper_left_image(elem(6, 18))) == 16
 
 
 def test_upper_left_image_bound():
-    with pytest.raises(BoundExceededError):
-        subgroups._upper_left_image(elem(30), 1499)  # index 1500
-    assert len(subgroups._upper_left_image(elem(30), 1500)) == 80
+    assert len(upper_left_image(elem(30))) == 80  # index 1500
 
 
 #: sha256 of the entries of every Schreier generator in yield order, for
@@ -549,7 +547,7 @@ def test_schreier_generators_match_the_golden():
 def test_upper_left_images_match_the_golden():
     digest = hashlib.sha256()
     for tau in ideals_up_to_norm(600):
-        image = sorted(subgroups._upper_left_image(tau, 10_000))
+        image = sorted(upper_left_image(tau))
         digest.update(repr((tau.coeffs, image)).encode() + b"\n")
     assert digest.hexdigest() == UPPER_LEFT_IMAGE_GOLDEN
 

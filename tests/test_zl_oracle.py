@@ -2,9 +2,11 @@
 
 ``bench/zl.py`` is a Z[L] arithmetic written apart from hecke5, with its own
 division chain and word evaluation.  It re-checks the finite facts that
-N(G0(tau)) = G0(tau/h) rests on: the lower bound's premise, the G0(4) coset
-action with a**2 = 1 (mod 4) on its Schreier generators, and the upper
-bound's witness fractions u/(n*L**k) in every step of ``supergroup_chain``.
+N(G0(tau)) = G0(tau/h) and the elementary filter rest on: the G0(4) coset
+action with a**2 = 1 (mod 4) on its Schreier generators, the images A(2)
+and A(3) of the upper-left entry on G0(2) and G0(3) that ``hecke5.normalizer``
+writes out as constants, and the upper bound's witness fractions
+u/(n*L**k) in every step of ``supergroup_chain``.
 It also checks seeded ``reduce``, ``member`` and ``index`` answers of the
 CLI from their JSON text alone.  The module is loaded from its file and
 never edited.
@@ -19,6 +21,7 @@ from pathlib import Path
 from hecke5 import coset_table, supergroup_chain
 from hecke5.cli import main
 from hecke5.ideals import ideals_up_to_norm
+from hecke5.normalizer import _UPPER_LEFT_MOD
 from hecke5.reduction import word_string
 from hecke5.ring import LAMBDA, RingElt
 
@@ -34,26 +37,26 @@ FOUR = (4, 0)
 WITNESS_EXPONENTS = range(16)
 
 
-def _in_g0_4(m):
-    return zl.divides(FOUR, m[2])
-
-
-def _action_holds(words, action):
+def _action_holds(level, words, action):
     """The Schreier generators rep_i * g * rep_j**-1 of the edges i -> j by
     g that are not the walk's first path to j, when the classes are the
-    cosets of G0(4) (rep_i * rep_j**-1 is in G0(4) only for i = j) and the
-    action is right (every edge's rep_i * g * rep_j**-1 is in G0(4));
-    otherwise None."""
+    cosets of G0(level) (rep_i * rep_j**-1 is in G0(level) only for i = j)
+    and the action is right (every edge's rep_i * g * rep_j**-1 is in
+    G0(level)); otherwise None."""
+
+    def inside(m):
+        return zl.divides(level, m[2])
+
     reps = [zl.eval_word(word_string(w)) for w in words]
     for i, left in enumerate(reps):
         for j, right in enumerate(reps):
-            if _in_g0_4(zl.mat_mul(left, zl.mat_inv(right))) != (i == j):
+            if inside(zl.mat_mul(left, zl.mat_inv(right))) != (i == j):
                 return None
     generators = []
     for name, gen in (("S", zl.S), ("T", zl.T)):
         for i, j in enumerate(action[name]):
             m = zl.mat_mul(zl.mat_mul(reps[i], gen), zl.mat_inv(reps[j]))
-            if not _in_g0_4(m):
+            if not inside(m):
                 return None
             if words[j] != words[i] + ((name, 1),):
                 generators.append(m)
@@ -63,7 +66,7 @@ def _action_holds(words, action):
 def test_g0_4_action_and_generators_square_to_one_outside():
     table = coset_table(RingElt(4, 0))
     assert table.size == zl.index(FOUR) == 20
-    generators = _action_holds(table.rep_words, table.action)
+    generators = _action_holds(FOUR, table.rep_words, table.action)
     assert generators is not None and len(generators) == 21
     for a, _, c, _ in generators:
         assert zl.divides(FOUR, c)
@@ -74,7 +77,34 @@ def test_g0_4_action_check_rejects_a_wrong_action():
     table = coset_table(RingElt(4, 0))
     t_action = list(table.action["T"])
     t_action[1], t_action[2] = t_action[2], t_action[1]
-    assert _action_holds(table.rep_words, {**table.action, "T": t_action}) is None
+    assert _action_holds(FOUR, table.rep_words, {**table.action, "T": t_action}) is None
+
+
+def _closure_mod(p, values):
+    """The group that ``values`` span in (Z[L]/p)^x, p an inert rational
+    prime, as pairs (a mod p, b mod p)."""
+    group, frontier = {(1, 0)}, [(1, 0)]
+    while frontier:
+        reached = {
+            (c % p, d % p)
+            for x in frontier
+            for c, d in (zl.mul(x, v) for v in values)
+        } - group
+        group |= reached
+        frontier = list(reached)
+    return group
+
+
+def test_upper_left_images_mod_2_and_3_hold_outside():
+    # -1 and the upper-left entries of the Schreier generators span the image
+    # of a -> a mod p on G0(p); it is the module's constant A(p)
+    for p, size, count in ((2, 5, 6), (3, 10, 11)):
+        table = coset_table(RingElt(p, 0))
+        assert table.size == zl.index((p, 0)) == size
+        generators = _action_holds((p, 0), table.rep_words, table.action)
+        assert generators is not None and len(generators) == count
+        values = [(-1, 0)] + [m[0] for m in generators]
+        assert _closure_mod(p, values) == _UPPER_LEFT_MOD[p], p
 
 
 def _step_holds(step):
