@@ -120,8 +120,17 @@ def _scaled(elt: RingElt, e: int) -> str:
     return f"{base}*{power}"
 
 
-def _fmt_list(elts: Sequence[RingElt]) -> str:
-    return "[" + ", ".join(_fmt(x) for x in elts) + "]"
+def _line(name: str, value: object) -> str:
+    """``name = value`` as a text line shows a payload field; a list of
+    formatted elements shows as [a, b]."""
+    if isinstance(value, list):
+        value = "[" + ", ".join(value) + "]"
+    return f"{name} = {value}"
+
+
+def _profile(histogram: Sequence[tuple[int, int]]) -> str:
+    """An element-order histogram as order:count pairs, e.g. 1:1, 2:3."""
+    return ", ".join(f"{k}:{v}" for k, v in histogram)
 
 
 # --- verb handlers -------------------------------------------------------------------
@@ -214,47 +223,38 @@ def _cmd_normalizer(ns: argparse.Namespace) -> _Outcome:
         "h": r.h,
         "quotient": r.quotient,
     }
-    text = (
-        f"modulus = {_fmt(r.modulus)}",
-        f"h = {r.h}",
-        f"quotient = {r.quotient}",
-    )
+    text = tuple(_line(name, payload[name]) for name in ("modulus", "h", "quotient"))
     return _Outcome("hecke5.normalizer/1", payload, text)
 
 
 def _cmd_explain(ns: argparse.Namespace) -> _Outcome:
     tau = parse_element(ns.modulus)
     report = supergroup_chain(tau)
-    steps = []
-    text = [
-        f"input = {_fmt(report.input)}",
-        f"half-power bound = {_fmt(report.half_power_bound)}",
+    steps = [
+        {
+            "part": step.part,
+            "removed": _fmt(step.removed),
+            "remaining": _fmt(step.remaining),
+            "witnesses": [_fmt(w) for w in step.witnesses],
+            "gcds": [_fmt(g) for g in step.gcds],
+            "bound": _fmt(step.bound),
+        }
+        for step in report.steps
     ]
-    for step in report.steps:
-        steps.append(
-            {
-                "part": step.part,
-                "removed": _fmt(step.removed),
-                "remaining": _fmt(step.remaining),
-                "witnesses": [_fmt(w) for w in step.witnesses],
-                "gcds": [_fmt(g) for g in step.gcds],
-                "bound": _fmt(step.bound),
-            }
-        )
-        text.append(
-            f"{step.part}: removed = {_fmt(step.removed)}, "
-            f"remaining = {_fmt(step.remaining)}, "
-            f"witnesses = {_fmt_list(step.witnesses)}, "
-            f"gcds = {_fmt_list(step.gcds)}, "
-            f"bound = {_fmt(step.bound)}"
-        )
-    text.append(f"final = {_fmt(report.final)}")
     payload = {
         "input": _fmt(report.input),
         "half_power_bound": _fmt(report.half_power_bound),
         "steps": steps,
         "final": _fmt(report.final),
     }
+    text = [
+        _line("input", payload["input"]),
+        _line("half-power bound", payload["half_power_bound"]),
+    ]
+    for step in steps:
+        fields = (_line(name, value) for name, value in step.items() if name != "part")
+        text.append(f"{step['part']}: {', '.join(fields)}")
+    text.append(_line("final", payload["final"]))
     return _Outcome("hecke5.explain/1", payload, tuple(text))
 
 
@@ -282,7 +282,7 @@ def _cmd_elementary(ns: argparse.Namespace) -> _Outcome:
         }
         text = [
             f"strong = {'true' if verdict.holds else 'false'}",
-            f"divisors = {_fmt_list(verdict.divisors)}",
+            _line("divisors", payload["divisors"]),
         ]
         if not verdict.holds:
             x, y = verdict.failure.witness
@@ -327,13 +327,12 @@ def _cmd_quotient(ns: argparse.Namespace) -> _Outcome:
         "classification": q.classification,
         "profile": [[k, v] for k, v in q.order_profile],
     }
-    profile_text = ", ".join(f"{k}:{v}" for k, v in q.order_profile)
     text = (
         f"group = G0({_fmt(q.normalizer_modulus)})",
         f"subgroup = G0({_fmt(q.modulus)})",
         f"order = {q.order}",
         f"classification = {q.classification}",
-        f"profile = {profile_text}",
+        f"profile = {_profile(q.order_profile)}",
     )
     return _Outcome("hecke5.quotient/1", payload, text)
 
@@ -432,8 +431,7 @@ def _check_quotient(n: int, order: int, name: str) -> str:
         raise _CheckFailure(
             f"got order {q.order} {q.classification}; want order {order} {name}"
         )
-    profile = ", ".join(f"{k}:{v}" for k, v in q.order_profile)
-    return f"order {order}, {name}, profile {profile}"
+    return f"order {order}, {name}, profile {_profile(q.order_profile)}"
 
 
 def _check_elementary(text: str, expect_found: bool) -> str:

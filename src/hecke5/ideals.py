@@ -284,6 +284,11 @@ class Factorization(NamedTuple):
         return " * ".join(parts) if parts else "1"
 
 
+def _ideal_key(x: RingElt) -> tuple[int, int, int]:
+    """Order of ideals: absolute norm of the generator, then coefficients."""
+    return (x.abs_norm(), x.a, x.b)
+
+
 def factor(x: RingElt) -> Factorization:
     """Factor a nonzero element into canonical primes and a unit."""
     if not x:
@@ -297,7 +302,7 @@ def factor(x: RingElt) -> Factorization:
                 rest, e = q, e + 1
             if e:
                 found.append((prime, e))
-    found.sort(key=lambda t: (t[0].abs_norm(), t[0].coeffs))
+    found.sort(key=lambda t: _ideal_key(t[0]))
     return Factorization(unit=unit_decompose(rest), factors=tuple(found))
 
 
@@ -474,5 +479,5 @@ def ideals_up_to_norm(bound: int) -> list[RingElt]:
             product = val * prime
             out.append(canonical_associate(product))
             stack.append((i, product, nrm * np))
-    out.sort(key=lambda e: (e.abs_norm(), e.coeffs))
+    out.sort(key=_ideal_key)
     return out

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .ideals import (
     ResidueCtx,
+    _ideal_key,
     _product,
     factor,
     h_of,
@@ -316,21 +317,21 @@ class ChainReport(NamedTuple):
 _THREE = RingElt(3, 0)
 _ROOT5_PRIME = canonical_associate(RingElt(-1, 2))
 
-#: Witnesses (u, k): u/(n*L**k) is p/(n*L) for p = 2, 3, 9, 5, scaled to
+#: Witnesses (u, L**k): u/(n*L**k) is p/(n*L) for p = 2, 3, 9, 5, scaled to
 #: its reduced form, n being the smallest rational integer of a modulus;
 #: for p = 9 the scale depends on n: k = 4 when n = +-1 (mod 9), else 10.
-_W2 = (RingElt(2, 0) * lambda_pow(2), 3)
-_W3 = (_THREE * lambda_pow(3), 4)
-_W9_SHORT = (RingElt(9, 0) * lambda_pow(3), 4)
-_W9_LONG = (RingElt(9, 0) * lambda_pow(9), 10)
-_W5 = (RingElt(5, 0) * lambda_pow(6), 7)
+_W2 = (RingElt(2, 0) * lambda_pow(2), lambda_pow(3))
+_W3 = (_THREE * lambda_pow(3), lambda_pow(4))
+_W9_SHORT = (RingElt(9, 0) * lambda_pow(3), lambda_pow(4))
+_W9_LONG = (RingElt(9, 0) * lambda_pow(9), lambda_pow(10))
+_W5 = (RingElt(5, 0) * lambda_pow(6), lambda_pow(7))
 
 
 def _strip_step(
     part: str,
     factors: tuple[tuple[RingElt, int], ...],
     prime: RingElt,
-    witnesses: Callable[[int], tuple[tuple[RingElt, int], ...]],
+    witnesses: Callable[[int], tuple[tuple[RingElt, RingElt], ...]],
 ) -> ChainStep:
     """Strip the prime's power from the factored tau and bound the cofactor
     by the witness lemma, applied to the witnesses that ``witnesses`` picks
@@ -344,8 +345,8 @@ def _strip_step(
     n = smallest_rational_integer(remaining)
     pairs = witnesses(n)
     gcds = []
-    for u, k in pairs:
-        denominator = RingElt(n, 0) * lambda_pow(k)
+    for u, scale in pairs:
+        denominator = n * scale
         g = _witness_gcd(u, denominator, lambda: rest)
         if g is None:
             raise IntegrityError(f"witness {u}/{denominator} failed to be reduced")
@@ -456,8 +457,8 @@ def is_g5_elementary(
     # r | 4 exactly when 4 lies in (r), whose least positive integer is n
     if 4 % ctx.n == 0:
         return ElementaryVerdict(r, NO_COUNTEREXAMPLE, None, bound)
-    for numerator, k in (_W2, _W3, _W9_SHORT, _W9_LONG, _W5):
-        denominator = ctx.n * lambda_pow(k)
+    for numerator, scale in (_W2, _W3, _W9_SHORT, _W9_LONG, _W5):
+        denominator = ctx.n * scale
         y = exact_divide(denominator, r)
         if y is None or _is_involution(ctx, *numerator.coeffs):
             continue
@@ -553,7 +554,7 @@ def _divisors_up_to_associates(r: RingElt) -> list[RingElt]:
             d * prime ** k for d in divisors for k in range(exponent + 1)
         ]
     canon = {canonical_associate(d) for d in divisors}
-    return sorted(canon, key=lambda d: (abs(d.norm()), d.a, d.b))
+    return sorted(canon, key=_ideal_key)
 
 
 def strongly_elementary(

@@ -164,13 +164,13 @@ def _fib_pair(n: int) -> tuple[int, int]:
 
 
 def lambda_pow(k: int) -> RingElt:
-    """L**k for any integer k; L**k = F(k-1) + F(k) L."""
-    if k >= 1:
-        a, b = _fib_pair(k - 1)
-        return RingElt(a, b)
-    if k == 0:
-        return ONE
-    return inverse_unit(lambda_pow(-k))
+    """L**k for any integer k: L**k = F(k-1) + F(k) L, which for k = -n
+    reads L**-n = (-1)**n (F(n+1) - F(n) L)."""
+    f, f1 = _fib_pair(abs(k))
+    if k >= 0:
+        return RingElt(f1 - f, f)
+    s = -1 if k & 1 else 1
+    return RingElt(s * f1, -s * f)
 
 
 # --- exact real-embedding predicates ---------------------------------------
@@ -230,20 +230,13 @@ class UnitRep(NamedTuple):
 _UNIT_LOG_SPAN = 64
 
 
-def _unit_log_table() -> dict[tuple[int, int], tuple[int, int]]:
-    """Coefficient pairs of +-L**k for |k| <= _UNIT_LOG_SPAN, mapped to (sign, k)."""
-    table = {}
-    for direction in (1, -1):
-        a, b = 1, 0
-        for k in range(_UNIT_LOG_SPAN + 1):
-            table[(a, b)] = (1, direction * k)
-            table[(-a, -b)] = (-1, direction * k)
-            # times L is (b, a + b); times L**-1 is (b - a, a)
-            a, b = (b, a + b) if direction > 0 else (b - a, a)
-    return table
-
-
-_UNIT_LOGS = _unit_log_table()
+#: Coefficient pairs of +-L**k for |k| <= _UNIT_LOG_SPAN, mapped to (sign, k).
+_UNIT_LOGS = {
+    (sign * a, sign * b): (sign, k)
+    for k in range(-_UNIT_LOG_SPAN, _UNIT_LOG_SPAN + 1)
+    for a, b in [lambda_pow(k).coeffs]
+    for sign in (1, -1)
+}
 
 #: log2 of the golden ratio and of sqrt(5): F(n) is about L**n / sqrt(5).
 _LOG2_L = 0.6942419136306174

@@ -243,8 +243,9 @@ class _Orbit:
     first path to it; ``points[i]`` is that matrix's bottom row modulo the
     level, as reduced residue pairs, and ``index_of`` maps each class key to
     its position.  Edge 2i goes from class i by S and edge 2i + 1 by T, to
-    the class ``successors`` lists under that number, and ``reaching[j - 1]``
-    is the number of the edge that first reaches class j.  Raises
+    the class ``successors`` lists under that number.  Classes are numbered
+    in the order reached, so edge e first reaches class j exactly when
+    ``successors[e] == j`` and j classes were reached before it.  Raises
     BoundExceededError when the index exceeds ``max_points``.
     """
 
@@ -260,15 +261,13 @@ class _Orbit:
         self.points = [(*red(0, 0), *red(1, 0))]
         self.index_of = {line.key(*self.points[0]): 0}
         self.successors: list[int] = []
-        self.reaching: list[int] = []
 
     def walk(self) -> Iterator[int]:
         """Visit the classes in the order reached, and yield each class i
         once its two edges are recorded."""
         key, moves, points = self.line.key, self.line.moves, self.points
         index_of, find, add_point = self.index_of, self.index_of.get, points.append
-        successors = self.successors
-        add_successor, add_reaching = successors.append, self.reaching.append
+        add_successor = self.successors.append
         # the loop reads the points appended while it runs
         for i, row in enumerate(points):
             for pt in moves(*row):
@@ -277,7 +276,6 @@ class _Orbit:
                 if j is None:
                     index_of[k] = j = len(points)
                     add_point(pt)
-                    add_reaching(len(successors))
                 add_successor(j)
             yield i
 
@@ -302,10 +300,11 @@ class CosetTable:
         self._key = orbit.line.key
 
         deque(orbit.walk(), maxlen=0)
-        words: list[Word] = [()]
-        for e in orbit.reaching:
-            words.append(words[e // 2] + (("ST"[e % 2], 1),))
         points, successors = orbit.points, orbit.successors
+        words: list[Word] = [()]
+        for e, j in enumerate(successors):
+            if j == len(words):  # the edge that reaches j first
+                words.append(words[e // 2] + (("ST"[e % 2], 1),))
         if len(points) != orbit.expected:
             raise IntegrityError(
                 f"orbit has {len(points)} classes but the index formula "

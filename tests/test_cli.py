@@ -491,6 +491,97 @@ def test_factor_family_output_goldens(capsys, verb, text):
     assert (code, digest) == expected
 
 
+#: (exit code, sha256) of the text output of ``hecke5 VERB -- X``, stdout
+#: then stderr, for VERB in TEXT_VERBS, on the FACTOR_FAMILY_GOLDENS inputs
+#: and on 48 and 400, where h = 4.  Pins each line's layout.
+TEXT_VERBS = ("explain", "normalizer")
+TEXT_GOLDENS = {
+    "-2132957805196789254*L+3451198225377782111": (
+        (0, "0ef836b62a898f14ba167ff4f72ba9d937488a571d45bd844a89015f7f1471aa"),
+        (0, "511e3889f3e1c57286a28a650b2f1de0c39591f29f3308edd891496a346962a0"),
+    ),
+    "-1964314633723084670590132643600544547512977038*L+3178327841962751401298439800528793193011681635": (
+        (0, "0380543b76ad2a7584a6cc782e3325bfa995ffcbab3569dacab994b300714754"),
+        (0, "b4601b77e9f031253f67172e69f2f68b9d39228370879b9a2ee24556c8a45ca5"),
+    ),
+    "-374167419417456135813151044578205836333523489896997543504572455241*L+605415602100281408431977652878887772330571913393248626779328971326": (
+        (0, "6345f0c178bf513b3b1582b9482e8521cbc9687f964c04297717a14e65aec4d2"),
+        (0, "75d7495f4461fe7bc4b0b65a25b0568324eeffaf90c7fe43d041c9cb999323e8"),
+    ),
+    "-173285595095464763196919159320237557257428431868317*L+280381982625214066539141782097187913403119380053739": (
+        (0, "246ae21846504bc82b037a45059763a6668b95e2bc8858fcddf114ffaad372c9"),
+        (0, "7be96ace1521b44b4bd7392644161b8b00a52c7d7fd04e0fbbe5b8f0455de916"),
+    ),
+    "-325220744976304429129336577353866426320810119301041340881397462280975*L-200997474241917753023855708864687808906457347437060677628821140430168": (
+        (0, "02d2946984cfb8b3feb680a2f8642332070ec4ec426f16ed79496c14ddeda8d2"),
+        (0, "e87abf14191a4879ab88944a12f4287921f15143175c51dbb5dc4eb46358a681"),
+    ),
+    "-43079400212306865448824722660804989391475332954216850430934984999181539826459*L+69703933758471944464893778630765395698539848233335064110419814790120448220753": (
+        (0, "810451ead4fe7a48209746f2d95fd35c294e334137eb3430922190a124db71a6"),
+        (0, "227e745d4a451c77775cd08e8080b87983864e3c10b08f73a9bf95ba8ac678c4"),
+    ),
+    "-314746456628753*L+509270464663917": (
+        (0, "47e64ac938e40d37d7068a135e4820adb3d463e7fcc5b75e70d187043285fcc6"),
+        (0, "5ec7f4a7679501349475aeb954fd8c5e6901fbd9220349bde28bf57627b613a1"),
+    ),
+    "40313488985069196622054557337023731363110*L+24915106397867265747340255388642480906007": (
+        (0, "aa0fbe169263ab5bc6ae92593bc894a1243634fb11c0b62cc96f1836d75df4b0"),
+        (0, "b9f6ce9b187c89633f8a334956c19bf8dec11cb571af14ecd9224ddad0c24b2d"),
+    ),
+    "670507": (
+        (0, "a1869d65c276b52d4594994a88963fd06e1d84d797ee1a0d0f695b5c42867885"),
+        (0, "00eb5b3a5e8709e4932ce86198d4c4f75f5fd6d757797d39a715af6ef4f7d836"),
+    ),
+    "1129850267468965*L+698285867493980": (
+        (0, "6526c88dd70554e98d4b5ebbf45ad8d92462353bbea1855926823240752956b8"),
+        (0, "5ad235a7c16c53d267be3d35e079b3aac6b7369e03d274831e6ba4448b5f8225"),
+    ),
+    "-134739796566005456134793764479160139732465972220*L-83273773915037736577727227756469055470695737100": (
+        (0, "5470a8fa98667f558785f5fdc0db235840ec575c47e6566c029ac6f7fe1afae7"),
+        (0, "e3855b355f7679ebdc6512a1f7acdbbb78addb90bafbe0f894a66a60e13d337d"),
+    ),
+    "25299086886458645685589389182743678652930*L+15635695580168194910579363790217849593217": (
+        (1, "d5eee76511d0c954be4a3e817bceac197372d239809995faea732a7860ec6aa5"),
+        (1, "d5eee76511d0c954be4a3e817bceac197372d239809995faea732a7860ec6aa5"),
+    ),
+    "54920454162692092844167937329982166646283*L+33942707350124360594206328943030461148037": (
+        (0, "22c7f1e81f674215c6e4c2f1b4686102c787ec874d850c279f0f3497ffe58185"),
+        (0, "4539bc3b0f3ecc089f358eaf5f18172f14ada59206d57e9cbb0b22323365d7ed"),
+    ),
+    "48": (
+        (0, "7bb8c697c71cd682c50d767118cba09078853246875a41c243f5de42c3b88c3a"),
+        (0, "532288433aa652e9a0873581b1add161f8fb68478a4d18842df41e4a47e1eb7e"),
+    ),
+    "400": (
+        (0, "224a5291a385315169b5d9ef8db68db69e73e1a9c95aca2cc29c23c07fd7b35a"),
+        (0, "97b246ba5867c962f79fb487b8ac24bfb167e60555e33a6b3a0835236b77078a"),
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", TEXT_VERBS)
+@pytest.mark.parametrize("text", TEXT_GOLDENS)
+def test_text_output_goldens(capsys, verb, text):
+    code, out, err = run(capsys, verb, "--", text)
+    digest = hashlib.sha256((out + err).encode()).hexdigest()
+    assert (code, digest) == TEXT_GOLDENS[text][TEXT_VERBS.index(verb)]
+
+
+#: (exit code, sha256) of the stdout of ``hecke5 elementary R --strong``.
+STRONG_TEXT_GOLDENS = {
+    "4": (0, "b3337a98dd6cc6a6482e5f847e876e7d6de6a431b670f233f3a6acbfface42d3"),
+    "8": (2, "e0574a8a6aac3e95242b97dbb9d49ffb9e294efd5efe3aec5569ffbe27cb1eae"),
+    "12*L+7": (2, "f01db85ef11ae131f1941f2bf0a784732cf75f876fd8be7367db865ce56d8205"),
+}
+
+
+@pytest.mark.parametrize("r", STRONG_TEXT_GOLDENS)
+def test_elementary_strong_text_goldens(capsys, r):
+    code, out, _ = run(capsys, "elementary", r, "--strong")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == STRONG_TEXT_GOLDENS[r]
+
+
 # --- membership and exit-code semantics ----------------------------------------------
 
 

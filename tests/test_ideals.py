@@ -435,6 +435,8 @@ def test_h_of_values():
     assert h_of(elem(48, 0)) == 4
     assert h_of(elem(0, 2)) == 1  # 2L is a unit multiple of 2
     assert h_of(elem(9, 0)) == 1
+    with pytest.raises(ZeroInputError):
+        h_of(elem(0, 0))
 
 
 def test_h_of_matches_the_factored_2_part():
@@ -507,6 +509,7 @@ def test_residue_ctx_frozen():
     assert (ctx.n, ctx.g) == (11, 1)
     assert ctx.reduce(elem(44, 72)) == elem(2, 0)
     assert ctx.red(44, 72) == (2, 0)
+    assert repr(ctx) == "ResidueCtx('12*L+7')"
     ctx2 = ResidueCtx(elem(2, 0))
     assert (ctx2.n, ctx2.g) == (2, 2)
     assert ctx2.reduce(elem(11, 18)) == elem(1, 0)

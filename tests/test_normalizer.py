@@ -72,7 +72,11 @@ from hecke5.subgroups import (
     schreier_generators,
 )
 from test_ring import wide_nonzero_elements
-from test_subgroups import UPPER_LEFT_IMAGE_GOLDEN, upper_left_image
+from test_subgroups import (
+    UPPER_LEFT_IMAGE_GOLDEN,
+    upper_left_image,
+    walked_upper_left_image,
+)
 
 
 def elt(text: str) -> RingElt:
@@ -696,14 +700,14 @@ def test_residue_filter_matches_the_walk_of_g0_r():
 
 def test_residue_filter_admits_exactly_the_walk_of_g0_r():
     # F(r) = A(r) on every composite and prime-power r of norm <= 1500 and
-    # index <= 10000, 402 moduli
+    # index <= 10000, 402 moduli, with A(r) read from the coset table
     moduli = [
         r for r in ideals_up_to_norm(1500)
         if [e for _, e in factor(r).factors] != [1] and index_in_g5(r) <= 10_000
     ]
     assert len(moduli) == 402
     for r in moduli:
-        assert _admitted(r) == upper_left_image(r), r
+        assert _admitted(r) == walked_upper_left_image(r), r
 
 
 def test_upper_left_constants_are_the_images_of_g0_2_and_g0_3():

@@ -113,6 +113,10 @@ def test_matrix_sign_semantics():
     assert m != IDENTITY
     assert GEN_S * GEN_S == IDENTITY  # S**2 = -I, identity modulo sign
     assert (GEN_S * GEN_S).entries == (-ONE, ZERO, ZERO, -ONE)
+    assert repr(m) == "[[0, -1], [1, L]]"
+    assert m != "[[0, -1], [1, L]]"
+    with pytest.raises(TypeError):
+        m * "1"
 
 
 def test_matrix_hash_ignores_global_sign():

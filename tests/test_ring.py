@@ -83,6 +83,16 @@ def test_mul_table():
     assert elem(2, 3) * elem(-1, 4) == elem(10, 17)  # by hand: (2+3L)(4L-1)
     assert ONE * elem(7, -5) == elem(7, -5)
     assert 3 - elem(1, 2) == elem(2, -2)  # int - RingElt, by __rsub__
+    with pytest.raises(TypeError):
+        RingElt(1.5)
+    # a str is no ring element: each operator returns NotImplemented
+    assert elem(1, 2) != "1"
+    for op in (
+        lambda x: x + "1", lambda x: "1" + x, lambda x: x - "1",
+        lambda x: "1" - x, lambda x: x * "1", lambda x: x ** "1",
+    ):
+        with pytest.raises(TypeError):
+            op(elem(1, 2))
 
 
 def test_lambda_power_table():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 from functools import cache
 
@@ -508,6 +509,53 @@ def upper_left_image(r: RingElt) -> frozenset:
     return residue_closure(ctx, generators | {ctx.reduce(-ONE)})
 
 
+def walked_upper_left_image(r: RingElt) -> frozenset:
+    """``upper_left_image`` read from ``coset_table(r).action`` alone: a
+    breadth-first walk from class 0 keeps each representative's entries as
+    residue pairs modulo r, and each edge i -> j by g that does not reach j
+    first gives the upper-left entry a*d' - b*c' of rep_i * g * rep_j**-1,
+    with rep_i * g = (a, b, c, d) and rep_j = (a', b', c', d'); the edges
+    that do give 1.  -1 joins them, as in ``upper_left_image``."""
+    ctx = ResidueCtx(r)
+    red = ctx.red
+
+    def cross(x, w, y, z):
+        """x*w - y*z on coefficient pairs."""
+        (xa, xb), (wa, wb), (ya, yb), (za, zb) = x, w, y, z
+        return (
+            xa * wa + xb * wb - ya * za - yb * zb,
+            xa * wb + xb * wa + xb * wb - ya * zb - yb * za - yb * zb,
+        )
+
+    action = coset_table(r).action
+    edges = tuple(zip(action["S"], action["T"]))
+    one, zero = red(1, 0), red(0, 0)
+    reps, queue, entries = {0: (one, zero, zero, one)}, deque([0]), set()
+    while queue:
+        i = queue.popleft()
+        (aa, ab), b, (ca, cb), d = reps[i]
+        # rep_i * S = (b, -a, d, -c) and rep_i * T = (a, a*L + b, c, c*L + d)
+        moved = (
+            (b, (-aa, -ab), d, (-ca, -cb)),
+            ((aa, ab), (ab + b[0], aa + ab + b[1]),
+             (ca, cb), (cb + d[0], ca + cb + d[1])),
+        )
+        for j, (ta, tb, tc, td) in zip(edges[i], moved):
+            if j not in reps:
+                reps[j] = (red(*ta), red(*tb), red(*tc), red(*td))
+                queue.append(j)
+            else:
+                _, _, jc, jd = reps[j]
+                entries.add(red(*cross(ta, jd, tb, jc)))
+    generators = {RingElt(*e) for e in entries} | {ctx.reduce(-ONE)}
+    return residue_closure(ctx, generators)
+
+
+def test_upper_left_image_oracles_agree():
+    for tau in ideals_up_to_norm(150):
+        assert walked_upper_left_image(tau) == upper_left_image(tau), tau
+
+
 def test_upper_left_image_squares_to_one_only_for_2_and_4():
     elementary = [
         tau
@@ -592,6 +640,8 @@ def test_shear_coset_equal_validation():
     good = ShearPair.from_level(1, 1, level)
     with pytest.raises(BadRangeError):
         shear_coset_equal(good, ShearPair.from_level(1, 3, level), 1, level)
+    with pytest.raises(BadRangeError):  # y = 0 is divisible by 3
+        shear_coset_equal(good, ShearPair.from_level(1, 0, level), 1, level)
     with pytest.raises(BadRangeError):
         shear_coset_equal(good, good, 0, level)
     with pytest.raises(BadRangeError):
