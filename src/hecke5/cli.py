@@ -109,9 +109,9 @@ class _Outcome(NamedTuple):
 _fmt = format_element
 
 
-def _scaled(elt: RingElt, e: int) -> str:
-    """Render elt * L**e without expanding, e.g. (2*L-1)*L**6."""
-    base = _fmt(elt)
+def _scaled(base: str, e: int) -> str:
+    """Render a formatted element times L**e without expanding, e.g.
+    (2*L-1)*L**6."""
     if e == 0:
         return base
     if any(ch in base[1:] for ch in "+-"):
@@ -144,26 +144,25 @@ def _cmd_factor(ns: argparse.Namespace) -> _Outcome:
         "unit": _fmt(f.unit.value()),
         "factors": [[_fmt(p), k] for p, k in f.factors],
     }
-    return _Outcome("hecke5.factor/1", payload, (f"{_fmt(x)} = {f}",))
+    return _Outcome("hecke5.factor/1", payload, (f"{payload['input']} = {f}",))
 
 
 def _cmd_reduce(ns: argparse.Namespace) -> _Outcome:
     num, den = parse_element(ns.num), parse_element(ns.den)
     r = reduced_factor(num, den)
-    factored = [_scaled(num, r.e), _scaled(den, r.e)]
-    word = word_string(r.word)
+    given = [_fmt(num), _fmt(den)]
     payload = {
-        "input": [_fmt(num), _fmt(den)],
+        "input": given,
         "e": r.e,
         "reduced": [_fmt(r.reduced_num), _fmt(r.reduced_den)],
-        "factored": factored,
-        "word": word,
+        "factored": [_scaled(s, r.e) for s in given],
+        "word": word_string(r.word),
     }
     text = (
         f"e = {r.e}",
-        f"reduced = {_fmt(r.reduced_num)} / {_fmt(r.reduced_den)}",
-        f"factored = {factored[0]} / {factored[1]}",
-        f"word = {word or '1'}",
+        f"reduced = {' / '.join(payload['reduced'])}",
+        f"factored = {' / '.join(payload['factored'])}",
+        f"word = {payload['word'] or '1'}",
     )
     return _Outcome("hecke5.reduce/1", payload, text)
 
@@ -184,10 +183,10 @@ def _cmd_cosets(ns: argparse.Namespace) -> _Outcome:
     reps = []
     text = [f"size = {table.size}"]
     for i, (point, word) in enumerate(zip(table.points, table.rep_words)):
-        c, d = RingElt(point[0], point[1]), RingElt(point[2], point[3])
+        c, d = _fmt(RingElt(point[0], point[1])), _fmt(RingElt(point[2], point[3]))
         word_text = word_string(word)
-        reps.append({"point": [_fmt(c), _fmt(d)], "word": word_text})
-        text.append(f"{i}: ({_fmt(c)}, {_fmt(d)}) {word_text or '1'}")
+        reps.append({"point": [c, d], "word": word_text})
+        text.append(f"{i}: ({c}, {d}) {word_text or '1'}")
     payload = {"input": _fmt(tau), "size": table.size, "reps": reps}
     return _Outcome("hecke5.cosets/1", payload, tuple(text))
 
@@ -285,10 +284,10 @@ def _cmd_elementary(ns: argparse.Namespace) -> _Outcome:
             _line("divisors", payload["divisors"]),
         ]
         if not verdict.holds:
-            x, y = verdict.failure.witness
-            text.append(f"failing divisor = {_fmt(verdict.failing_divisor)}")
-            text.append(f"x = {_fmt(x)}")
-            text.append(f"denominator = {_fmt(verdict.failing_divisor * y)}")
+            y = verdict.failure.witness[1]
+            text.append(_line("failing divisor", payload["failing_divisor"]))
+            text.append(_line("x", payload["witness"][0]))
+            text.append(_line("denominator", _fmt(verdict.failing_divisor * y)))
         return _Outcome(
             "hecke5.elementary/1",
             payload,
@@ -306,10 +305,8 @@ def _cmd_elementary(ns: argparse.Namespace) -> _Outcome:
     }
     text = [f"verdict = {verdict.verdict}"]
     if verdict.found:
-        x, y = verdict.witness
-        text.append(f"x = {_fmt(x)}")
-        text.append(f"y = {_fmt(y)}")
-        text.append(f"denominator = {_fmt(r * y)}")
+        x, y = payload["witness"]
+        text += [f"x = {x}", f"y = {y}", f"denominator = {payload['denominator']}"]
     text.append(f"bound = {verdict.bound}")
     return _Outcome(
         "hecke5.elementary/1", payload, tuple(text), exit_code=2 if verdict.found else 0
@@ -328,8 +325,8 @@ def _cmd_quotient(ns: argparse.Namespace) -> _Outcome:
         "profile": [[k, v] for k, v in q.order_profile],
     }
     text = (
-        f"group = G0({_fmt(q.normalizer_modulus)})",
-        f"subgroup = G0({_fmt(q.modulus)})",
+        f"group = G0({payload['normalizer_modulus']})",
+        f"subgroup = G0({payload['modulus']})",
         f"order = {q.order}",
         f"classification = {q.classification}",
         f"profile = {_profile(q.order_profile)}",
@@ -451,57 +448,38 @@ def _check_elementary(text: str, expect_found: bool) -> str:
     return f"counterexample {_fmt(x)} over {_fmt(r * y)}"
 
 
-def _selftest_items() -> list[tuple[str, Callable[[], str]]]:
-    items: list[tuple[str, Callable[[], str]]] = []
-    for pa, ns, e, (a, b) in _TABLE_ROWS:
-        for n in ns:
-            items.append(
-                (
-                    f"table {pa}/{n}L",
-                    lambda pa=pa, n=n, e=e, a=a, b=b: _check_table_row(
-                        pa, n, e, RingElt(a, b)
-                    ),
-                )
-            )
-    for den, e, num_want, den_want in _FORM_ROWS:
-        items.append(
-            (
-                f"forms (2*L-1)/{den}",
-                lambda den=den, e=e, nw=num_want, dw=den_want: _check_form(
-                    den, e, nw, dw
-                ),
-            )
-        )
-    items.append(("conjugation level 9", _check_conjugation))
-    items.append(("indices up to norm 400", _check_indices))
-    items.append(("quotient 4", lambda: _check_quotient(4, 4, "Klein4")))
-    items.append(("quotient 16", lambda: _check_quotient(16, 16, "Z4xZ4")))
-    for text, expect in (
-        ("2", False),
-        ("4", False),
-        ("3", True),
-        ("8", True),
-        ("12*L+7", True),
-    ):
-        items.append(
-            (
-                f"elementary {text}",
-                lambda text=text, expect=expect: _check_elementary(text, expect),
-            )
-        )
-    return items
+def _selftest_items() -> list[tuple[str, Callable[..., str], tuple]]:
+    """Every selftest item as (name, check, arguments): ``check(*arguments)``
+    returns the item's detail line, or raises if a value differs."""
+    return [
+        *(
+            (f"table {pa}/{n}L", _check_table_row, (pa, n, e, RingElt(a, b)))
+            for pa, ns, e, (a, b) in _TABLE_ROWS
+            for n in ns
+        ),
+        *((f"forms (2*L-1)/{row[0]}", _check_form, row) for row in _FORM_ROWS),
+        ("conjugation level 9", _check_conjugation, ()),
+        ("indices up to norm 400", _check_indices, ()),
+        ("quotient 4", _check_quotient, (4, 4, "Klein4")),
+        ("quotient 16", _check_quotient, (16, 16, "Z4xZ4")),
+        ("elementary 2", _check_elementary, ("2", False)),
+        ("elementary 4", _check_elementary, ("4", False)),
+        ("elementary 3", _check_elementary, ("3", True)),
+        ("elementary 8", _check_elementary, ("8", True)),
+        ("elementary 12*L+7", _check_elementary, ("12*L+7", True)),
+    ]
 
 
 def _cmd_selftest(ns: argparse.Namespace) -> _Outcome:
     items = _selftest_items()
     if ns.only is not None:
-        items = [(name, fn) for name, fn in items if ns.only in name]
+        items = [item for item in items if ns.only in item[0]]
         if not items:
             raise UsageError(f"no selftest item matches {ns.only!r}")
     results = []
-    for name, fn in items:
+    for name, check, arguments in items:
         try:
-            results.append({"name": name, "ok": True, "detail": fn()})
+            results.append({"name": name, "ok": True, "detail": check(*arguments)})
         except _CheckFailure as exc:
             results.append({"name": name, "ok": False, "detail": str(exc)})
         except _ERROR_TYPES + (ArithmeticError, AssertionError) as exc:

@@ -50,9 +50,9 @@ def _selftest(prefix: str) -> list[str]:
     Each item raises on any value that differs from its frozen expectation
     and returns its detail line.
     """
-    items = [(name, fn) for name, fn in _selftest_items() if name.startswith(prefix)]
+    items = [item for item in _selftest_items() if item[0].startswith(prefix)]
     assert items, f"no selftest item starts with {prefix!r}"
-    return [fn() for _name, fn in items]
+    return [check(*arguments) for _name, check, arguments in items]
 
 
 # --- 1: the ten-row reduced-factor table ----------------------------------------------

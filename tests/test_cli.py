@@ -274,6 +274,46 @@ def test_elementary_output_goldens(capsys, r, bound):
     assert (code, digest) == ELEMENTARY_GOLDENS[(r, bound)]
 
 
+#: (exit code, sha256) of the stdout and stderr of ``hecke5 elementary R
+#: --bound B`` in text mode, on the ELEMENTARY_GOLDENS keys.
+ELEMENTARY_TEXT_GOLDENS = {
+    ("3", "4"): (2, "9b9688b48390e7b15921177741b77d031883d7adc883178eccbe1297d79a651e"),
+    ("3", "6"): (2, "fe985431f12ab049bcc3a69717fa76059ff96e45d1cab950e5ab536cea1970b0"),
+    ("3", "12"): (2, "c6e4a5d94ee4b2baf1a840c5f13de9878d83d9ce793509fc18aa6787b59f3031"),
+    ("8", "4"): (2, "649b4aea355f2add3c966c4c308313d61e2410b366d8815abd598806b390e91d"),
+    ("8", "6"): (2, "02a790f337e281acb828b2f2c411b18dca82494040dea233aa391ac83dc07f4a"),
+    ("8", "12"): (2, "9d103bccf1e85380768a7470a7f0083cd40cdf938e16b12b9f328459671d28d4"),
+    ("12*L+7", "4"): (2, "e0c4742abd7a400e4bb6b7e3f2a90b3245445d3a9bc1446ebaa7e38efc08303c"),
+    ("12*L+7", "6"): (2, "abb0c46f1d5de5119090f7434f01d3d28ba8bd526a27bf7af7354bae7a39d4cd"),
+    ("12*L+7", "12"): (2, "fe81ae92511b1c81875fef8513b2accf9b9f915cfefb6d589d0eef107685ac9b"),
+    ("2*L-1", "4"): (2, "04fc96b647ae867e8e7844f43c501c4b759017130b5e672587f732535f8de8d9"),
+    ("2*L-1", "6"): (2, "a755cb882d11aafb6625149cc55499d4b71bab32670077e2e8bace83c8ce28a0"),
+    ("2*L-1", "12"): (2, "25bf57cb4e42e2ecec7760fc57187a04d681ebe63e282031f1320f67c8cdb620"),
+    ("6", "4"): (2, "d43375289b2a95eb6bac8b47bf906eaddd389ed99c7bfb1a1a498e6accd62659"),
+    ("6", "6"): (2, "46c9ceeb438df71f600814af15ecc474d2f1fc255d37e685415a9acb94f44770"),
+    ("6", "12"): (2, "a9f6d2f1ad1b41a9a16424f30063c3dd05c547ce82131083a49d08ec5677c87a"),
+    ("4", "4"): (0, "25c32a233180c7d5a8ef649debf98c42a447ed9195233db5f2395f53152394b8"),
+    ("4", "6"): (0, "cf40257c7276b80badddfcea84ff61bd15b31638e599e58b76ca625c98e54f1b"),
+    ("4", "12"): (0, "d05fd3735c7eb633ce81ec24f53b3abc5ec41b2b65c6eb421a21ed291cbfac4a"),
+    ("2", "4"): (0, "25c32a233180c7d5a8ef649debf98c42a447ed9195233db5f2395f53152394b8"),
+    ("2", "6"): (0, "cf40257c7276b80badddfcea84ff61bd15b31638e599e58b76ca625c98e54f1b"),
+    ("2", "12"): (0, "d05fd3735c7eb633ce81ec24f53b3abc5ec41b2b65c6eb421a21ed291cbfac4a"),
+    ("30", "4"): (0, "25c32a233180c7d5a8ef649debf98c42a447ed9195233db5f2395f53152394b8"),
+    ("30", "6"): (0, "cf40257c7276b80badddfcea84ff61bd15b31638e599e58b76ca625c98e54f1b"),
+    ("30", "12"): (2, "e46d0bcd519f36e9a90f32064c8ae0d03161a9d6c1b34948235276f75c963547"),
+    ("12*L-6", "4"): (2, "afedf17cd78cbac56b1bb2fede5e36bdc2c63421c54d4cc26d0565e1e6b3b10b"),
+    ("12*L-6", "6"): (2, "b63ba61d0901b323c597e4c4d3b728e8671cc54c5ad3bdac05b76c011a4e054c"),
+    ("12*L-6", "12"): (2, "fdcf3dac947d0cf1671ddd9addd04a800e36709f13ffe505a17d8d427bace9a1"),
+}
+
+
+@pytest.mark.parametrize("r, bound", ELEMENTARY_TEXT_GOLDENS)
+def test_elementary_text_goldens(capsys, r, bound):
+    code, out, err = run(capsys, "elementary", r, "--bound", bound)
+    digest = hashlib.sha256((out + err).encode()).hexdigest()
+    assert (code, digest) == ELEMENTARY_TEXT_GOLDENS[(r, bound)]
+
+
 def test_elementary_strong_output_golden(capsys):
     code, out, _ = run(capsys, "--json", "elementary", "8", "--strong")
     assert code == 2
@@ -316,6 +356,33 @@ def test_reduce_output_goldens(capsys, pair):
     code, out, _ = run(capsys, "--json", "reduce", "--", *pair)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_GOLDENS[pair]
+
+
+#: (exit code, sha256) of the stdout and stderr of ``hecke5 reduce -- NUM
+#: DEN`` in text mode, on the REDUCE_GOLDENS pairs, in order, and on three
+#: small pairs.
+REDUCE_TEXT_GOLDENS = dict(zip(
+    (*REDUCE_GOLDENS, ("0", "1"), ("1", "0"), ("L", "1")),
+    (
+        (0, "a8b3343f039e66e48674d8f5b6eb913bbf598c22483f449d18c186db9de9f070"),
+        (0, "8ae9516a7ca3ea5b0965646c3f820353b8f468e83c5078bf5bdbcb97a3b5a7f4"),
+        (0, "2780849d08f1273e43aa3fe9ea63fe63ea4b75f67d60e50a481d7da645786283"),
+        (0, "eac334f4d0fe1a2242563f1eaa46c78e80bb75ddd13852667c24544db4cc8d8d"),
+        (0, "83de62d9d250a28fd9e07628450e587caffc630ba416378317d7def43d07931a"),
+        (0, "52ac564075a64951dc2c6d901969fe131781447e15ebe76e4951977822a85103"),
+        (0, "67a556ddc7176201f045f0b4a1f86855bda3c8a14c9ec999c5ddd8adbe562af9"),
+        (0, "0b0b4add5e2a951740363aff361db110d4866fe151ce6ceecb8a10b00357f29e"),
+        (0, "ce6fe2fa733f5c5abf5882e2d7d75e05e94b75f6bb648e9a81e47d6ca03e385a"),
+    ),
+    strict=True,
+))
+
+
+@pytest.mark.parametrize("pair", REDUCE_TEXT_GOLDENS)
+def test_reduce_text_goldens(capsys, pair):
+    code, out, err = run(capsys, "reduce", "--", *pair)
+    digest = hashlib.sha256((out + err).encode()).hexdigest()
+    assert (code, digest) == REDUCE_TEXT_GOLDENS[pair]
 
 
 #: sha256 of ``hecke5 --json member -- A B C D`` on the matrices of seeded G5
@@ -494,67 +561,97 @@ def test_factor_family_output_goldens(capsys, verb, text):
 #: (exit code, sha256) of the text output of ``hecke5 VERB -- X``, stdout
 #: then stderr, for VERB in TEXT_VERBS, on the FACTOR_FAMILY_GOLDENS inputs
 #: and on 48 and 400, where h = 4.  Pins each line's layout.
-TEXT_VERBS = ("explain", "normalizer")
+TEXT_VERBS = ("explain", "normalizer", "factor", "index")
 TEXT_GOLDENS = {
     "-2132957805196789254*L+3451198225377782111": (
         (0, "0ef836b62a898f14ba167ff4f72ba9d937488a571d45bd844a89015f7f1471aa"),
         (0, "511e3889f3e1c57286a28a650b2f1de0c39591f29f3308edd891496a346962a0"),
+        (0, "519f0a2c1302597fee5d2bbd54a7c5f9161f6e8c22ddd5fa98a2e390811969c0"),
+        (0, "cdbdb30c0772b760b22421e2b8f06aba04e9812977cb00bbf7bdc132a2fad62c"),
     ),
     "-1964314633723084670590132643600544547512977038*L+3178327841962751401298439800528793193011681635": (
         (0, "0380543b76ad2a7584a6cc782e3325bfa995ffcbab3569dacab994b300714754"),
         (0, "b4601b77e9f031253f67172e69f2f68b9d39228370879b9a2ee24556c8a45ca5"),
+        (0, "c61697544453db5a7fcdcf76159723d65e4ded6e1f59c42a3f20b14133d10697"),
+        (0, "f1e7530674d88fae81b926e4672782c1584e87306c2973f64f8cd15e2e8ecd73"),
     ),
     "-374167419417456135813151044578205836333523489896997543504572455241*L+605415602100281408431977652878887772330571913393248626779328971326": (
         (0, "6345f0c178bf513b3b1582b9482e8521cbc9687f964c04297717a14e65aec4d2"),
         (0, "75d7495f4461fe7bc4b0b65a25b0568324eeffaf90c7fe43d041c9cb999323e8"),
+        (0, "77552bce429d6c3e7a90c26b05496311992fbe72b28ff8ce7b6ce5b9a6c6b212"),
+        (0, "f5326640e7dbcf92ca5fc9f9c67e72a6d0b67234fba1efd36efe01d87ca7ba49"),
     ),
     "-173285595095464763196919159320237557257428431868317*L+280381982625214066539141782097187913403119380053739": (
         (0, "246ae21846504bc82b037a45059763a6668b95e2bc8858fcddf114ffaad372c9"),
         (0, "7be96ace1521b44b4bd7392644161b8b00a52c7d7fd04e0fbbe5b8f0455de916"),
+        (0, "ea2f74f6c41e138e77c2d993893ebe1cbe3d6974583587f5cc21a5238abf231c"),
+        (0, "ea450a8f8c8a1ff711edda1d8425c2faa24fd554d3cff803828cc77257e129fb"),
     ),
     "-325220744976304429129336577353866426320810119301041340881397462280975*L-200997474241917753023855708864687808906457347437060677628821140430168": (
         (0, "02d2946984cfb8b3feb680a2f8642332070ec4ec426f16ed79496c14ddeda8d2"),
         (0, "e87abf14191a4879ab88944a12f4287921f15143175c51dbb5dc4eb46358a681"),
+        (0, "3b912f70da15f06e392eee7514723ff509abedecb2d452f2f58a5a715162f59d"),
+        (0, "2a2a43be90f3857ddeb74930fd7a4063cd80e35888e1d3f1eef67463790cbed9"),
     ),
     "-43079400212306865448824722660804989391475332954216850430934984999181539826459*L+69703933758471944464893778630765395698539848233335064110419814790120448220753": (
         (0, "810451ead4fe7a48209746f2d95fd35c294e334137eb3430922190a124db71a6"),
         (0, "227e745d4a451c77775cd08e8080b87983864e3c10b08f73a9bf95ba8ac678c4"),
+        (0, "8bd93bcf0dada9a2ff66b047dd43939b2dea926b925eaaceebfea85b4ad0b782"),
+        (0, "d8b863bfd6fe6cb61c18885d41d2cb2d3c6041e3ff3ac5e2ee686c4c12dbc66d"),
     ),
     "-314746456628753*L+509270464663917": (
         (0, "47e64ac938e40d37d7068a135e4820adb3d463e7fcc5b75e70d187043285fcc6"),
         (0, "5ec7f4a7679501349475aeb954fd8c5e6901fbd9220349bde28bf57627b613a1"),
+        (0, "c29f5f0732860b376137d26935c564797fd8a863a6e90a9bd7af3189023f7fe2"),
+        (0, "f0119a1918b97744048649a18173a01cb56f4a67a6f3460b2e9e225aa3266ee0"),
     ),
     "40313488985069196622054557337023731363110*L+24915106397867265747340255388642480906007": (
         (0, "aa0fbe169263ab5bc6ae92593bc894a1243634fb11c0b62cc96f1836d75df4b0"),
         (0, "b9f6ce9b187c89633f8a334956c19bf8dec11cb571af14ecd9224ddad0c24b2d"),
+        (0, "762a0abf6e7093768def13f5f641d2aaa6c241799f73935a64e2e4b824e7e5f5"),
+        (0, "4532e16406b9ddaa3d6ce216881e91c5a82d315167322d02033c7cd2dcbfdaa8"),
     ),
     "670507": (
         (0, "a1869d65c276b52d4594994a88963fd06e1d84d797ee1a0d0f695b5c42867885"),
         (0, "00eb5b3a5e8709e4932ce86198d4c4f75f5fd6d757797d39a715af6ef4f7d836"),
+        (0, "ec1fba3ecb996d4ac7a06f1ed46676d9584740493e7d42b354d61e2d18576aa3"),
+        (0, "b57e3a09edee6f6d51dec3437cde79a0bee529169258c1d1b499091316c7757c"),
     ),
     "1129850267468965*L+698285867493980": (
         (0, "6526c88dd70554e98d4b5ebbf45ad8d92462353bbea1855926823240752956b8"),
         (0, "5ad235a7c16c53d267be3d35e079b3aac6b7369e03d274831e6ba4448b5f8225"),
+        (0, "d0beeb2f6cad1c71b2134bfdbf5ed3082c3c18ef6acb2f11fe39007ce2933f72"),
+        (0, "a1846b4854c1252a91ebe9f00ea039841f082e906bb7662cbbdfad498f45bf6e"),
     ),
     "-134739796566005456134793764479160139732465972220*L-83273773915037736577727227756469055470695737100": (
         (0, "5470a8fa98667f558785f5fdc0db235840ec575c47e6566c029ac6f7fe1afae7"),
         (0, "e3855b355f7679ebdc6512a1f7acdbbb78addb90bafbe0f894a66a60e13d337d"),
+        (0, "3152769c59396a92d9b98248c6e40afc64f71eeb237faaee6729938c5ecdea43"),
+        (0, "e94e985a687fcc1a27c139a14a735ef8321e85643b7260b608fdbe2f3a50939c"),
     ),
     "25299086886458645685589389182743678652930*L+15635695580168194910579363790217849593217": (
         (1, "d5eee76511d0c954be4a3e817bceac197372d239809995faea732a7860ec6aa5"),
         (1, "d5eee76511d0c954be4a3e817bceac197372d239809995faea732a7860ec6aa5"),
+        (0, "5847c464745b2386ae62ff665141a52114570d77b571ba465b8b02618a2bf979"),
+        (0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     ),
     "54920454162692092844167937329982166646283*L+33942707350124360594206328943030461148037": (
         (0, "22c7f1e81f674215c6e4c2f1b4686102c787ec874d850c279f0f3497ffe58185"),
         (0, "4539bc3b0f3ecc089f358eaf5f18172f14ada59206d57e9cbb0b22323365d7ed"),
+        (0, "7862d626abae06dcf26de4ccccad628b4634798fe44defd36b4d4c05b956b5b9"),
+        (0, "58d9d8c5c533661acbfeeffb09e7bf4ad94db54a3cf7c72de71dc4e9a8527f61"),
     ),
     "48": (
         (0, "7bb8c697c71cd682c50d767118cba09078853246875a41c243f5de42c3b88c3a"),
         (0, "532288433aa652e9a0873581b1add161f8fb68478a4d18842df41e4a47e1eb7e"),
+        (0, "5fa6b709b781899bc110bfd9e30b6142c17dfb46e4964f6f382b7add67a4226b"),
+        (0, "569873a1f010b21daafc03ed90405dc2d9a1707647b6a2f3d251ecb409435b04"),
     ),
     "400": (
         (0, "224a5291a385315169b5d9ef8db68db69e73e1a9c95aca2cc29c23c07fd7b35a"),
         (0, "97b246ba5867c962f79fb487b8ac24bfb167e60555e33a6b3a0835236b77078a"),
+        (0, "c7f8662e09addb75053b5f726ca45a0b3b744425d0f196a0450410ad3701e584"),
+        (0, "7844fbd8ea47c57d25d9ea6da692db584ed0a9dbf31cdce8d5cb82ef7d0a86d7"),
     ),
 }
 
@@ -1058,6 +1155,21 @@ def test_selftest_negative_control_reports_table_failures(capsys, monkeypatch):
     assert code == 1
     assert "FAIL table 3/" in out
     assert "0/3 passed" in out
+
+    # a wrong frozen expectation fails its item through _CheckFailure alone
+    monkeypatch.undo()
+    (n, e, num, den), *rest = cli._FORM_ROWS
+    monkeypatch.setattr(cli, "_FORM_ROWS", ((n, e + 1, num, den), *rest))
+    name = "forms (2*L-1)/12"
+    detail = "got e=6, 18*L+11/96*L+60; want e=7, 18*L+11/96*L+60"
+    code, out, _ = run(capsys, "selftest", "--only", "forms")
+    assert code == 1
+    assert out.splitlines()[0] == f"FAIL {name}: {detail}"
+    assert out.splitlines()[-1] == "2/3 passed"
+    code, (obj,), _ = run_json(capsys, "selftest", "--only", "forms")
+    assert code == 1
+    assert obj["items"][0] == {"name": name, "ok": False, "detail": detail}
+    assert (obj["passed"], obj["failed"], obj["total"]) == (2, 1, 3)
 
 
 # --- fuzz: every command ends in an answer or a coded error ----------------------------

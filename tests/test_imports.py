@@ -224,3 +224,28 @@ def test_import_loads_none_of_the_heavy_standard_modules():
     ).stdout.split()
     assert "hecke5.cli" in loaded
     assert [name for name in UNLOADED if name in loaded] == []
+
+
+#: Installs the benchmark's tracer, which looks up every entry point named in
+#: ``tracer.TRACED`` with ``getattr``, so a deleted or renamed one raises
+#: AttributeError.  The probe's arguments name entry points that the ring
+#: layer's list gains first.
+TRACER_PROBE = (
+    "import sys, tracer; tracer.TRACED['ring'] += tuple(sys.argv[1:]); "
+    "tracer.Tracer().install()"
+)
+
+
+@pytest.mark.parametrize("extra", [(), ("no_such_entry_point",)])
+def test_benchmark_tracer_finds_every_traced_entry_point(extra):
+    path = os.pathsep.join(str(ROOT / folder) for folder in ("src", "bench"))
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", TRACER_PROBE, *extra],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    if not extra:
+        assert (probe.returncode, probe.stderr) == (0, "")
+    else:
+        assert probe.returncode == 1
+        last = probe.stderr.splitlines()[-1]
+        assert last.startswith("AttributeError") and "no_such_entry_point" in last

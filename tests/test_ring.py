@@ -237,6 +237,8 @@ def test_unit_decompose_rejects_nonunits():
         unit_decompose(elem(2, 0))
     with pytest.raises(NotAUnitError):
         unit_decompose(ZERO)
+    with pytest.raises(NotAUnitError, match=r"is not a unit$"):
+        elem(2, 0) ** -1
 
 
 @given(st.integers(min_value=-80, max_value=80), st.sampled_from([1, -1]))

@@ -476,11 +476,12 @@ def test_schreier_generators_bound():
         next(schreier_generators(tau))
 
 
-def residue_closure(ctx: ResidueCtx, generators: set[RingElt]) -> frozenset:
-    """The group that ``generators`` span under products reduced by ``ctx``,
-    as coefficient pairs: a breadth-first closure, extended by each
+def residue_closure(ctx: ResidueCtx, generators: set[tuple[int, int]]) -> frozenset:
+    """The group that ``generators``, reduced coefficient pairs, span under
+    products reduced by ``ctx``: a breadth-first closure, extended by each
     generator not yet reached."""
-    group, spanning = {ctx.reduce(ONE)}, []
+    red = ctx.red
+    group, spanning = {red(1, 0)}, []
     for g in generators:
         if g in group:
             continue
@@ -488,14 +489,15 @@ def residue_closure(ctx: ResidueCtx, generators: set[RingElt]) -> frozenset:
         frontier = list(group)
         while frontier:
             reached = []
-            for a in frontier:
-                for s in spanning:
-                    b = ctx.reduce(a * s)
-                    if b not in group:
-                        group.add(b)
-                        reached.append(b)
+            for xa, xb in frontier:
+                for sa, sb in spanning:
+                    # (xa + xb*L)(sa + sb*L), with L**2 = L + 1
+                    y = red(xa * sa + xb * sb, xa * sb + xb * sa + xb * sb)
+                    if y not in group:
+                        group.add(y)
+                        reached.append(y)
             frontier = reached
-    return frozenset(e.coeffs for e in group)
+    return frozenset(group)
 
 
 @cache
@@ -505,8 +507,8 @@ def upper_left_image(r: RingElt) -> frozenset:
     group spanned by -1 (the matrices are taken up to sign) and the
     upper-left entries of the Schreier generators.  Cached per modulus."""
     ctx = ResidueCtx(r)
-    generators = {ctx.reduce(s.a) for s in schreier_generators(r)}
-    return residue_closure(ctx, generators | {ctx.reduce(-ONE)})
+    generators = {ctx.red(*s.a.coeffs) for s in schreier_generators(r)}
+    return residue_closure(ctx, generators | {ctx.red(-1, 0)})
 
 
 def walked_upper_left_image(r: RingElt) -> frozenset:
@@ -547,8 +549,7 @@ def walked_upper_left_image(r: RingElt) -> frozenset:
             else:
                 _, _, jc, jd = reps[j]
                 entries.add(red(*cross(ta, jd, tb, jc)))
-    generators = {RingElt(*e) for e in entries} | {ctx.reduce(-ONE)}
-    return residue_closure(ctx, generators)
+    return residue_closure(ctx, entries | {red(-1, 0)})
 
 
 def test_upper_left_image_oracles_agree():
