@@ -12,6 +12,7 @@ it the exact one (see ``hecke5.reduction._chain``).
 
 from __future__ import annotations
 
+import re
 from math import isqrt
 from typing import NamedTuple, Optional
 
@@ -413,6 +414,13 @@ def format_element(x: RingElt) -> str:
         ) from exc
 
 
+#: One term of the element grammar and the blanks around it: a sign, then n,
+#: n*L, L or L*n.  \s and \d are exactly str.isspace and str.isdecimal.  The
+#: parts are optional so that a malformed term matches too, and the group
+#: that comes out empty or missing gives the position of the fault.
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*(?:\*\s*(L?))?|(L)\s*(?:\*\s*(\d*))?)?\s*")
+
+
 def parse_element(text: str) -> RingElt:
     """Parse the CLI grammar: integers, L, + and -, * for scalar products.
 
@@ -421,72 +429,31 @@ def parse_element(text: str) -> RingElt:
     ParseError with the offending position, also for an integer literal
     longer than the interpreter converts (``sys.get_int_max_str_digits``).
     """
-    a_total = 0
-    b_total = 0
+    if not text or text.isspace():
+        raise ParseError("empty element", len(text))
+    coeffs = [0, 0]  # a and b of a + b*L
     i = 0
-    n = len(text)
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def literal(start: int, end: int) -> int:
+    while i < len(text):
+        m = _TERM.match(text, i)
+        sign, digits, times_l, lam, lam_digits = m.groups()
+        if i and not sign:
+            raise ParseError("expected '+' or '-' between terms", m.start(1))
+        if digits is None and lam is None:
+            if m.end() == len(text):
+                raise ParseError("dangling sign", m.end())
+            raise ParseError(f"unexpected character {text[m.end()]!r}", m.end())
+        if lam_digits == "":
+            raise ParseError("expected integer after '*'", m.start(5))
+        group = 2 if digits else 5
         try:
-            return int(text[start:end])
+            coeff = int(m[group] or 1)
         except ValueError:
             raise ParseError(
-                f"integer literal of {end - start} digits is too long", start
+                f"integer literal of {len(m[group])} digits is too long",
+                m.start(group),
             ) from None
-
-    i = skip_ws(i)
-    if i == n:
-        raise ParseError("empty element", i)
-    first = True
-    while i < n:
-        sign = 1
-        i = skip_ws(i)
-        if i < n and text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i = skip_ws(i + 1)
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", i)
-        first = False
-        if i >= n:
-            raise ParseError("dangling sign", i)
-        coeff: Optional[int] = None
-        has_lambda = False
-        if text[i].isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            coeff = literal(i, j)
-            i = skip_ws(j)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-                if i < n and text[i] == "L":
-                    has_lambda = True
-                    i += 1
-                else:
-                    raise ParseError("expected L after '*'", i)
-        elif text[i] == "L":
-            has_lambda = True
-            i = skip_ws(i + 1)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-                j = i
-                while j < n and text[j].isdecimal():
-                    j += 1
-                if j == i:
-                    raise ParseError("expected integer after '*'", i)
-                coeff = literal(i, j)
-                i = j
-        else:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        value = sign * (1 if coeff is None else coeff)
-        if has_lambda:
-            b_total += value
-        else:
-            a_total += value
-        i = skip_ws(i)
-    return RingElt(a_total, b_total)
+        if times_l == "":
+            raise ParseError("expected L after '*'", m.start(3))
+        coeffs[bool(lam or times_l)] += -coeff if sign == "-" else coeff
+        i = m.end()
+    return RingElt(*coeffs)

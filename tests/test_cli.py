@@ -1172,6 +1172,56 @@ def test_selftest_negative_control_reports_table_failures(capsys, monkeypatch):
     assert (obj["passed"], obj["failed"], obj["total"]) == (2, 1, 3)
 
 
+#: For each check function of the selftest: its ``--only`` filter, the name it
+#: calls from ``cli``, a stand-in for that name built from the real one, the
+#: detail of each item that then fails, and how many items pass of how many.
+SELFTEST_CHECK_CONTROLS = {
+    "conjugation": (
+        "normalizes", lambda real: lambda m, tau: True,
+        {"conjugation level 9": "lower shear by 3L must not normalize level 9"},
+        (0, 1),
+    ),
+    "indices": (
+        "index_in_g5", lambda real: lambda tau: real(tau) + 1,
+        {"indices up to norm 400": "coset count 5 != index 6 at 2"},
+        (0, 1),
+    ),
+    "quotient": (
+        "quotient_table", lambda real: lambda tau: real(RingElt(4, 0)),
+        {"quotient 16": "got order 4 Klein4; want order 16 Z4xZ4"},
+        (1, 2),
+    ),
+    "elementary": (
+        "is_g5_elementary", lambda real: lambda r: real(RingElt(3, 0)),
+        {
+            "elementary 2": "verdict CounterexampleFound",
+            "elementary 4": "verdict CounterexampleFound",
+            "elementary 12*L+7": "witness x = 2*L+2, want 3*L**3 = 6*L+3",
+        },
+        (2, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("only", SELFTEST_CHECK_CONTROLS)
+def test_selftest_negative_control_reports_check_failures(capsys, monkeypatch, only):
+    name, crooked, failures, (passed, total) = SELFTEST_CHECK_CONTROLS[only]
+    monkeypatch.setattr(cli, name, crooked(getattr(cli, name)))
+    code, out, _ = run(capsys, "selftest", "--only", only)
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL {item}: {detail}" for item, detail in failures.items()
+    ]
+    assert lines[-1] == f"{passed}/{total} passed"
+    code, (obj,), _ = run_json(capsys, "selftest", "--only", only)
+    assert code == 1
+    assert {i["name"]: i["detail"] for i in obj["items"] if not i["ok"]} == failures
+    assert (obj["passed"], obj["failed"], obj["total"]) == (
+        passed, total - passed, total
+    )
+
+
 # --- fuzz: every command ends in an answer or a coded error ----------------------------
 
 #: Largest chain quotient of a drawn ``reduce`` pair, as in the benchmark:

@@ -12,7 +12,9 @@ import hecke5.normalizer as normalizer_module
 from hecke5.errors import (
     BadRangeError,
     BoundExceededError,
+    IntegrityError,
     NotADivisorError,
+    NotAGroupError,
     NotAUnitError,
     NotCoprimeError,
     NotReducedError,
@@ -219,6 +221,29 @@ def test_quotient_table_klein4_for_36():
     q = quotient_table(ints(36))
     assert q.order == 4
     assert q.classification == QUOTIENT_KLEIN4
+
+
+def test_quotient_table_raises_on_an_unknown_profile_or_a_wrong_name(monkeypatch):
+    monkeypatch.setattr(normalizer_module, "_PROFILE_TO_NAME", {})
+    with pytest.raises(NotAGroupError) as info:
+        quotient_table(ints(16))
+    assert str(info.value) == (
+        "unrecognized element-order profile ((1, 1), (2, 3), (4, 12))"
+    )
+    monkeypatch.undo()
+    monkeypatch.setitem(normalizer_module._QUOTIENT_BY_H, 4, QUOTIENT_KLEIN4)
+    with pytest.raises(IntegrityError) as info:
+        quotient_table(ints(16))
+    assert str(info.value) == (
+        "quotient table Z4xZ4 disagrees with h=4 prediction Klein4"
+    )
+
+
+def test_element_orders_raise_when_a_power_walk_misses_the_identity():
+    # 1 + 1 = 1 in this table: the powers of 1 stay at 1 and never reach 0
+    with pytest.raises(NotAGroupError) as info:
+        normalizer_module._element_orders(((0, 1), (1, 1)))
+    assert str(info.value) == "element power walk never reached identity"
 
 
 def test_quarter_shear_has_order_4_in_16_quotient():
@@ -523,6 +548,24 @@ def test_chain_factors_tau_once(monkeypatch):
         del calls[:]
         supergroup_chain(tau)
         assert len(calls) == 1, tau
+
+
+def test_chain_raises_when_the_bound_differs_from_the_closed_form(monkeypatch):
+    real = normalizer_module.normalizer_of
+    monkeypatch.setattr(
+        normalizer_module, "normalizer_of",
+        lambda tau: real(tau)._replace(modulus=ints(7)),
+    )
+    with pytest.raises(IntegrityError) as info:
+        supergroup_chain(ints(48))
+    assert str(info.value) == "chain bound 12 differs from closed form 7"
+
+
+def test_chain_raises_when_a_witness_is_not_reduced(monkeypatch):
+    monkeypatch.setattr(normalizer_module, "_witness_gcd", lambda *args: None)
+    with pytest.raises(IntegrityError) as info:
+        supergroup_chain(ints(45))
+    assert str(info.value) == "witness 6*L+3/15*L+10 failed to be reduced"
 
 
 def test_chain_rejects_unit_modulus():

@@ -8,7 +8,10 @@ an independent high-precision rational bracketing of sqrt(5).
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
+import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -449,14 +452,97 @@ def test_parse_examples():
     assert parse_element("1+1") == elem(2, 0)
 
 
+#: (message, position) of the ParseError for each malformed text: every one of
+#: the seven messages, each at the position where the text stops being valid.
+PARSE_ERRORS = {
+    "": ("empty element", 0),
+    " \t": ("empty element", 2),
+    "3.5": ("expected '+' or '-' between terms", 1),
+    "L L": ("expected '+' or '-' between terms", 2),
+    "L+": ("dangling sign", 2),
+    "1- \t": ("dangling sign", 4),
+    "x": ("unexpected character 'x'", 0),
+    "--1": ("unexpected character '-'", 1),
+    "²": ("unexpected character '²'", 0),
+    "L*": ("expected integer after '*'", 2),
+    "L * x": ("expected integer after '*'", 4),
+    "1" * 4301: ("integer literal of 4301 digits is too long", 0),
+    "L*" + "9" * 4301: ("integer literal of 4301 digits is too long", 2),
+    "1" * 4301 + "*x": ("integer literal of 4301 digits is too long", 0),
+    "2*": ("expected L after '*'", 2),
+    "2**L": ("expected L after '*'", 2),
+    "2 * x": ("expected L after '*'", 4),
+}
+
+
 def test_parse_errors_carry_position():
-    for bad in ["", "2*", "L+", "x", "2**L", "--1", "3.5"]:
-        with pytest.raises(ParseError):
+    for bad, (message, position) in PARSE_ERRORS.items():
+        with pytest.raises(ParseError) as info:
             parse_element(bad)
+        assert str(info.value) == f"{message} (at position {position})", bad
+        assert info.value.position == position, bad
+
+
+#: Tokens of the seeded parse corpus: the grammar's characters, blanks that
+#: str.isspace accepts (U+3000, U+001C), decimal and non-decimal digits (Arabic
+#: three, superscript two, one half, Roman twelve), stray characters, and digit
+#: runs just past and at the int-to-str limit of 4300 digits.
+_PARSE_TOKENS = (
+    *"0123456789L*+- \t\nx_",
+    "٣", "²", "½", "Ⅻ", "\u3000", "\x1c",
+    "1" * 4301, "9" * 4300,
+)
+
+
+def parse_corpus() -> list:
+    """About 20 000 random token strings of length 0-10, then 10 000 sums of
+    signed terms n, L, n*L and L*n joined by optional blanks."""
+    rng = random.Random(35)
+    texts = [
+        "".join(rng.choice(_PARSE_TOKENS) for _ in range(rng.randrange(11)))
+        for _ in range(20_000)
+    ]
+    blanks = ["", "", " ", "\t", " \u3000"]
+    numbers = ["0", "1", "7", "42", "٣", "1" * 4301, "9" * 4300]
+    for _ in range(10_000):
+        terms = []
+        for _ in range(rng.randrange(1, 5)):
+            n, b = rng.choice(numbers), rng.choice(blanks)
+            term = rng.choice([n, "L", f"{n}{b}*{b}L", f"L{b}*{b}{n}"])
+            terms.append(rng.choice(["", "+", "-"]) + rng.choice(blanks) + term)
+        texts.append(rng.choice(blanks).join(terms))
+    return texts
+
+
+def parse_outcome(text: str) -> tuple:
+    """The hex coefficients of parse_element(text), or its error and position;
+    hex because a sum of two 4300-digit literals is past the int-to-str limit."""
     try:
-        parse_element("2*x")
+        x = parse_element(text)
     except ParseError as e:
-        assert e.position == 2
+        return str(e), str(e.position)
+    return hex(x.a), hex(x.b)
+
+
+#: sha256 over every corpus text and its outcome, each field ended by NUL, as
+#: the character-by-character scanner that the pattern replaced read them.
+PARSE_GOLDEN = "e962f90b4961163855195f5ee01771cd81d4e251d51a0e1e52d89801eaffffd1"
+
+
+def test_parse_golden():
+    digest = hashlib.sha256()
+    for text in parse_corpus():
+        for field in (text, *parse_outcome(text)):
+            digest.update(field.encode() + b"\0")
+    assert digest.hexdigest() == PARSE_GOLDEN
+
+
+def test_re_classes_match_str_predicates():
+    """The element grammar's blanks and digits are re's \\s and \\d; both must
+    stay exactly str.isspace and str.isdecimal on every code point."""
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
 
 
 def test_format_examples():

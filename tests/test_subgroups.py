@@ -226,6 +226,18 @@ def test_projective_line_raises_when_the_units_leave_an_orbit_short(monkeypatch)
         CosetTable(elem(12))
 
 
+def test_coset_table_raises_when_the_orbit_misses_the_index_formula(monkeypatch):
+    def one_more(modulus):
+        expected, primes = index_and_primes(modulus)
+        return expected + 1, primes
+
+    index_and_primes = subgroups._index_and_primes
+    monkeypatch.setattr(subgroups, "_index_and_primes", one_more)
+    with pytest.raises(IntegrityError) as info:
+        CosetTable(elem(6))
+    assert str(info.value) == "orbit has 50 classes but the index formula gives 51"
+
+
 def test_class_numbering_skips_pairs_that_are_not_points():
     # modulo 4 the least residue 2L of its orbit has mu = 2, and (2L, 0) has
     # a key like any point's; but 2 holds both entries, so (2L, 0) is no
