@@ -55,7 +55,13 @@ from .normalizer import (
     strongly_elementary,
     supergroup_chain,
 )
-from .reduction import GMatrix, g5_decompose, reduced_factor, word_string
+from .reduction import (
+    GMatrix,
+    g5_decompose,
+    is_reduced_form,
+    reduced_factor,
+    word_string,
+)
 from .ring import (
     LAMBDA,
     ONE,
@@ -439,12 +445,17 @@ def _check_elementary(text: str, expect_found: bool) -> str:
     if not expect_found:
         return f"no counterexample up to bound {verdict.bound}"
     x, y = verdict.witness
+    residue = ResidueCtx(r).reduce(x * x - ONE)
     if text == "12*L+7":
         if x != 3 * lambda_pow(3):
             raise _CheckFailure(f"witness x = {_fmt(x)}, want 3*L**3 = 6*L+3")
-        residue = ResidueCtx(r).reduce(x * x - ONE)
         if residue != RingElt(2, 0):
             raise _CheckFailure(f"x**2 - 1 = {_fmt(residue)} (mod r), want 2")
+    # a non-unit gcd raises NotCoprimeError, which fails the item as well
+    if not is_reduced_form(x, r * y):
+        raise _CheckFailure(f"{_fmt(x)}/{_fmt(r * y)} is not a reduced form")
+    if not residue:
+        raise _CheckFailure(f"x**2 = 1 (mod r) for x = {_fmt(x)}")
     return f"counterexample {_fmt(x)} over {_fmt(r * y)}"
 
 

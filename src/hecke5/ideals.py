@@ -268,12 +268,6 @@ class Factorization(NamedTuple):
     def distinct_primes(self) -> tuple[RingElt, ...]:
         return tuple(prime for prime, _ in self.factors)
 
-    def exponent_of(self, prime: RingElt) -> int:
-        for p, e in self.factors:
-            if p == prime:
-                return e
-        return 0
-
     def __str__(self) -> str:
         parts = []
         if self.unit.value() != ONE:

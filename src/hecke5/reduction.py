@@ -89,10 +89,6 @@ class GMatrix:
     def first_column(self) -> tuple[RingElt, RingElt]:
         return (self._a, self._c)
 
-    @property
-    def second_column(self) -> tuple[RingElt, RingElt]:
-        return (self._b, self._d)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GMatrix):
             return NotImplemented

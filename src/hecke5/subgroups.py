@@ -237,7 +237,7 @@ _MAX_POINTS = 10_000
 
 class _Orbit:
     """The orbit of the point (0, 1) under the right action of S and T,
-    walked breadth-first and lazily by ``walk``.
+    walked lazily by ``walk``: breadth-first, S before T.
 
     Class i stands for the coset of the representative reached by the walk's
     first path to it; ``points[i]`` is that matrix's bottom row modulo the
@@ -285,12 +285,13 @@ class CosetTable:
 
     Each coset is a projective point: a bottom row modulo the level, up to
     scaling by invertible residues; class 0 is the subgroup itself.  The
-    table stores one reduced point and one generator word per class, and
-    the permutation action of S and T on classes; ``reps`` is built on first
-    read.  It drains the walk of ``_Orbit``, cross-checks the class count
-    against the multiplicative index formula and raises IntegrityError on
-    any mismatch.  Classes are numbered in the order of their least unit
-    multiple (c, d), compared coefficient by coefficient.
+    table stores one reduced point per class and the permutation action of
+    S and T on classes; ``rep_words`` is read from the action and ``reps``
+    from the words, each on first read.  It drains the walk of ``_Orbit``,
+    cross-checks the class count against the multiplicative index formula
+    and raises IntegrityError on any mismatch.  Classes are numbered in the
+    order of their least unit multiple (c, d), compared coefficient by
+    coefficient.
     """
 
     def __init__(self, modulus: RingElt, max_points: int = _MAX_POINTS) -> None:
@@ -301,10 +302,6 @@ class CosetTable:
 
         deque(orbit.walk(), maxlen=0)
         points, successors = orbit.points, orbit.successors
-        words: list[Word] = [()]
-        for e, j in enumerate(successors):
-            if j == len(words):  # the edge that reaches j first
-                words.append(words[e // 2] + (("ST"[e % 2], 1),))
         if len(points) != orbit.expected:
             raise IntegrityError(
                 f"orbit has {len(points)} classes but the index formula "
@@ -317,8 +314,8 @@ class CosetTable:
         for rank, old in enumerate(order):
             perm[old] = rank
         self.points = [points[i] for i in order]
+        self._rep_words: list[Word] | None = None
         self._reps: list[GMatrix] | None = None
-        self.rep_words = [words[i] for i in order]
         self._index_of = index_of = orbit.index_of
         for k, v in index_of.items():
             index_of[k] = perm[v]
@@ -326,6 +323,29 @@ class CosetTable:
             name: [perm[succ[i]] for i in order]
             for name, succ in zip("ST", (successors[0::2], successors[1::2]))
         }
+
+    @property
+    def rep_words(self) -> list[Word]:
+        """The word of each class's representative, built on first read.
+
+        One breadth-first pass over ``action`` from class 0, S before T,
+        meets the edges in the order of the walk of ``_Orbit``, so each
+        class gets the word of the walk's first path to it.
+        """
+        if self._rep_words is None:
+            words: list = [None] * len(self.points)
+            words[0] = ()
+            steps = ((("S", 1),), self.action["S"]), ((("T", 1),), self.action["T"])
+            reached = [0]
+            # the loop reads the classes appended while it runs
+            for i in reached:
+                for step, successor in steps:
+                    j = successor[i]
+                    if words[j] is None:
+                        words[j] = words[i] + step
+                        reached.append(j)
+            self._rep_words = words
+        return self._rep_words
 
     @property
     def reps(self) -> list[GMatrix]:

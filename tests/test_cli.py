@@ -1196,9 +1196,13 @@ SELFTEST_CHECK_CONTROLS = {
         {
             "elementary 2": "verdict CounterexampleFound",
             "elementary 4": "verdict CounterexampleFound",
+            # r = 3's witness is checked against 8, and its pair has gcd 2
+            "elementary 8": (
+                "NotCoprimeError: gcd of 2*L+2 and 16*L+8 is not a unit"
+            ),
             "elementary 12*L+7": "witness x = 2*L+2, want 3*L**3 = 6*L+3",
         },
-        (2, 5),
+        (1, 5),
     ),
 }
 
@@ -1220,6 +1224,25 @@ def test_selftest_negative_control_reports_check_failures(capsys, monkeypatch, o
     assert (obj["passed"], obj["failed"], obj["total"]) == (
         passed, total - passed, total
     )
+
+
+@pytest.mark.parametrize(
+    "witness, detail",
+    [
+        ((RingElt(1, 0), RingElt(0, 1)), "x**2 = 1 (mod r) for x = 1"),
+        ((RingElt(1, 0), RingElt(1, 0)), "1/8 is not a reduced form"),
+    ],
+)
+def test_selftest_checks_the_witness_of_elementary_8(
+    capsys, monkeypatch, witness, detail
+):
+    real = cli.is_g5_elementary
+    monkeypatch.setattr(
+        cli, "is_g5_elementary", lambda r: real(r)._replace(witness=witness)
+    )
+    code, out, _ = run(capsys, "selftest", "--only", "elementary 8")
+    assert code == 1
+    assert out.splitlines() == [f"FAIL elementary 8: {detail}", "0/1 passed"]
 
 
 # --- fuzz: every command ends in an answer or a coded error ----------------------------

@@ -211,7 +211,8 @@ def test_reduce_one_over_one():
     assert word_string(res.word) == "TST"
     assert word_string(res.full_word) == "TSTS"
     assert res.witness() == GMatrix(elem(0, 1), elem(0, 1), 1, elem(0, 1))
-    assert res.witness().second_column == (L, L)
+    witness = res.witness()
+    assert (witness.b, witness.d) == (L, L)
     assert res.completed().first_column == (L, L)
 
 
@@ -292,7 +293,8 @@ def test_witness_of_a_unit_over_zero_carries_the_reduced_pair(num):
     # the chain takes no step, so completed() is +-1 and the witness S
     res = reduced_factor(num, ZERO)
     assert res.full_word == () and word_string(res.word) == "S"
-    assert res.witness().second_column in (
+    witness = res.witness()
+    assert (witness.b, witness.d) in (
         (res.reduced_num, ZERO), (-res.reduced_num, ZERO)
     )
 
@@ -314,7 +316,8 @@ def test_reduction_contract(pair):
     assert res.reduced_num == num * scale
     assert res.reduced_den == den * scale
     assert res.completed().first_column == (res.reduced_num, res.reduced_den)
-    wit_col = res.witness().second_column
+    witness = res.witness()
+    wit_col = (witness.b, witness.d)
     assert wit_col == (res.reduced_num, res.reduced_den) or wit_col == (
         -res.reduced_num,
         -res.reduced_den,

@@ -166,12 +166,24 @@ def test_coset_table_evaluates_words_only_when_reps_are_read(monkeypatch):
     monkeypatch.setattr(GMatrix, "__mul__", counted_mul)
     table = coset_table(primes_above(1009)[0])
     assert table.size == 1010
+    assert vars(table)["_rep_words"] is None  # no word before the first read
     assert not evaluated
     reps = table.reps
     assert evaluated == table.rep_words
     assert table.reps is reps
     assert len(evaluated) == table.size
     assert not products
+
+
+def test_coset_table_reads_add_no_attribute():
+    # both caches are set in __init__, so reading them keeps the instance
+    # layout that locate runs on
+    table = coset_table(elem(16))
+    names = set(vars(table))
+    words, reps = table.rep_words, table.reps
+    assert set(vars(table)) == names
+    assert table.rep_words is words
+    assert table.reps is reps
 
 
 def test_quotient_table_never_reads_coset_reps(monkeypatch):
@@ -463,6 +475,26 @@ def test_schreier_generators_decide_elementary_up_to_norm_400():
         assert is_reduced_form(a, c)
         assert not ctx.divides(a * a - ONE)
     assert elementary == [elem(2), elem(4)]
+
+
+def test_coset_table_and_schreier_generators_read_one_tree():
+    # the breadth-first tree of the action, S before T, is the walk's: its
+    # non-tree edges i -> j by g give the Schreier generators in walk order
+    for tau in ideals_up_to_norm(400):
+        table = coset_table(tau)
+        reps, reached, generators = table.reps, {0}, []
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
+            for name, gen in (("S", GEN_S), ("T", GEN_T)):
+                j = table.action[name][i]
+                if j not in reached:
+                    reached.add(j)
+                    queue.append(j)
+                else:
+                    generators.append(reps[i] * gen * reps[j].inverse())
+        walked = list(schreier_generators(tau))
+        assert [g.entries for g in generators] == [g.entries for g in walked], tau
 
 
 def test_schreier_walk_stops_at_the_first_failing_generator(monkeypatch):
