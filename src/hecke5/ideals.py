@@ -316,15 +316,14 @@ def half_power_part(x: RingElt) -> RingElt:
 def h_of(x: RingElt) -> int:
     """Size parameter of the normalizer quotient: depends on the 2-part.
 
-    Returns 4 when 16 divides x, 2 when 4 divides x, and 1 otherwise.  2 is
-    an inert prime, so no factoring is needed.
+    Returns 4 when 16 divides x, 2 when 4 divides x, and 1 otherwise.  Since
+    Z[L] = Z + Z*L, an integer divides a + b*L exactly when it divides a and
+    b, so h is read from the gcd of x's coefficients.
     """
     if not x:
         raise ZeroInputError("cannot factor zero")
-    for h in (4, 2):
-        if exact_divide(x, RingElt(h * h, 0)) is not None:
-            return h
-    return 1
+    content = _gcd_int(*x.coeffs)
+    return 4 if content % 16 == 0 else 2 if content % 4 == 0 else 1
 
 
 def index_in_g5(x: RingElt) -> int:
@@ -339,19 +338,13 @@ def index_in_g5(x: RingElt) -> int:
 def _index_and_primes(x: RingElt) -> tuple[int, tuple[RingElt, ...]]:
     """``index_in_g5(x)`` and the distinct primes of x, from one factoring."""
     primes = factor(x).distinct_primes()
-    return _level_index(x.abs_norm(), primes), primes
-
-
-def _level_index(norm: int, primes: Iterable[RingElt]) -> int:
-    """The index formula for a level of absolute norm ``norm`` whose
-    distinct primes are ``primes``."""
-    num, den = norm, 1
+    num, den = x.abs_norm(), 1
     for prime in primes:
         np = prime.abs_norm()
         num, den = num * (np + 1), den * np
     if num % den:
         raise IntegrityError("index formula did not produce an integer")
-    return num // den
+    return num // den, primes
 
 
 def relative_index(x: RingElt, divisor: RingElt) -> int:

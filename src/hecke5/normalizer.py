@@ -112,8 +112,8 @@ def normalizer_of(tau: RingElt) -> NormalizerResult:
     """
     _require_modulus(tau)
     h = h_of(tau)
-    modulus = exact_divide(tau, RingElt(h, 0))
-    assert modulus is not None
+    # h**2 divides tau, so h divides both of its coefficients
+    modulus = RingElt(tau.a // h, tau.b // h)
     return NormalizerResult(
         modulus=canonical_associate(modulus), h=h, quotient=_QUOTIENT_BY_H[h]
     )

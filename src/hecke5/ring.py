@@ -342,8 +342,9 @@ def gcd(x: RingElt, y: RingElt) -> RingElt:
 def exact_divide(x: RingElt, d: RingElt) -> Optional[RingElt]:
     """x / d when d divides x exactly, else None: the quotient of
     _divmod_step, whose remainder is zero exactly when d divides x."""
-    d = _coerce(d)
-    x = _coerce(x)
+    x, d = _coerce(x), _coerce(d)
+    if x is None or d is None:
+        raise TypeError("exact_divide arguments must be RingElt or int")
     if not d:
         raise ZeroDivisionError("division by zero in Z[L]")
     qa, qb, ra, rb = _divmod_step(x.a, x.b, d.a, d.b)

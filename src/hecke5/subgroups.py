@@ -61,17 +61,32 @@ def _unit_count(mu: tuple[int, int], primes: Sequence[ResidueCtx]) -> int:
     return count
 
 
-class _ProjectiveLine:
-    """Class keys of the projective line over the residue ring of ``modulus``.
+#: Default bound on the index of a coset table, and the bound of every walk
+#: of Schreier generators.
+_MAX_POINTS = 10_000
 
-    Points are normalised directly, as Manin symbols are in P^1(Z/N): every
+
+class _Orbit:
+    """The orbit of the point (0, 1) under the right action of S and T on
+    the projective line over the residue ring of ``modulus``, walked lazily
+    by ``walk``: breadth-first, S before T.
+
+    Class i stands for the coset of the representative reached by the walk's
+    first path to it; ``points[i]`` is that matrix's bottom row modulo the
+    level, as reduced residue pairs, and ``index_of`` maps each class key to
+    its position.  Edge 2i goes from class i by S and edge 2i + 1 by T, to
+    the class ``successors`` lists under that number.  Classes are numbered
+    in the order reached, so edge e first reaches class j exactly when
+    ``successors[e] == j`` and j classes were reached before it.  Raises
+    BoundExceededError when the index exceeds ``max_points``.
+
+    Points are keyed directly, as Manin symbols are in P^1(Z/N): every
     residue c is u*c0 for a unit u and the least residue c0 of its unit
     orbit, and with w = u**-1 and mu = modulus / gcd(c0, modulus) the pair
     (c0, w*d mod mu) is a complete invariant of the class of (c, d), because
     the units fixing c0 are exactly those congruent to 1 modulo mu.  The
-    line keeps one (c0, w, mu) entry and one mask of the primes holding it
-    per residue, so its memory is O(N(modulus)).  ``primes`` are the
-    distinct primes dividing the level.
+    walker keeps one (c0, w, mu) entry and one mask of the primes holding
+    it per residue, so its memory is O(N(modulus)) beside the classes.
 
     Everything runs on raw coefficient pairs, and each product and row
     move reduces as ResidueCtx.red does, written out in place.  The mask of
@@ -84,12 +99,18 @@ class _ProjectiveLine:
     = u**-1 * c0 with w = u and stops once it holds them all.  Over the
     levels of norm up to 3000 these passes take at most 0.95 N(modulus)
     products, where filling every orbit took up to 1.64 N(modulus).
-    ``ranks`` numbers the classes in about one key per class.
+    ``order`` lists the classes walked in rank order in about one key per
+    class.
     """
 
-    def __init__(self, modulus: RingElt, primes: Sequence[RingElt]) -> None:
-        ctx = ResidueCtx(modulus)
-        self.ctx = ctx
+    def __init__(self, modulus: RingElt, max_points: int) -> None:
+        self.expected, primes = _index_and_primes(modulus)
+        if self.expected > max_points:
+            raise BoundExceededError(
+                f"index {int_text(self.expected)} exceeds the configured bound "
+                f"{max_points}"
+            )
+        self.ctx = ctx = ResidueCtx(modulus)
 
         # every residue product and row move below reduces a + b*L as
         # ResidueCtx.red does, written out to spare a call per product
@@ -189,83 +210,14 @@ class _ProjectiveLine:
             return base + (ea - k * mm) % mn * mg + eb - k * mg
 
         self.key = key
-
-    def ranks(self, index_of: dict[int, int]) -> list[int]:
-        """Rank c0 * N(modulus) + d of the least unit multiple (c0, d) of
-        each class, d compared coefficient by coefficient, listed by the
-        class index that ``index_of`` gives each class key.
-
-        A class with c0 a unit has a trivial stabiliser, so its key is that
-        rank.  For any other c0 the residues d are read in rank order, and
-        each class is ranked by the first point (c0, d) with its key; a d in
-        a prime that also holds c0 is skipped, since (c0, d) is then no
-        point, although its key may be that of a class.  Raises
-        IntegrityError if a class is left unranked.
-        """
-        size, g, key, held = self.ctx.size, self.ctx.g, self.key, self._held
-        ranks: list = [None] * len(index_of)
-        pending: dict[int, int] = {}
-        for k, i in index_of.items():
-            c0 = k // size
-            if held[c0]:
-                pending[c0] = pending.get(c0, 0) + 1
-            else:
-                ranks[i] = k
-        for c0, left in pending.items():
-            ca, cb = divmod(c0, g)
-            for d in range(size):
-                if held[d] & held[c0]:
-                    continue
-                da, db = divmod(d, g)
-                i = index_of.get(key(ca, cb, da, db))
-                if i is not None and ranks[i] is None:
-                    ranks[i] = c0 * size + d
-                    left -= 1
-                    if not left:
-                        break
-            else:
-                raise IntegrityError(
-                    f"{left} classes of residue {c0} have no point (c0, d)"
-                )
-        return ranks
-
-
-#: Default bound on the index of a coset table, and the bound of every walk
-#: of Schreier generators.
-_MAX_POINTS = 10_000
-
-
-class _Orbit:
-    """The orbit of the point (0, 1) under the right action of S and T,
-    walked lazily by ``walk``: breadth-first, S before T.
-
-    Class i stands for the coset of the representative reached by the walk's
-    first path to it; ``points[i]`` is that matrix's bottom row modulo the
-    level, as reduced residue pairs, and ``index_of`` maps each class key to
-    its position.  Edge 2i goes from class i by S and edge 2i + 1 by T, to
-    the class ``successors`` lists under that number.  Classes are numbered
-    in the order reached, so edge e first reaches class j exactly when
-    ``successors[e] == j`` and j classes were reached before it.  Raises
-    BoundExceededError when the index exceeds ``max_points``.
-    """
-
-    def __init__(self, modulus: RingElt, max_points: int) -> None:
-        self.expected, primes = _index_and_primes(modulus)
-        if self.expected > max_points:
-            raise BoundExceededError(
-                f"index {int_text(self.expected)} exceeds the configured bound "
-                f"{max_points}"
-            )
-        self.line = line = _ProjectiveLine(modulus, primes)
-        red = line.ctx.red
-        self.points = [(*red(0, 0), *red(1, 0))]
-        self.index_of = {line.key(*self.points[0]): 0}
+        self.points = [(*ctx.red(0, 0), *ctx.red(1, 0))]
+        self.index_of = {key(*self.points[0]): 0}
         self.successors: list[int] = []
 
     def walk(self) -> Iterator[int]:
         """Visit the classes in the order reached, and yield each class i
         once its two edges are recorded."""
-        key, moves, points = self.line.key, self.line.moves, self.points
+        key, moves, points = self.key, self.moves, self.points
         index_of, find, add_point = self.index_of, self.index_of.get, points.append
         add_successor = self.successors.append
         # the loop reads the points appended while it runs
@@ -279,6 +231,52 @@ class _Orbit:
                 add_successor(j)
             yield i
 
+    def order(self) -> list[int]:
+        """The classes walked, listed by the rank c0 * N(modulus) + d of
+        their least unit multiple (c0, d), d compared coefficient by
+        coefficient.
+
+        The least residues c0 of the keys are read in ascending order.  A
+        unit c0 has one class per residue d, and its key c0 * N(modulus) + d
+        is its rank.  For any other c0 the residues d are read in rank
+        order, and each class is placed at the first point (c0, d) with its
+        key; a d in a prime that also holds c0 is skipped, since (c0, d) is
+        then no point, although its key may be that of a class.  Raises
+        IntegrityError if a key is missing or a class is left out.
+        """
+        size, g, key, held = self.ctx.size, self.ctx.g, self.key, self._held
+        index_of, order = self.index_of, []
+        counts = [0] * size
+        for k in index_of:
+            counts[k // size] += 1
+        for c0, left in enumerate(counts):
+            if not left:
+                continue
+            if not held[c0]:
+                if left < size:
+                    raise IntegrityError(
+                        f"unit residue {c0} has {left} of its {size} classes"
+                    )
+                order += map(index_of.__getitem__, range(c0 * size, c0 * size + size))
+                continue
+            # the keys placed so far, in the order first placed
+            placed: dict[int, None] = {}
+            ca, cb = divmod(c0, g)
+            for d in range(size):
+                if not held[d] & held[c0]:
+                    k = key(ca, cb, *divmod(d, g))
+                    if k in index_of:
+                        placed[k] = None
+                        if len(placed) == left:
+                            break
+            else:
+                raise IntegrityError(
+                    f"{left - len(placed)} classes of residue {c0} have no "
+                    "point (c0, d)"
+                )
+            order += map(index_of.__getitem__, placed)
+        return order
+
 
 class CosetTable:
     """Right cosets of the level-``modulus`` subgroup in the full group.
@@ -289,16 +287,16 @@ class CosetTable:
     S and T on classes; ``rep_words`` is read from the action and ``reps``
     from the words, each on first read.  It drains the walk of ``_Orbit``,
     cross-checks the class count against the multiplicative index formula
-    and raises IntegrityError on any mismatch.  Classes are numbered in the
-    order of their least unit multiple (c, d), compared coefficient by
-    coefficient.
+    and raises IntegrityError on any mismatch.  Classes are renumbered in
+    the order ``_Orbit.order`` lists them: by their least unit multiple
+    (c, d), compared coefficient by coefficient.
     """
 
     def __init__(self, modulus: RingElt, max_points: int = _MAX_POINTS) -> None:
         orbit = _Orbit(modulus, max_points)
         self.modulus = modulus
-        self.ctx = orbit.line.ctx
-        self._key = orbit.line.key
+        self.ctx = orbit.ctx
+        self._key = orbit.key
 
         deque(orbit.walk(), maxlen=0)
         points, successors = orbit.points, orbit.successors
@@ -308,8 +306,7 @@ class CosetTable:
                 f"gives {orbit.expected}"
             )
 
-        ranks = orbit.line.ranks(orbit.index_of)
-        order = sorted(range(len(points)), key=ranks.__getitem__)
+        order = orbit.order()
         perm = [0] * len(order)
         for rank, old in enumerate(order):
             perm[old] = rank

@@ -44,6 +44,7 @@ from hecke5.ring import (
     canonical_associate,
     exact_divide,
     is_canonical_associate,
+    lambda_pow,
 )
 
 
@@ -437,6 +438,17 @@ def test_h_of_values():
     assert h_of(elem(9, 0)) == 1
     with pytest.raises(ZeroInputError):
         h_of(elem(0, 0))
+    # h read from the coefficients against the exact division it replaces,
+    # on seeded multiples of 4, 16 and 64 times units, coefficients near 2**80
+    rng = random.Random(37)
+    for _ in range(100):
+        x = elem(rng.randint(-(2**80), 2**80), rng.randint(-(2**80), 2**80))
+        for scale in (1, 4, 16, 64):
+            y = x * scale * lambda_pow(rng.randint(-30, 30))
+            expected = next(
+                (h for h in (4, 2) if exact_divide(y, elem(h * h)) is not None), 1
+            )
+            assert h_of(y) == expected, y
 
 
 def test_h_of_matches_the_factored_2_part():

@@ -403,6 +403,13 @@ def test_exact_divide_examples():
     assert exact_divide(elem(7, 12), elem(-1, 3)) == elem(2, 3)  # 12L+7 = (3L-1) L**4
 
 
+def test_exact_divide_refuses_a_non_ring_argument():
+    assert exact_divide(6, 3) == 2
+    for x, d in ((elem(6, 0), "3"), ("6", elem(3, 0))):
+        with pytest.raises(TypeError, match="must be RingElt or int"):
+            exact_divide(x, d)
+
+
 @given(elements, nonzero_elements)
 def test_exact_divide_round_trip(x, d):
     q = exact_divide(x * d, d)

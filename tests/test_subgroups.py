@@ -197,7 +197,7 @@ def test_quotient_table_never_reads_coset_reps(monkeypatch):
 
 
 def test_product_of_all_unit_residues_is_its_own_inverse():
-    # _ProjectiveLine inverts this product by reusing it: in a finite abelian
+    # _Orbit inverts this product by reusing it: in a finite abelian
     # group the product of all elements has order 1 or 2
     orders = set()
     for tau in ideals_up_to_norm(600):
@@ -213,7 +213,7 @@ def test_product_of_all_unit_residues_is_its_own_inverse():
 
 
 def test_unit_orbit_sizes_sum_to_the_norm():
-    # _ProjectiveLine stops filling the orbit of c0 at phi(tau / gcd(c0, tau))
+    # _Orbit stops filling the orbit of c0 at phi(tau / gcd(c0, tau))
     # residues; the orbits partition O/tau, so these sizes must sum to
     # N(tau) over the divisors of tau
     for tau in ideals_up_to_norm(2000):
@@ -253,13 +253,20 @@ def test_coset_table_raises_when_the_orbit_misses_the_index_formula(monkeypatch)
 def test_class_numbering_skips_pairs_that_are_not_points():
     # modulo 4 the least residue 2L of its orbit has mu = 2, and (2L, 0) has
     # a key like any point's; but 2 holds both entries, so (2L, 0) is no
-    # point, and the scan must not rank a class by it
-    line = subgroups._ProjectiveLine(elem(4), (elem(2),))
-    non_point = line.key(0, 2, 0, 0)
+    # point, and the scan must not place a class by it
+    orbit = subgroups._Orbit(elem(4), subgroups._MAX_POINTS)
+    non_point = orbit.key(0, 2, 0, 0)
     assert non_point == 2 * 16
-    assert line.ranks({line.key(0, 2, 1, 0): 0}) == [2 * 16 + 4]
+    # (2L, L) ranks 2 * 16 + 1, before (2L, 1) at 2 * 16 + 4
+    orbit.index_of = {orbit.key(0, 2, 1, 0): 0, orbit.key(0, 2, 0, 1): 1}
+    assert orbit.order() == [1, 0]
+    orbit.index_of = {non_point: 0}
     with pytest.raises(IntegrityError, match="no point"):
-        line.ranks({non_point: 0})
+        orbit.order()
+    # the unit residue L has one class per residue d, so one alone is short
+    orbit.index_of = {orbit.key(0, 1, 0, 0): 0}
+    with pytest.raises(IntegrityError, match="1 of its 16 classes"):
+        orbit.order()
 
 
 #: sha256 of the points, words and action of the coset table of every ideal
@@ -328,19 +335,19 @@ def test_residue_line_matches_residue_ctx():
     moduli = [r for tau in ideals_up_to_norm(600) for r in (tau, -tau * LAMBDA)]
     for r in moduli:
         primes = [ResidueCtx(p) for p in factor(r).distinct_primes()]
-        line = subgroups._ProjectiveLine(r, [p.modulus for p in primes])
+        orbit = subgroups._Orbit(r, subgroups._MAX_POINTS)
         residues = [x.coeffs for x in ResidueCtx(r).residues()]
         held = [
             sum(1 << i for i, p in enumerate(primes) if p.divides(elem(*x)))
             for x in residues
         ]
-        assert line._held == held, r
+        assert orbit._held == held, r
         units = [x for x, h in zip(residues, held) if not h]
         for _ in range(6):
             c = rng.choice(residues)
             span = rng.choice(spans)
             d = (rng.randint(-span, span), rng.randint(-span, span))
-            assert line.key(*c, *d) == reference_key(r, units, c, d), (r, c, d)
+            assert orbit.key(*c, *d) == reference_key(r, units, c, d), (r, c, d)
 
 
 # --- coset tables against a brute-force oracle --------------------------------------
