@@ -78,7 +78,8 @@ class _Orbit:
     the class ``successors`` lists under that number.  Classes are numbered
     in the order reached, so edge e first reaches class j exactly when
     ``successors[e] == j`` and j classes were reached before it.  Raises
-    BoundExceededError when the index exceeds ``max_points``.
+    BadRangeError when ``max_points`` is below 1, before the modulus is
+    factored, and BoundExceededError when the index exceeds it.
 
     Points are keyed directly, as Manin symbols are in P^1(Z/N): every
     residue c is u*c0 for a unit u and the least residue c0 of its unit
@@ -104,6 +105,8 @@ class _Orbit:
     """
 
     def __init__(self, modulus: RingElt, max_points: int) -> None:
+        if max_points < 1:
+            raise BadRangeError(f"bound must be >= 1, got {max_points}")
         self.expected, primes = _index_and_primes(modulus)
         if self.expected > max_points:
             raise BoundExceededError(
@@ -296,6 +299,7 @@ class CosetTable:
         orbit = _Orbit(modulus, max_points)
         self.modulus = modulus
         self.ctx = orbit.ctx
+        self._hnf = (orbit.ctx.n, orbit.ctx.g, orbit.ctx.m)
         self._key = orbit.key
 
         deque(orbit.walk(), maxlen=0)
@@ -361,14 +365,19 @@ class CosetTable:
 
     def locate(self, m: GMatrix) -> int:
         """Class index of the coset containing ``m`` (assumed in the group)."""
-        ctx = self.ctx
-        (ca, cb), (da, db) = m.c.coeffs, m.d.coeffs
-        # c reduced here, not by ctx.red: that call costs ~12% of a locate;
-        # d needs no reduction, since the key reduces w*d modulo mu
-        k = cb // ctx.g
+        n, g, hm = self._hnf
+        # GMatrix coerces every entry to RingElt and both have fixed
+        # __slots__, so the bottom row is read from the slots: the property
+        # calls, tuples and context reads this spares were over a third of
+        # a lookup
+        c, d = m._c, m._d
+        cb = c._b
+        # c reduced as ResidueCtx.red does; d needs no reduction, since the
+        # key reduces w*d modulo mu
+        k = cb // g
         try:
             return self._index_of[
-                self._key((ca - k * ctx.m) % ctx.n, cb - k * ctx.g, da, db)
+                self._key((c._a - k * hm) % n, cb - k * g, d._a, d._b)
             ]
         except KeyError:
             raise ValueError("bottom row is not in the coset orbit") from None

@@ -829,6 +829,19 @@ def test_bound_exceeded_error(capsys):
     assert obj["code"] == "BoundExceeded"
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("verb", ["cosets", "elementary"])
+def test_bound_below_one_is_a_bad_range(capsys, verb, bound):
+    message = f"bound must be >= 1, got {bound}"
+    code, out, err = run(capsys, verb, "6", "--bound", bound)
+    assert (code, out, err) == (1, "", f"error[BadRange]: {message}\n")
+    code, (obj,), _ = run_json(capsys, verb, "6", "--bound", bound)
+    assert code == 1
+    assert (obj["schema"], obj["code"], obj["message"]) == (
+        "hecke5.error/1", "BadRange", message
+    )
+
+
 def test_help_and_version_exit_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "--version")[0] == 0

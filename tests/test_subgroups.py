@@ -132,6 +132,16 @@ def test_coset_table_bound():
         CosetTable(elem(16, 0), max_points=100)
 
 
+@pytest.mark.parametrize("max_points", [0, -3])
+def test_coset_table_bound_below_one_is_a_bad_range(monkeypatch, max_points):
+    def unfactored(modulus):
+        raise AssertionError("the modulus was factored")
+
+    monkeypatch.setattr(subgroups, "_index_and_primes", unfactored)
+    with pytest.raises(BadRangeError, match=f"^bound must be >= 1, got {max_points}$"):
+        CosetTable(elem(6), max_points=max_points)
+
+
 def test_coset_table_at_the_default_bound():
     # a split prime of norm 9949: index 9950, just under max_points=10_000
     tau = primes_above(9949)[0]
@@ -430,6 +440,39 @@ def test_coset_locate_matches_oracle(tau):
     locate = oracle_table(tau)[4]
     for m in sample_words((GEN_S, GEN_T), 200, seed=5, max_len=20):
         assert table.locate(m) == locate(m)
+
+
+# bottom rows whose c has a coefficient past 2**64 or below zero: S T**q S
+# has bottom row (q*L, -1), and the long words are hyperbolic powers
+FAR_FACTORS = (
+    GEN_S * t_power(10**20) * GEN_S,
+    GEN_S * t_power(-(10**20)) * GEN_S * t_power(3) * GEN_S,
+    (GEN_S * t_power(2)) ** 61,
+    (GEN_S * t_power(-3)) ** 61,
+)
+
+
+def test_far_factors_have_raw_bottom_rows():
+    # the premise of the next test: locate must reduce these c itself
+    for m in FAR_FACTORS:
+        assert min(m.c.coeffs) < 0 or max(m.c.coeffs) > 2**64, m.c
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [*ideals_up_to_norm(150), *ORACLE_EXTRA_MODULI],
+    ids=lambda t: str(t.coeffs),
+)
+def test_coset_locate_reduces_any_bottom_row(tau):
+    table, ctx = CosetTable(tau), ResidueCtx(tau)
+    assert table.locate(GMatrix(1, 0, 0, 1)) == 0
+    reps = table.reps
+    for i in range(0, table.size, max(1, table.size // 8)):
+        for far in FAR_FACTORS:
+            m = reps[i] * far
+            j = table.locate(m)
+            assert table.locate(-m) == j  # M and -M are one element
+            assert ctx.divides((m * reps[j].inverse()).c), (i, j)
 
 
 def test_coset_action_genus_is_a_non_negative_integer():
