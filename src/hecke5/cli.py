@@ -35,10 +35,12 @@ Contract
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import shlex
+import shutil
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -553,32 +555,45 @@ _VERBS: tuple[tuple[str, str, Callable[[argparse.Namespace], _Outcome], tuple], 
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--json",
+#: The options that the top-level parser and every verb accept, each as
+#: (flag, keyword options of ``add_argument``).  They default to SUPPRESS, so
+#: a batch line that leaves one out takes it from the ``--batch`` command.
+_COMMON = (
+    ("--json", dict(
         action="store_true",
         default=argparse.SUPPRESS,
         help="emit one JSON object (with a 'schema' field) instead of text",
-    )
-    common.add_argument(
-        "--bound",
+    )),
+    ("--bound", dict(
         type=int,
         default=argparse.SUPPRESS,
         metavar="INT",
         help="search/enumeration bound (elementary box half-width, coset cap)",
-    )
+    )),
+)
 
+
+class _Parser(argparse.ArgumentParser):
+    #: The top-level parser's verb subparsers by name, set by build_parser.
+    verbs: dict[str, argparse.ArgumentParser]
+
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise UsageError(message)
+
+
+def build_parser() -> _Parser:
+    # argparse builds a help formatter for each add_argument call, and each
+    # one reads the terminal size; read it once, as the formatter would
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = _Parser(
+        formatter_class=formatter,
         prog="hecke5",
         description="Exact computations in the Hecke group G5 over Z[L], L**2 = L+1.",
-        parents=[common],
     )
+    for flag, options in _COMMON:
+        parser.add_argument(flag, **options)
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
@@ -590,11 +605,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
     for name, help_line, handler, arguments in _VERBS:
-        p = sub.add_parser(name, parents=[common], help=help_line)
-        for flag, options in arguments:
+        p = sub.add_parser(name, help=help_line, formatter_class=formatter)
+        for flag, options in _COMMON + arguments:
             p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
-
+    parser.verbs = sub.choices
     return parser
 
 
@@ -634,17 +649,27 @@ def _asks_for_json(words: Optional[Sequence[str]]) -> bool:
 
 
 def _run(
-    parser: argparse.ArgumentParser,
+    parser: _Parser,
     words: Optional[Sequence[str]],
     outer: Optional[argparse.Namespace] = None,
 ) -> int:
     """Run one command.  ``words`` is the argv of an invocation, or the words
     of a line of the ``--batch`` file that ``outer`` was parsed from; a line
     takes ``--json`` and ``--bound`` from ``outer`` unless it sets its own,
-    puts its errors on stdout and its text result on one line."""
+    puts its errors on stdout and its text result on one line.
+
+    A line that starts with a verb goes straight to that verb's parser, which
+    is the one the top-level parser would hand it to; argv and any other
+    line go through the top-level parser, which words the errors for a
+    missing or unknown verb."""
     in_batch = outer is not None
+    verb_parser = parser.verbs.get(words[0]) if in_batch else None
     try:
-        ns = parser.parse_args(words)
+        if verb_parser is None:
+            ns = parser.parse_args(words)
+        else:
+            ns = verb_parser.parse_args(words[1:])
+            ns.verb, ns.batch = words[0], None
     except UsageError as exc:
         json_mode = _asks_for_json(words) or getattr(outer, "json", False)
         return _emit(_error(exc), json_mode, in_batch)
@@ -665,7 +690,7 @@ def _run(
     return _emit(outcome, ns.json, in_batch)
 
 
-def _run_batch(parser: argparse.ArgumentParser, outer: argparse.Namespace) -> int:
+def _run_batch(parser: _Parser, outer: argparse.Namespace) -> int:
     try:
         with open(outer.batch, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()

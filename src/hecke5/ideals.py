@@ -24,6 +24,7 @@ from .ring import (
     ROOT5,
     RingElt,
     UnitRep,
+    _divmod_step,
     canonical_associate,
     exact_divide,
     format_element,
@@ -287,17 +288,20 @@ def factor(x: RingElt) -> Factorization:
     """Factor a nonzero element into canonical primes and a unit."""
     if not x:
         raise ZeroInputError("cannot factor zero")
-    rest = x
+    a, b = x.coeffs
     found: list[tuple[RingElt, int]] = []
     for p in sorted(_factor_int(x.abs_norm())):
         for prime in primes_above(p):
             e = 0
-            while (q := exact_divide(rest, prime)) is not None:
-                rest, e = q, e + 1
+            while True:  # divide prime out while the remainder is zero
+                qa, qb, ra, rb = _divmod_step(a, b, *prime.coeffs)
+                if ra or rb:
+                    break
+                a, b, e = qa, qb, e + 1
             if e:
                 found.append((prime, e))
     found.sort(key=lambda t: _ideal_key(t[0]))
-    return Factorization(unit=unit_decompose(rest), factors=tuple(found))
+    return Factorization(unit=unit_decompose(RingElt(a, b)), factors=tuple(found))
 
 
 def _product(factors: Iterable[tuple[RingElt, int]]) -> RingElt:

@@ -256,7 +256,7 @@ def _unit_log(a: int, b: int) -> Optional[tuple[int, int]]:
         return hit
     if abs(a * a + a * b - b * b) != 1:
         return None
-    sgn = sign_real(RingElt(a, b))
+    sgn = _cmp_int_sqrt5(2 * a + b, -b)
     a, b = sgn * a, sgn * b
     target = abs(b)
     n = max(2, int((target.bit_length() - 1 + _LOG2_ROOT5) / _LOG2_L))
@@ -336,7 +336,7 @@ def gcd(x: RingElt, y: RingElt) -> RingElt:
     associate."""
     if not x and not y:
         raise BothZeroError("gcd(0, 0) is undefined")
-    return canonical_associate(RingElt(*_euclid(x.a, x.b, y.a, y.b)))
+    return _canonical(*_euclid(x.a, x.b, y.a, y.b))
 
 
 def exact_divide(x: RingElt, d: RingElt) -> Optional[RingElt]:
@@ -356,19 +356,46 @@ def canonical_associate(x: RingElt) -> RingElt:
     [sqrt(|norm|), L*sqrt(|norm|)), picked with exact squared comparisons."""
     if not x:
         raise ZeroInputError("zero has no canonical associate")
-    if sign_real(x) < 0:
-        x = -x
-    n = x.abs_norm()
-    upper = RingElt(n, n)  # n * L**2
-    lower = RingElt(n, 0)
-    sq = x * x
-    while sign_real(sq - upper) >= 0:
-        x = x * LAMBDA_INV
-        sq = x * x
-    while sign_real(sq - lower) < 0:
-        x = x * LAMBDA
-        sq = x * x
-    return x
+    return _canonical(x.a, x.b)
+
+
+#: _canonical jumps only when its estimate is more than this many steps.
+_CANONICAL_JUMP = 4
+
+
+def _canonical(a: int, b: int) -> RingElt:
+    """canonical_associate of the nonzero a + b*L, on raw coefficients.
+
+    The value v and its conjugate v' satisfy |v*v'| = n and v - v' =
+    b*sqrt(5).  Far from the window, the larger of |v| and |v'| is about
+    sqrt(5) times the larger coefficient, so the distance k in powers of L
+    is estimated from bit lengths, as in _unit_log, and crossed with one
+    product by lambda_pow(-+k); the exact steps that follow then move about
+    two times at most.  L*(a + bL) = b + (a + b)L and
+    L**-1*(a + bL) = (b - a) + aL.
+    """
+    if _cmp_int_sqrt5(2 * a + b, -b) < 0:
+        a, b = -a, -b
+    n = abs(a * a + a * b - b * b)
+    k = round(
+        (max(abs(a), abs(b)).bit_length() + _LOG2_ROOT5 - n.bit_length() / 2) / _LOG2_L
+    )
+    if k > _CANONICAL_JUMP:
+        # v is the larger when a and b share a sign, v' when they differ
+        c, d = lambda_pow(-k if (a < 0) == (b < 0) else k).coeffs
+        a, b = a * c + b * d, a * d + b * c + b * d
+    # v**2 = (a*a + b*b) + (2ab + b*b)L, compared as sign_real compares
+    while True:  # step down while v**2 >= n*L**2 = n + nL
+        sa, sb = a * a + b * b - n, 2 * a * b + b * b - n
+        if _cmp_int_sqrt5(2 * sa + sb, -sb) < 0:
+            break
+        a, b = b - a, a
+    while True:  # step up while v**2 < n
+        sa, sb = a * a + b * b - n, 2 * a * b + b * b
+        if _cmp_int_sqrt5(2 * sa + sb, -sb) >= 0:
+            break
+        a, b = b, a + b
+    return RingElt(a, b)
 
 
 def is_canonical_associate(x: RingElt) -> bool:

@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import hecke5.subgroups as subgroups_module
 from hecke5.cli import UsageError, main, parse_command
 from hecke5.errors import BoundExceededError, ParseError
 from hecke5.reduction import eval_word, parse_word
-from hecke5.ring import RingElt, format_element, parse_element
+from hecke5.ring import RingElt, format_element, lambda_pow, parse_element
 
 
 def run(capsys, *argv):
@@ -814,6 +815,48 @@ def test_usage_errors_follow_json_mode(tmp_path, capsys, line, asks_json, outer_
     code, out, err = run(capsys, *outer, "--batch", str(path))
     assert (code, err) == (1, "")
     check_one_error(out)
+
+
+@pytest.mark.parametrize(
+    "line", [line for line, _ in USAGE_ERROR_SHAPES if not line.startswith("-")]
+)
+def test_usage_error_text_is_the_same_in_batch_and_argv(tmp_path, capsys, line):
+    """A batch line goes to its verb's parser, the command line to the
+    top-level one; both word every usage error alike, in text and JSON."""
+    path = tmp_path / "commands.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *shlex.split(line))
+    assert code == 1
+    code, batch_text, _ = run(capsys, "--batch", str(path))
+    assert (code, batch_text) == (1, out + err)  # one of them is empty
+    code, (argv_obj,), _ = run_json(capsys, *shlex.split(line))
+    assert code == 1
+    code, (batch_obj,), _ = run_json(capsys, "--batch", str(path))
+    assert (code, batch_obj) == (1, argv_obj)
+    assert argv_obj["code"] == "Usage"
+
+
+def test_help_is_the_same_in_batch_and_argv(tmp_path, capsys):
+    path = tmp_path / "commands.txt"
+    path.write_text("reduce -h\n", encoding="utf-8")
+    code, argv_out, err = run(capsys, "reduce", "-h")
+    assert (code, err) == (0, "")
+    assert argv_out.startswith("usage: hecke5 reduce [-h] [--json] [--bound INT] num den\n")
+    assert run(capsys, "--batch", str(path)) == (0, argv_out, "")
+
+
+@pytest.mark.parametrize("verb", ("quotient", "explain", "normalizer"))
+def test_a_far_associate_of_the_level_is_answered_quickly(capsys, verb):
+    """L**19000 * (3*L+7), a 7947-character argument, names the same level
+    as 3*L+7; stepping to its canonical associate one power of L at a time
+    took 3 to 6 s per command."""
+    literal = format_element(lambda_pow(19000) * RingElt(7, 3))
+    start = time.perf_counter()
+    far = run(capsys, verb, literal)
+    elapsed = time.perf_counter() - start
+    assert far == run(capsys, verb, "3*L+7")
+    assert far[0] == 0
+    assert elapsed < 1.0, elapsed
 
 
 def test_parse_error_carries_position(capsys):

@@ -12,6 +12,7 @@ import hashlib
 import pickle
 import random
 import re
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -442,6 +443,20 @@ def test_canonical_constant_on_associates(x, k, s):
     assert canonical_associate(x * lambda_pow(k) * s) == c
     u = exact_divide(x, c)
     assert u is not None and u.is_unit()
+
+
+@pytest.mark.parametrize("k", (19000, -19000))
+def test_canonical_associate_of_a_far_associate_is_quick(k):
+    """x = L**k * y is brought back near the window in one product, not k
+    steps: at |k| = 19000 (about 13 200-bit coefficients) stepping one power
+    of L at a time took over 3 s."""
+    y = elem(7, 3)  # 3*L+7, canonical, of norm 61
+    for x in (lambda_pow(k) * y, -(lambda_pow(k) * y)):
+        start = time.perf_counter()
+        c = canonical_associate(x)
+        elapsed = time.perf_counter() - start
+        assert c == y
+        assert elapsed < 0.5, elapsed
 
 
 # --- text form ---------------------------------------------------------------------

@@ -8,7 +8,8 @@ and A(3) of the upper-left entry on G0(2) and G0(3) that ``hecke5.normalizer``
 writes out as constants, and the upper bound's witness fractions
 u/(n*L**k) in every step of ``supergroup_chain``.
 It also checks seeded ``reduce``, ``member`` and ``index`` answers of the
-CLI from their JSON text alone.  The module is loaded from its file and
+CLI from their JSON text alone, and ``canonical_associate`` and ``gcd`` on
+seeded elements up to 300 digits.  The module is loaded from its file and
 never edited.
 """
 
@@ -23,7 +24,7 @@ from hecke5.cli import main
 from hecke5.ideals import ideals_up_to_norm
 from hecke5.normalizer import _UPPER_LEFT_MOD
 from hecke5.reduction import word_string
-from hecke5.ring import LAMBDA, RingElt
+from hecke5.ring import LAMBDA, RingElt, canonical_associate, gcd
 
 _spec = importlib.util.spec_from_file_location(
     "zl", Path(__file__).resolve().parent.parent / "bench" / "zl.py"
@@ -279,3 +280,41 @@ def test_index_holds_outside(capsys):
         tau = _element_of_norm(rng, 2, 10**5)
         code, obj = _cli(capsys, "index", "--", zl.fmt(tau))
         assert code == 0 and obj["index"] == zl.index(tau)
+
+
+def _canonical_inputs():
+    """Seeded nonzero elements: a few fixed ones, random ones of 1 to 30
+    digits each also as +-L**k times itself with |k| <= 400, and pairs of
+    300-digit coefficients."""
+    yield from ((1, 0), (0, 1), (-3, 2), (5, 0), (-5, 0), (0, 4), (7, 12), (-1, 2))
+    rng = random.Random(2613)
+    for digits in (1, 2, 3, 6, 12, 30):
+        for _ in range(25):
+            x = (_coefficient(rng, digits), _coefficient(rng, rng.randint(1, digits)))
+            yield x
+            unit = zl.scale(zl.lam_pow(rng.randint(-400, 400)), rng.choice((1, -1)))
+            yield zl.mul(x, unit)
+    for _ in range(25):
+        yield (_coefficient(rng, 300), _coefficient(rng, 300))
+
+
+def test_canonical_associate_holds_outside():
+    """The result is an associate of x and lies in the window, and its
+    neighbours c*L and c/L do not, so the check tells c apart."""
+    for x in _canonical_inputs():
+        c = canonical_associate(RingElt(*x)).coeffs
+        assert zl.associated(c, x) and zl.is_canonical(c), x
+        assert not zl.is_canonical(zl.mul(c, zl.L))
+        assert not zl.is_canonical(zl.mul(c, (-1, 1)))  # 1/L = L - 1
+
+
+def test_gcd_holds_outside():
+    """gcd(g*x, g*y) is canonical, divides both and is divided by g."""
+    rng = random.Random(2614)
+    for digits in (1, 3, 12, 60, 300):
+        for _ in range(10):
+            g, x, y = ((_coefficient(rng, digits), _coefficient(rng, digits)) for _ in range(3))
+            gx, gy = zl.mul(g, x), zl.mul(g, y)
+            d = gcd(RingElt(*gx), RingElt(*gy)).coeffs
+            assert zl.is_canonical(d)
+            assert zl.divides(d, gx) and zl.divides(d, gy) and zl.divides(g, d)
