@@ -3,15 +3,15 @@
 G0(tau) is the set of group elements whose lower-left entry is divisible by
 tau.  Right cosets of G0(tau) correspond to bottom rows (c, d) modulo tau up
 to scaling by invertible residues — points of the projective line over the
-residue ring — and the coset table enumerates them as the orbit of (0, 1)
-under the right action of the generators S and T.  The same walk yields the
-Schreier generators of G0(tau), one per edge that closes a cycle.
+residue ring — and the coset table lists them in rank order with the right
+action of the generators S and T on them.  The breadth-first walk of that
+action from (0, 1) yields the Schreier generators of G0(tau), one per edge
+that closes a cycle.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
@@ -67,9 +67,12 @@ _MAX_POINTS = 10_000
 
 
 class _Orbit:
-    """The orbit of the point (0, 1) under the right action of S and T on
-    the projective line over the residue ring of ``modulus``, walked lazily
-    by ``walk``: breadth-first, S before T.
+    """The projective line over the residue ring of ``modulus``, keyed by
+    unit orbits, and the orbit of the point (0, 1) under the right action
+    of S and T on it, walked lazily by ``walk``: breadth-first, S before T.
+    ``schreier_generators`` reads the walk; ``CosetTable`` reads only the
+    residue line (``key``, ``moves``, ``blocks`` and the per-residue
+    tables) and never walks.
 
     Class i stands for the coset of the representative reached by the walk's
     first path to it; ``points[i]`` is that matrix's bottom row modulo the
@@ -100,8 +103,9 @@ class _Orbit:
     = u**-1 * c0 with w = u and stops once it holds them all.  Over the
     levels of norm up to 3000 these passes take at most 0.95 N(modulus)
     products, where filling every orbit took up to 1.64 N(modulus).
-    ``order`` lists the classes walked in rank order in about one key per
-    class.
+    ``blocks`` lists each orbit's least residue c0 with its mu as a
+    coefficient pair, in ascending c0; ``_canon[r]`` is the key's entry
+    (c0 * N(modulus), w, mu's HNF) of residue r and ``_held[r]`` its mask.
     """
 
     def __init__(self, modulus: RingElt, max_points: int) -> None:
@@ -145,7 +149,7 @@ class _Orbit:
         # are the b divisible by pg with a = (b / pg) * pm modulo pn, and pn
         # and pg divide n and g, so each column b of the box holds them at a
         # stride of pn rows.
-        primes = [ResidueCtx(p) for p in primes]
+        self._primes = primes = [ResidueCtx(p) for p in primes]
         self._held = held = [0] * size
         for i, p in enumerate(primes):
             bit, stride = 1 << i, p.n * g
@@ -170,7 +174,8 @@ class _Orbit:
         # one pass over the units per unit orbit of residues, i.e. per ideal
         # divisor of the level, until the orbit is full; row-major order
         # meets each orbit at its least residue c0 first
-        canon: list = [None] * size
+        self._canon = canon = [None] * size
+        self.blocks = blocks = []
         ra, rb = modulus.coeffs
         for c0 in range(size):
             if canon[c0] is not None:
@@ -179,6 +184,7 @@ class _Orbit:
             if not held[c0]:
                 # the orbit of the units, met at c0 = e: x * u = e, and mu is
                 # the modulus itself
+                blocks.append((c0, (ra, rb)))
                 for (ua, ub), (wa, wb) in zip(units, scaled):
                     canon[ua * g + ub] = (base, wa, wb, n, g, m)
                 continue
@@ -186,6 +192,7 @@ class _Orbit:
             # mu = modulus / gcd(c0, modulus), an exact division; the HNF
             # depends on the ideal alone, so any associate of the gcd serves
             mu = _divmod_step(ra, rb, *_euclid(*least, ra, rb))[:2]
+            blocks.append((c0, mu))
             mn, mg, mm = _hnf(*mu)
             # u * c = c0 for c = x * e**-1 * c0, which is u**-1 * c0
             shifted = mul(e_inverse, least)
@@ -234,52 +241,6 @@ class _Orbit:
                 add_successor(j)
             yield i
 
-    def order(self) -> list[int]:
-        """The classes walked, listed by the rank c0 * N(modulus) + d of
-        their least unit multiple (c0, d), d compared coefficient by
-        coefficient.
-
-        The least residues c0 of the keys are read in ascending order.  A
-        unit c0 has one class per residue d, and its key c0 * N(modulus) + d
-        is its rank.  For any other c0 the residues d are read in rank
-        order, and each class is placed at the first point (c0, d) with its
-        key; a d in a prime that also holds c0 is skipped, since (c0, d) is
-        then no point, although its key may be that of a class.  Raises
-        IntegrityError if a key is missing or a class is left out.
-        """
-        size, g, key, held = self.ctx.size, self.ctx.g, self.key, self._held
-        index_of, order = self.index_of, []
-        counts = [0] * size
-        for k in index_of:
-            counts[k // size] += 1
-        for c0, left in enumerate(counts):
-            if not left:
-                continue
-            if not held[c0]:
-                if left < size:
-                    raise IntegrityError(
-                        f"unit residue {c0} has {left} of its {size} classes"
-                    )
-                order += map(index_of.__getitem__, range(c0 * size, c0 * size + size))
-                continue
-            # the keys placed so far, in the order first placed
-            placed: dict[int, None] = {}
-            ca, cb = divmod(c0, g)
-            for d in range(size):
-                if not held[d] & held[c0]:
-                    k = key(ca, cb, *divmod(d, g))
-                    if k in index_of:
-                        placed[k] = None
-                        if len(placed) == left:
-                            break
-            else:
-                raise IntegrityError(
-                    f"{left - len(placed)} classes of residue {c0} have no "
-                    "point (c0, d)"
-                )
-            order += map(index_of.__getitem__, placed)
-        return order
-
 
 class CosetTable:
     """Right cosets of the level-``modulus`` subgroup in the full group.
@@ -288,42 +249,135 @@ class CosetTable:
     scaling by invertible residues; class 0 is the subgroup itself.  The
     table stores one reduced point per class and the permutation action of
     S and T on classes; ``rep_words`` is read from the action and ``reps``
-    from the words, each on first read.  It drains the walk of ``_Orbit``,
-    cross-checks the class count against the multiplicative index formula
-    and raises IntegrityError on any mismatch.  Classes are renumbered in
-    the order ``_Orbit.order`` lists them: by their least unit multiple
-    (c, d), compared coefficient by coefficient.
+    from the words, each on first read.
+
+    Classes are numbered in rank order, by their least unit multiple (c0, d)
+    compared coefficient by coefficient, with no walk: the blocks of
+    ``_Orbit.blocks`` are read in ascending c0.  A block whose c0 is a unit
+    is that of the least unit e; its stabiliser is trivial, so it holds one
+    class per residue d, and its keys c0 * N(modulus) + d are its ranks.
+    Any other block reads d in rank order, skipping each d in a prime that
+    also holds c0, since (c0, d) is then no point although its key may be a
+    class's, and places a class at the first d with each new key until it
+    holds its N(mu) * prod(1 - 1/N(P)) classes, over the primes P holding
+    both c0 and mu.
+
+    On the unit block T is d -> d + e*L and S is d -> -e*w(d), w the key
+    multiplier the residue line holds for a unit d, so neither makes a key
+    call unless d is no unit; every other class maps by the key of a move
+    of its point.  One breadth-first pass over the action from class 0, S
+    before T, then records each class's point as the bottom row of the
+    pass's first path to it.  Raises IntegrityError when a block runs out
+    of points, when the class count misses the multiplicative index
+    formula, and when that pass leaves a class unreached.
     """
 
     def __init__(self, modulus: RingElt, max_points: int = _MAX_POINTS) -> None:
         orbit = _Orbit(modulus, max_points)
         self.modulus = modulus
-        self.ctx = orbit.ctx
-        self._hnf = (orbit.ctx.n, orbit.ctx.g, orbit.ctx.m)
-        self._key = orbit.key
+        self.ctx = ctx = orbit.ctx
+        self._hnf = n, g, m = ctx.n, ctx.g, ctx.m
+        self._key = key = orbit.key
+        size, held, canon, primes = ctx.size, orbit._held, orbit._canon, orbit._primes
 
-        deque(orbit.walk(), maxlen=0)
-        points, successors = orbit.points, orbit.successors
-        if len(points) != orbit.expected:
+        # the classes in rank order; rows[i] is the point (c0, d) that placed
+        # class i, for the classes outside the unit block alone
+        self._index_of = index_of = {}
+        rows = []
+        for c0, mu in orbit.blocks:
+            mask, base = held[c0], c0 * size
+            left = _unit_count(mu, [p for i, p in enumerate(primes) if mask >> i & 1])
+            if not mask:
+                if left != size:
+                    raise IntegrityError(
+                        f"unit residue {c0} has {left} of its {size} classes"
+                    )
+                first, (ea, eb) = len(index_of), divmod(c0, g)
+                index_of.update(zip(range(base, base + size), range(first, first + size)))
+                continue
+            ca, cb = divmod(c0, g)
+            for d in range(size):
+                if not held[d] & mask:
+                    row = (ca, cb, *divmod(d, g))
+                    k = key(*row)
+                    if k not in index_of:
+                        index_of[k] = len(index_of)
+                        rows.append(row)
+                        left -= 1
+                        if not left:
+                            break
+            else:
+                raise IntegrityError(
+                    f"{left} classes of residue {c0} have no point (c0, d)"
+                )
+        total = len(index_of)
+        if total != orbit.expected:
             raise IntegrityError(
-                f"orbit has {len(points)} classes but the index formula "
+                f"orbit has {total} classes but the index formula "
                 f"gives {orbit.expected}"
             )
 
-        order = orbit.order()
-        perm = [0] * len(order)
-        for rank, old in enumerate(order):
-            perm[old] = rank
-        self.points = [points[i] for i in order]
+        # the unit block: T adds e*L = t to d, a shift by t of the residue
+        # index d = a*g + b, less g + m*g in the columns b where the sum
+        # carries; S sends (e, d) to (d, -e), whose key for a unit d with
+        # multiplier w is that of (e, -e*w).  unit[d] is class first + d as
+        # the int object index_of holds, so the action keeps no int of its own
+        unit = [*index_of.values()][first : first + size]
+        ta, tb = ctx.red(eb, ea + eb)
+        t = ta * g + tb
+        t_unit = unit[t:] + unit[:t]
+        carried = (t - g - m * g) % size
+        for b in range(g - tb, g):
+            t_unit[b::g] = [unit[(r + carried) % size] for r in range(b, size, g)]
+
+        moves = orbit.moves
+        s_unit, s_rest, t_rest = [], [], []
+        try:
+            for d, (h, (_, wa, wb, _, _, _)) in enumerate(zip(held, canon)):
+                if h:
+                    s_unit.append(index_of[key(*divmod(d, g), -ea, -eb)])
+                else:
+                    xb = -ea * wb - eb * (wa + wb)
+                    k = xb // g
+                    s_unit.append(unit[(-ea * wa - eb * wb - k * m) % n * g + xb - k * g])
+            for row in rows:
+                s_row, t_row = moves(*row)
+                s_rest.append(index_of[key(*s_row)])
+                t_rest.append(index_of[key(*t_row)])
+        except KeyError:
+            raise IntegrityError("a move leaves the classes of the table") from None
+        self.action = action = {
+            "S": [*s_rest[:first], *s_unit, *s_rest[first:]],
+            "T": [*t_rest[:first], *t_unit, *t_rest[first:]],
+        }
+
+        # the points, each the bottom row of the first path reaching it; a
+        # move is made, as ``moves`` makes it, only along the edge that
+        # first reaches a class
+        self.points = points = [None] * total
+        points[0] = (*ctx.red(0, 0), *ctx.red(1, 0))
+        s_act, t_act = action["S"], action["T"]
+        reached = [0]
+        # the loop reads the classes appended while it runs
+        for i in reached:
+            xa, xb, ya, yb = points[i]
+            j = s_act[i]
+            if points[j] is None:
+                k = -xb // g
+                points[j] = (ya, yb, (-xa - k * m) % n, -xb - k * g)
+                reached.append(j)
+            j = t_act[i]
+            if points[j] is None:
+                b = xa + xb + yb
+                k = b // g
+                points[j] = (xa, xb, (ya + xb - k * m) % n, b - k * g)
+                reached.append(j)
+        if len(reached) != total:
+            raise IntegrityError(
+                f"the action reaches {len(reached)} of {total} classes from class 0"
+            )
         self._rep_words: list[Word] | None = None
         self._reps: list[GMatrix] | None = None
-        self._index_of = index_of = orbit.index_of
-        for k, v in index_of.items():
-            index_of[k] = perm[v]
-        self.action = {
-            name: [perm[succ[i]] for i in order]
-            for name, succ in zip("ST", (successors[0::2], successors[1::2]))
-        }
 
     @property
     def rep_words(self) -> list[Word]:

@@ -260,23 +260,77 @@ def test_coset_table_raises_when_the_orbit_misses_the_index_formula(monkeypatch)
     assert str(info.value) == "orbit has 50 classes but the index formula gives 51"
 
 
-def test_class_numbering_skips_pairs_that_are_not_points():
+def _orbit_with_blocks(monkeypatch, mus):
+    """Patch the coset walker so its block of each least residue c0 in
+    ``mus`` reads that modulus mu instead of its own."""
+
+    class Patched(subgroups._Orbit):
+        def __init__(self, modulus, max_points):
+            super().__init__(modulus, max_points)
+            self.blocks = [(c0, mus.get(c0, mu)) for c0, mu in self.blocks]
+
+    monkeypatch.setattr(subgroups, "_Orbit", Patched)
+
+
+def test_class_numbering_skips_pairs_that_are_not_points(monkeypatch):
     # modulo 4 the least residue 2L of its orbit has mu = 2, and (2L, 0) has
     # a key like any point's; but 2 holds both entries, so (2L, 0) is no
-    # point, and the scan must not place a class by it
-    orbit = subgroups._Orbit(elem(4), subgroups._MAX_POINTS)
-    non_point = orbit.key(0, 2, 0, 0)
+    # point, and the rank scan must not place a class by it
+    table = CosetTable(elem(4))
+    non_point = table._key(0, 2, 0, 0)
     assert non_point == 2 * 16
-    # (2L, L) ranks 2 * 16 + 1, before (2L, 1) at 2 * 16 + 4
-    orbit.index_of = {orbit.key(0, 2, 1, 0): 0, orbit.key(0, 2, 0, 1): 1}
-    assert orbit.order() == [1, 0]
-    orbit.index_of = {non_point: 0}
-    with pytest.raises(IntegrityError, match="no point"):
-        orbit.order()
-    # the unit residue L has one class per residue d, so one alone is short
-    orbit.index_of = {orbit.key(0, 1, 0, 0): 0}
-    with pytest.raises(IntegrityError, match="1 of its 16 classes"):
-        orbit.order()
+    assert non_point not in table._index_of
+    # class 0 and the 16 classes of the unit block L come first; then (2L, L)
+    # ranks 2 * 16 + 1, before (2L, 1) at 2 * 16 + 4 and (2L, 1 + L)
+    ranked = [table._index_of[table._key(0, 2, *d)] for d in ((0, 1), (1, 0), (1, 1))]
+    assert ranked == [17, 18, 19] and table.size == 20
+    # with mu = 4 the block of 2L would hold 12 classes, but only three keys
+    # (2L, d) are points
+    _orbit_with_blocks(monkeypatch, {2: (4, 0)})
+    with pytest.raises(IntegrityError, match="9 classes of residue 2 have no point"):
+        CosetTable(elem(4))
+    # the unit residue L has one class per residue d, so a block of N(2)
+    # classes is short
+    _orbit_with_blocks(monkeypatch, {1: (2, 0)})
+    with pytest.raises(IntegrityError, match="unit residue 1 has 4 of its 16 classes"):
+        CosetTable(elem(4))
+
+
+def test_coset_action_is_the_key_of_each_move():
+    # S and T in closed form on the unit block, and through the key of each
+    # move elsewhere, against the key of every point's moves reduced by
+    # ResidueCtx.red: S sends (c, d) to (d, -c) and T sends it to (c, c L + d)
+    moduli = [r for tau in ideals_up_to_norm(1000) for r in (tau, -tau * LAMBDA)]
+    for r in moduli:
+        table = CosetTable(r)
+        red, key, index_of = table.ctx.red, table._key, table._index_of
+        s, t = table.action["S"], table.action["T"]
+        for i, (ca, cb, da, db) in enumerate(table.points):
+            assert s[i] == index_of[key(*red(da, db), -ca, -cb)], (r, i)
+            assert t[i] == index_of[key(ca, cb, cb + da, ca + cb + db)], (r, i)
+
+
+def test_coset_table_raises_when_the_action_leaves_a_class_unreached(monkeypatch):
+    class Fixed(subgroups._Orbit):
+        def __init__(self, modulus, max_points):
+            super().__init__(modulus, max_points)
+            # each row outside the unit block moves to itself, so S and T
+            # both fix class 0 and the pass from it stops there
+            self.moves = lambda *row: (row, row)
+
+    monkeypatch.setattr(subgroups, "_Orbit", Fixed)
+    with pytest.raises(IntegrityError, match="reaches 1 of 50 classes"):
+        CosetTable(elem(6))
+
+
+def test_coset_table_never_walks(monkeypatch):
+    def walk(self):
+        raise AssertionError("CosetTable walked the orbit")
+
+    monkeypatch.setattr(subgroups._Orbit, "walk", walk)
+    table = coset_table(elem(72))
+    assert table.size == 7200
+    assert len(table._index_of) == len(table.points) == 7200
 
 
 #: sha256 of the points, words and action of the coset table of every ideal
